@@ -19,6 +19,7 @@ from .constructions import gamma_graph, hm_graph, lm_graph, wk_square_rewrite, w
 from .retracts import bergman_counterexample, intersection_report, run_suite, suite_names
 from .stallings import (
     CoreGraph,
+    _read_graph_json,
     basis,
     canonical_relabeling,
     contains,
@@ -183,12 +184,7 @@ def _dispatch(args: argparse.Namespace) -> object:
         if args.graph is not None:
             with open(args.graph, encoding="utf-8") as handle:
                 data = json.load(handle)
-            graph = fold(
-                int(data["rank"]),
-                int(data["vertices"]),
-                [(int(e["from"]), int(e["to"]), int(e["label"])) for e in data["edges"]],
-                int(data.get("base", 0)),
-            )
+            graph = fold(*_read_graph_json(data))
         else:
             graph = _load_graph(args)
         return graph_to_json(graph)

@@ -582,6 +582,8 @@ def run_suite(name: str, trials: int, seed: int, **bounds) -> SuiteReport:
         trial = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     passes = 0
     failures: list[dict] = []
     for index in range(trials):

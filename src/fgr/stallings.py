@@ -5,18 +5,24 @@ loops at the base vertex spell exactly the members of a subgroup.
 Vertices are ``0..vertex_count-1`` with the base fixed at 0; an edge
 ``(u, v, l)`` runs from u to v and carries the generator label l.
 
-Construction folds a wedge of generator loops; ``pullback`` computes the
-fiber product realizing subgroup intersection; ``schreier_graph`` builds
-the coset graph of a permutation action.  ``canonicalize`` renumbers
-vertices deterministically so that structural equality of canonical
-graphs coincides with equality of subgroups.
+Construction folds a wedge of generator loops with a worklist fold: a
+union-find over the vertices plus a stack of pending merges, so each
+merge is done once instead of re-scanning every edge per pass.
+``pullback`` computes the fiber product realizing subgroup intersection;
+``schreier_graph`` builds the coset graph of a permutation action.
+Neither folds: a product of folded graphs is already folded and a
+permutation graph is a complete cover, so both only restrict to the base
+component, trim and renumber.  ``canonicalize`` renumbers vertices
+deterministically so that structural equality of canonical graphs
+coincides with equality of subgroups.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 from typing import Iterable, Sequence
 
 from .words import MAX_RANK, Word, identity, reduce_word
@@ -35,6 +41,13 @@ class InfiniteIndexError(ValueError):
 
 @dataclass(frozen=True)
 class CoreGraph:
+    """A validated core graph.
+
+    ``succ`` maps (origin, label) to terminus and ``pred`` maps
+    (terminus, label) to origin; validation builds both once, and both
+    are functions because the graph is folded.
+    """
+
     rank: int
     vertex_count: int
     edges: tuple[Edge, ...]
@@ -50,8 +63,11 @@ class CoreGraph:
             raise ValueError(f"rank must be in 1..{MAX_RANK}, got {self.rank}")
         if self.vertex_count < 1:
             raise ValueError("graph needs at least the base vertex")
+        # Checked before anything is sized by vertex_count, so a declared
+        # count cannot ask for unbounded memory.
+        if self.vertex_count > len(self.edges) + 1:
+            raise ValueError("graph is not connected to the base vertex")
         degree = [0] * self.vertex_count
-        neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for origin, terminus, label in self.edges:
             if not (0 <= origin < self.vertex_count and 0 <= terminus < self.vertex_count):
                 raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
@@ -65,30 +81,13 @@ class CoreGraph:
             pred[(terminus, label)] = origin
             degree[origin] += 1
             degree[terminus] += 1
-            neighbors[origin].append(terminus)
-            neighbors[terminus].append(origin)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for other in neighbors[queue.popleft()]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        if len(seen) != self.vertex_count:
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "pred", pred)
+        if len(_bfs(succ, pred, 0, _canonical_letters(self.rank))) != self.vertex_count:
             raise ValueError("graph is not connected to the base vertex")
         for vertex in range(1, self.vertex_count):
             if degree[vertex] < 2:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
-
-    @cached_property
-    def succ(self) -> dict[tuple[int, int], int]:
-        """(origin, label) -> terminus; unique because the graph is folded."""
-        return {(u, l): v for (u, v, l) in self.edges}
-
-    @cached_property
-    def pred(self) -> dict[tuple[int, int], int]:
-        """(terminus, label) -> origin; unique because the graph is folded."""
-        return {(v, l): u for (u, v, l) in self.edges}
 
     def step(self, vertex: int, letter: int) -> int | None:
         """Endpoint of the signed ``letter`` traversal from ``vertex``."""
@@ -217,34 +216,39 @@ def subgroup_index(graph: CoreGraph) -> int | None:
     return graph.vertex_count
 
 
-def _bfs_relabeling(
-    rank: int,
+def _canonical_letters(rank: int) -> tuple[int, ...]:
+    """Outgoing labels 1..n, then incoming labels 1..n."""
+    return (*range(1, rank + 1), *range(-1, -rank - 1, -1))
+
+
+def _bfs(
     succ: dict[tuple[int, int], int],
     pred: dict[tuple[int, int], int],
     base: int,
-) -> dict[int, int]:
-    """Canonical vertex order: BFS from the base, exploring outgoing
-    labels 1..n and then incoming labels 1..n at each vertex."""
-    order = {base: 0}
-    queue = deque([base])
-    while queue:
-        vertex = queue.popleft()
-        for label in range(1, rank + 1):
-            other = succ.get((vertex, label))
-            if other is not None and other not in order:
-                order[other] = len(order)
-                queue.append(other)
-        for label in range(1, rank + 1):
-            other = pred.get((vertex, label))
-            if other is not None and other not in order:
-                order[other] = len(order)
-                queue.append(other)
-    return order
+    letters: Sequence[int],
+) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first search from ``base`` trying the signed ``letters`` in
+    order at each vertex.
+
+    Maps every vertex reached, in discovery order, to (parent, signed
+    letter spelling parent -> vertex); the base maps to None.
+    """
+    moves = [(succ, l, l) if l > 0 else (pred, -l, l) for l in letters]
+    found: dict[int, tuple[int, int] | None] = {base: None}
+    order = [base]
+    for vertex in order:
+        for table, label, letter in moves:
+            other = table.get((vertex, label))
+            if other is not None and other not in found:
+                found[other] = (vertex, letter)
+                order.append(other)
+    return found
 
 
 def canonical_relabeling(graph: CoreGraph) -> dict[int, int]:
     """Map from current vertex ids to canonical BFS ids."""
-    return _bfs_relabeling(graph.rank, graph.succ, graph.pred, 0)
+    order = _bfs(graph.succ, graph.pred, 0, _canonical_letters(graph.rank))
+    return {vertex: i for i, vertex in enumerate(order)}
 
 
 def canonicalize(graph: CoreGraph) -> CoreGraph:
@@ -258,8 +262,77 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     return CoreGraph(graph.rank, graph.vertex_count, edges)
 
 
-def _normalize(rank: int, vertex_count: int, edges: Iterable[Edge], base: int) -> CoreGraph:
-    """Fold, restrict to the base component, trim hair, renumber."""
+def _collector_paused(build):
+    """Run the graph builder ``build`` with the cyclic collector paused.
+
+    Builders allocate a tuple per edge and per (vertex, label) key, none
+    in a reference cycle; left on, the collector would traverse them on
+    every collection they trigger, at a cost set by its state at entry.
+    """
+
+    @wraps(build)
+    def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
+
+
+def _core(
+    rank: int,
+    succ: dict[tuple[int, int], int],
+    pred: dict[tuple[int, int], int],
+    base: int,
+) -> CoreGraph:
+    """Core graph of the base component of a folded graph.
+
+    ``succ``/``pred`` describe the folded graph as in :class:`CoreGraph`
+    and are consumed.  Non-base vertices of degree <= 1 are trimmed from
+    a worklist, then the rest is renumbered canonically.  The component's
+    BFS order restricted to the kept vertices is the core's BFS order: a
+    trimmed tree hangs from one kept vertex and is only entered through
+    it, so it never discovers a kept vertex.
+    """
+    component = _bfs(succ, pred, base, _canonical_letters(rank))
+    degree = dict.fromkeys(component, 0)
+    for (origin, _), terminus in succ.items():
+        if origin in degree:
+            degree[origin] += 1
+            degree[terminus] += 1
+    hair = [v for v, d in degree.items() if d <= 1 and v != base]
+    while hair:
+        vertex = hair.pop()
+        del degree[vertex]
+        for label in range(1, rank + 1):
+            for table, reverse in ((succ, pred), (pred, succ)):
+                other = table.pop((vertex, label), None)
+                if other is not None:
+                    del reverse[(other, label)]
+                    degree[other] -= 1
+                    if degree[other] == 1 and other != base:
+                        hair.append(other)
+    order = {v: i for i, v in enumerate(v for v in component if v in degree)}
+    edges = tuple((order[u], order[v], l) for (u, l), v in succ.items() if u in order)
+    return CoreGraph(rank, len(order), edges)
+
+
+@_collector_paused
+def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> CoreGraph:
+    """Fold an arbitrary based labeled digraph into a core graph.
+
+    Each vertex keeps at most one edge per label and direction; an edge
+    that would be a second one queues a merge of the two far endpoints.
+    Merges run on a union-find (Touikan, "A fast algorithm for Stallings'
+    folding process", 2006), the smaller class handing its edges to the
+    larger and queueing any clash, until no merge is pending.  The result
+    is independent of edge order (folding is confluent) and is returned
+    in canonical numbering with the base at 0.
+    """
     edge_set = {(int(u), int(v), int(l)) for (u, v, l) in edges}
     for u, v, l in edge_set:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -269,7 +342,21 @@ def _normalize(rank: int, vertex_count: int, edges: Iterable[Edge], base: int) -
     if not 0 <= base < vertex_count:
         raise ValueError("base vertex out of range")
 
-    parent = list(range(vertex_count))
+    # Keyed by the vertices the edges touch, not sized by vertex_count.
+    parent = {base: base}
+    succ: dict[tuple[int, int], int] = {}
+    pred: dict[tuple[int, int], int] = {}
+    pending: list[tuple[int, int]] = []
+    for u, v, l in edge_set:
+        parent[u] = u
+        parent[v] = v
+        known = succ.setdefault((u, l), v)
+        if known != v:
+            pending.append((known, v))
+        known = pred.setdefault((v, l), u)
+        if known != u:
+            pending.append((known, u))
+    size = dict.fromkeys(parent, 1)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -277,77 +364,26 @@ def _normalize(rank: int, vertex_count: int, edges: Iterable[Edge], base: int) -
             x = parent[x]
         return x
 
-    # Fold: repeatedly merge targets of equal-label edges sharing an
-    # endpoint.  Each pass either finds a clean deterministic structure
-    # or strictly decreases the number of vertex classes, so this
-    # terminates; confluence makes the result order-independent.
-    while True:
-        changed = False
-        succ: dict[tuple[int, int], int] = {}
-        pred: dict[tuple[int, int], int] = {}
-        for u, v, l in edge_set:
-            ru, rv = find(u), find(v)
-            known = succ.get((ru, l))
-            if known is None:
-                succ[(ru, l)] = rv
-            else:
-                known = find(known)
-                if known != find(rv):
-                    parent[find(rv)] = known
-                    changed = True
-            rv = find(rv)
-            known = pred.get((rv, l))
-            if known is None:
-                pred[(rv, l)] = find(ru)
-            else:
-                known = find(known)
-                if known != find(ru):
-                    parent[find(ru)] = known
-                    changed = True
-        edge_set = {(find(u), find(v), l) for (u, v, l) in edge_set}
-        if not changed:
-            break
+    while pending:
+        keep, merge = pending.pop()
+        keep, merge = find(keep), find(merge)
+        if keep == merge:
+            continue
+        if size[keep] < size[merge]:
+            keep, merge = merge, keep
+        parent[merge] = keep
+        size[keep] += size[merge]
+        for label in range(1, rank + 1):
+            for table in (succ, pred):
+                far = table.pop((merge, label), None)
+                if far is not None:
+                    known = table.setdefault((keep, label), far)
+                    if known != far:
+                        pending.append((known, far))
 
-    root = find(base)
-    neighbors: dict[int, set[int]] = {}
-    for u, v, _ in edge_set:
-        neighbors.setdefault(u, set()).add(v)
-        neighbors.setdefault(v, set()).add(u)
-    component = {root}
-    queue = deque([root])
-    while queue:
-        for other in neighbors.get(queue.popleft(), ()):
-            if other not in component:
-                component.add(other)
-                queue.append(other)
-    edge_set = {e for e in edge_set if e[0] in component}
-
-    # Core-trim: drop non-base vertices of degree <= 1 until stable.
-    while True:
-        degree: dict[int, int] = {}
-        for u, v, _ in edge_set:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        dangling = {v for v in component if v != root and degree.get(v, 0) <= 1}
-        if not dangling:
-            break
-        component -= dangling
-        edge_set = {e for e in edge_set if e[0] not in dangling and e[1] not in dangling}
-
-    succ = {(u, l): v for (u, v, l) in edge_set}
-    pred = {(v, l): u for (u, v, l) in edge_set}
-    order = _bfs_relabeling(rank, succ, pred, root)
-    renumbered = tuple((order[u], order[v], l) for (u, v, l) in edge_set)
-    return CoreGraph(rank, len(order), renumbered)
-
-
-def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> CoreGraph:
-    """Fold an arbitrary based labeled digraph into a core graph.
-
-    The result is independent of edge order (folding is confluent) and
-    is returned in canonical numbering with the base at 0.
-    """
-    return _normalize(rank, vertex_count, edges, base)
+    succ = {key: find(v) for key, v in succ.items()}
+    pred = {key: find(v) for key, v in pred.items()}
+    return _core(rank, succ, pred, find(base))
 
 
 def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
@@ -374,9 +410,7 @@ def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
             else:
                 edges.append((target, current, -letter))
             current = target
-    if not edges:
-        return trivial_graph(rank)
-    return _normalize(rank, next_vertex, edges, 0)
+    return fold(rank, next_vertex, edges)
 
 
 def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> SpanningTree:
@@ -392,22 +426,12 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     """
     n = graph.vertex_count
     if override is None:
+        letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
         tree: set[Edge] = set()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            vertex = queue.popleft()
-            for label in range(1, graph.rank + 1):
-                out = graph.succ.get((vertex, label))
-                if out is not None and out not in seen:
-                    tree.add((vertex, out, label))
-                    seen.add(out)
-                    queue.append(out)
-                inc = graph.pred.get((vertex, label))
-                if inc is not None and inc not in seen:
-                    tree.add((inc, vertex, label))
-                    seen.add(inc)
-                    queue.append(inc)
+        for vertex, step in _bfs(graph.succ, graph.pred, 0, letters).items():
+            if step is not None:
+                parent, letter = step
+                tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
     else:
         tree = {tuple(e) for e in override}
         graph_edges = set(graph.edges)
@@ -415,31 +439,14 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
             raise ValueError("override contains edges not in the graph")
         if len(tree) != n - 1:
             raise ValueError(f"override has {len(tree)} edges, expected {n - 1}")
-        reached = {0}
-        queue = deque([0])
-        adjacency: dict[int, list[int]] = {}
-        for u, v, _ in tree:
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
-        while queue:
-            for other in adjacency.get(queue.popleft(), ()):
-                if other not in reached:
-                    reached.add(other)
-                    queue.append(other)
-        if len(reached) != n:
-            raise ValueError("override does not span the graph")
 
-    index = _tree_bfs_index(graph, tree)
+    walked = _tree_walk(graph.rank, tree)
+    if len(walked) != n:
+        raise ValueError("override does not span the graph")
+    index = {vertex: i for i, vertex in enumerate(walked)}
     nontree = [e for e in graph.edges if e not in tree]
     nontree.sort(key=lambda e: (index[e[0]], e[2]))
     return SpanningTree(frozenset(tree), tuple(nontree))
-
-
-def _tree_bfs_index(graph: CoreGraph, tree: set[Edge] | frozenset[Edge]) -> dict[int, int]:
-    """Vertex discovery order of a BFS from the base over tree edges."""
-    tree_succ = {(u, l): v for (u, v, l) in tree}
-    tree_pred = {(v, l): u for (u, v, l) in tree}
-    return _bfs_relabeling(graph.rank, tree_succ, tree_pred, 0)
 
 
 def _check_tree(graph: CoreGraph, tree: SpanningTree) -> None:
@@ -449,30 +456,19 @@ def _check_tree(graph: CoreGraph, tree: SpanningTree) -> None:
         raise ValueError("spanning tree has the wrong number of edges")
 
 
-def _tree_parents(graph: CoreGraph, tree: SpanningTree) -> list[tuple[int, int] | None]:
-    """Per-vertex (parent, signed letter spelling parent->vertex)."""
-    tree_succ = {(u, l): v for (u, v, l) in tree.tree_edges}
-    tree_pred = {(v, l): u for (u, v, l) in tree.tree_edges}
-    parents: list[tuple[int, int] | None] = [None] * graph.vertex_count
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        vertex = queue.popleft()
-        for label in range(1, graph.rank + 1):
-            out = tree_succ.get((vertex, label))
-            if out is not None and out not in seen:
-                parents[out] = (vertex, label)
-                seen.add(out)
-                queue.append(out)
-            inc = tree_pred.get((vertex, label))
-            if inc is not None and inc not in seen:
-                parents[inc] = (vertex, -label)
-                seen.add(inc)
-                queue.append(inc)
-    return parents
+def _tree_walk(rank: int, tree_edges: Iterable[Edge]) -> dict[int, tuple[int, int] | None]:
+    """BFS over the tree edges from the base, in canonical letter order.
+
+    Its discovery order is the BFS index that orders non-tree edges.  On
+    a tree each vertex's parent is its neighbour towards the base in any
+    letter order, so the same walk gives the tree paths.
+    """
+    succ = {(u, l): v for (u, v, l) in tree_edges}
+    pred = {(v, l): u for (u, v, l) in tree_edges}
+    return _bfs(succ, pred, 0, _canonical_letters(rank))
 
 
-def _root_path(parents: list[tuple[int, int] | None], vertex: int) -> list[int]:
+def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[int]:
     """Signed letters spelling the tree path base -> vertex."""
     letters: list[int] = []
     while parents[vertex] is not None:
@@ -486,7 +482,7 @@ def _root_path(parents: list[tuple[int, int] | None], vertex: int) -> list[int]:
 def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: int) -> Word:
     """Reduced word spelled by the tree geodesic from source to target."""
     _check_tree(graph, tree)
-    parents = _tree_parents(graph, tree)
+    parents = _tree_walk(graph.rank, tree.tree_edges)
     to_source = _root_path(parents, source)
     to_target = _root_path(parents, target)
     inverted = [-l for l in reversed(to_source)]
@@ -502,7 +498,7 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     if tree is None:
         tree = spanning_tree(graph)
     _check_tree(graph, tree)
-    parents = _tree_parents(graph, tree)
+    parents = _tree_walk(graph.rank, tree.tree_edges)
     paths = {v: _root_path(parents, v) for v in range(graph.vertex_count)}
     words = []
     for origin, terminus, label in tree.nontree_edges:
@@ -557,19 +553,22 @@ def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: i
     return out
 
 
+@_collector_paused
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
     Explores synchronized transitions lazily from the pair of base
     vertices rather than materializing the full product; the result is
     core-trimmed and canonical.  A trivial intersection yields the
-    one-vertex graph.
+    one-vertex graph.  The product of folded graphs is folded, so it is
+    only trimmed and renumbered.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
     ids: dict[tuple[int, int], int] = {(0, 0): 0}
     queue: deque[tuple[int, int]] = deque([(0, 0)])
-    edges: set[Edge] = set()
+    succ: dict[tuple[int, int], int] = {}
+    pred: dict[tuple[int, int], int] = {}
     while queue:
         p, q = queue.popleft()
         here = ids[(p, q)]
@@ -582,7 +581,7 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                 if there is None:
                     there = ids[pair] = len(ids)
                     queue.append(pair)
-                edges.add((here, there, label))
+                succ[(here, label)] = there
             a = g1.pred.get((p, label))
             b = g2.pred.get((q, label))
             if a is not None and b is not None:
@@ -591,18 +590,19 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                 if there is None:
                     there = ids[pair] = len(ids)
                     queue.append(pair)
-                edges.add((there, here, label))
-    if not edges:
-        return trivial_graph(g1.rank)
-    return _normalize(g1.rank, len(ids), edges, 0)
+                pred[(here, label)] = there
+    return _core(g1.rank, succ, pred, 0)
 
 
+@_collector_paused
 def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGraph:
     """Coset graph of a transitive permutation action.
 
     ``perms[i]`` is the action of generator i+1 on the points; the
     resulting graph is a complete covering with the given base point,
     renumbered canonically.  Raises when the action is not transitive.
+    A complete covering is folded and has no hair, so it is only
+    restricted to the base orbit and renumbered.
     """
     if len(perms) != rank:
         raise ValueError(f"expected {rank} permutations, got {len(perms)}")
@@ -612,25 +612,16 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
             raise ValueError("permutations act on different point counts")
     if not 0 <= base < points:
         raise ValueError("base point out of range")
-    edges = {
-        (p, perm.images[p], label)
-        for label, perm in enumerate(perms, start=1)
-        for p in range(points)
-    }
-    neighbors: dict[int, set[int]] = {p: set() for p in range(points)}
-    for u, v, _ in edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        for other in neighbors[queue.popleft()]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    if len(seen) != points:
+    succ: dict[tuple[int, int], int] = {}
+    pred: dict[tuple[int, int], int] = {}
+    for label, perm in enumerate(perms, start=1):
+        for p, image in enumerate(perm.images):
+            succ[(p, label)] = image
+            pred[(image, label)] = p
+    graph = _core(rank, succ, pred, base)
+    if graph.vertex_count != points:
         raise ValueError("action is not transitive: coset graph is not connected")
-    return _normalize(rank, points, edges, base)
+    return graph
 
 
 def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
@@ -662,8 +653,8 @@ def graph_to_json(graph: CoreGraph, canonical: bool = True) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> CoreGraph:
-    """Parse the JSON form back into a validated core graph."""
+def _read_graph_json(data: dict) -> tuple[int, int, tuple[Edge, ...], int]:
+    """The (rank, vertices, edges, base) fields of the JSON form."""
     try:
         rank = int(data["rank"])
         vertices = int(data["vertices"])
@@ -673,6 +664,12 @@ def graph_from_json(data: dict) -> CoreGraph:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    return rank, vertices, edges, base
+
+
+def graph_from_json(data: dict) -> CoreGraph:
+    """Parse the JSON form back into a validated core graph."""
+    rank, vertices, edges, base = _read_graph_json(data)
     if base != 0:
         raise ValueError("graph JSON must use base vertex 0")
     return CoreGraph(rank, vertices, edges)

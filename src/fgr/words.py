@@ -194,7 +194,13 @@ def parse_word(text: str, rank: int) -> Word:
     """
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
-    return _Parser(text, rank).parse()
+    parser = _Parser(text, rank)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # The parser recurses once per bracket level; the interpreter's
+        # stack limit is the nesting bound.
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 class _Parser:

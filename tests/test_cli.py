@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import fgr
 from fgr.cli import main
 
 
@@ -216,10 +219,53 @@ def test_bad_domain_parameter_exits_one(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same fgr as this process, also when only
+    # pytest's own pythonpath setting put it on sys.path.
+    src = str(Path(fgr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "fgr", "wk", "--k", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == '"aabABabAB"\n'
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("fgr: error: ")
+    assert "Traceback" not in err
+
+
+def test_fold_graph_without_edges_is_an_error(capsys, tmp_path):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"rank": 2, "vertices": 1}))
+    code, out, err = run_cli(capsys, "fold", "--graph", str(path))
+    assert_one_error_line(code, out, err)
+    assert "malformed graph JSON" in err
+
+
+def test_graph_with_huge_vertex_count(capsys, tmp_path):
+    raw = {"rank": 2, "vertices": 10**12, "edges": [{"from": 0, "to": 0, "label": 1}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    assert run_json(capsys, "fold", "--graph", str(path))["vertices"] == 1
+    code, out, err = run_cli(capsys, "member", "--graph", str(path), "--word", "a")
+    assert_one_error_line(code, out, err)
+
+
+def test_suite_negative_trials_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "suite", "hanna-neumann", "--trials", "-3")
+    assert_one_error_line(code, out, err)
+    assert "non-negative" in err
+
+
+def test_deeply_nested_word_is_a_parse_error(capsys):
+    word = "(" * 3000 + "a" + ")" * 3000
+    code, out, err = run_cli(capsys, "member", *H3_FLAGS, "--word", word)
+    assert_one_error_line(code, out, err)
+    assert "nested too deeply" in err

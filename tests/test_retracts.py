@@ -240,6 +240,12 @@ def test_run_suite_unknown_name():
         run_suite("no-such-suite", 1, 0)
 
 
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suite("hanna-neumann", -3, 0)
+    assert run_suite("hanna-neumann", 0, 0).to_json()["trials"] == 0
+
+
 def test_run_suite_is_deterministic():
     first = run_suite("hanna-neumann", 20, 123)
     second = run_suite("hanna-neumann", 20, 123)

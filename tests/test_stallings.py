@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -416,6 +417,40 @@ def test_graph_json_rejects_malformed():
         graph_from_json({"rank": 2})
     with pytest.raises(ValueError):
         graph_from_json({"rank": 2, "vertices": 1, "base": 1, "edges": []})
+
+
+def test_huge_declared_vertex_count_allocates_nothing():
+    # A graph on 10**12 vertices needs at least 10**12 - 1 edges to be
+    # connected, so both paths answer without sizing anything by it.
+    with pytest.raises(ValueError, match="not connected"):
+        graph_from_json({"rank": 2, "vertices": 10**12, "edges": []})
+    far = 10**12 - 1
+    folded = fold(2, 10**12, [(far, far, 1), (0, far, 2), (far, 0, 2)], base=far)
+    assert folded == CoreGraph(2, 2, ((0, 0, 1), (0, 1, 2), (1, 0, 2)))
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        fold(2, 10**12, [(0, 10**12, 1)])
+
+
+def test_graph_builders_restore_collector_state():
+    a = parse_word("a", 2)
+    builds = (
+        lambda: fold(2, 2, [(0, 1, 1), (0, 1, 1)]),
+        lambda: pullback(from_generators(2, [a]), from_generators(2, [a * a])),
+        lambda: schreier_graph(1, [Permutation((1, 0))], 0),
+    )
+    enabled = gc.isenabled()
+    try:
+        for build in builds:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                build()
+                assert gc.isenabled() is state
+        gc.enable()
+        with pytest.raises(ValueError):
+            fold(2, 1, [(0, 5, 1)])
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_core_graph_validates_invariants():

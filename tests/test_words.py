@@ -121,6 +121,12 @@ def test_parse_error_positions():
         parse_word("a*b", 2)
 
 
+def test_parse_deep_nesting():
+    assert parse_word("(" * 100 + "a" + ")" * 100, 2) == parse_word("a", 2)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_word("(" * 3000 + "a" + ")" * 3000, 2)
+
+
 def test_exponent_sums_examples():
     assert exponent_sums(identity(2)) == (0, 0)
     assert exponent_sums(parse_word("aabAB", 2)) == (1, 0)

@@ -3,18 +3,19 @@
 Visibility of a word means its exponent vector is primitive (coordinate
 gcd 1); visible words are exactly the generators of cyclic retracts.
 For a subgroup presented by a core graph with a spanning tree, members
-abelianize to exponent vectors over the induced basis.  For a
-finite-index subgroup the transfer map sums, over the cycles of the
-coset permutation of a word, the classes of the lifted loops; the
-chain-level projection matrix sends those classes back to the ambient
-lattice and makes the two views commute.
+abelianize to exponent vectors over the induced basis.  At finite index
+the transfer of a word has, at each non-tree edge, the word's exponent
+sum in the edge's label: lifting one letter from every vertex of a
+complete cover crosses each edge with that label once.  The chain-level
+projection matrix sends these classes back to the ambient lattice and
+makes the two views commute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .stallings import (
     CoreGraph,
@@ -22,11 +23,9 @@ from .stallings import (
     InfiniteIndexError,
     NotAMemberError,
     SpanningTree,
-    basis,
-    coset_permutation,
+    _check_tree,
     rewrite_in_basis,
     subgroup_index,
-    tree_path_word,
 )
 from .words import Word, add_vectors, checked_int64, exponent_sums
 
@@ -93,34 +92,20 @@ def is_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> boo
     return abelianize_in_subgroup(graph, tree, w).coordinate_gcd() == 1
 
 
-def transfer(
-    graph: CoreGraph,
-    tree: SpanningTree,
-    w: Word,
-    representative: Callable[[tuple[int, ...]], int] | None = None,
-) -> AbelianVector:
+def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
     """Transfer of ``w`` into the abelianized finite-index subgroup.
 
-    For each cycle c of the coset permutation of ``w``, pick a vertex v
-    on c, form the member word (tree path base -> v) w^len(c) (tree
-    path v -> base), abelianize it over the subgroup basis, and sum over
-    cycles.  The default representative is the least vertex of the
-    cycle; the result does not depend on this choice because conjugation
-    dies in the abelianization.
+    Its coordinate at the non-tree edge f is the exponent sum of ``w`` in
+    label(f): lifting one letter from every vertex of a complete cover
+    crosses each edge with that label exactly once.
     """
-    perm = coset_permutation(graph, w)
-    total = AbelianVector("subgroup", (0,) * len(tree.nontree_edges))
-    for cycle in perm.cycles():
-        vertex = min(cycle) if representative is None else representative(cycle)
-        if vertex not in cycle:
-            raise ValueError(f"representative {vertex} is not on the cycle {cycle}")
-        loop = (
-            tree_path_word(graph, tree, 0, vertex)
-            * w ** len(cycle)
-            * tree_path_word(graph, tree, vertex, 0)
-        )
-        total = total + abelianize_in_subgroup(graph, tree, loop)
-    return total
+    if w.rank != graph.rank:
+        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    if subgroup_index(graph) is None:
+        raise InfiniteIndexError("coset permutations need a finite-index subgroup")
+    _check_tree(graph, tree)
+    sums = exponent_sums(w)
+    return AbelianVector("subgroup", tuple(sums[l - 1] for (_, _, l) in tree.nontree_edges))
 
 
 def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
@@ -157,23 +142,31 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
     Row i, column j is the coefficient, in the chain of the j-th basis
     word, of the designated lift of generator i: the unique edge labeled
     i leaving the base.  Requires finite index so that every such lift
-    exists.
+    exists.  The basis word of the non-tree edge f = (u, v, l) crosses f
+    once, and the tree edge from the base to its child t forwards when u
+    lies in the subtree under t and backwards when v does.
     """
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("the chain projection needs a finite-index subgroup")
-    base_lifts = []
+    # branch[x]: the child of the base whose subtree holds x (parents come first).
+    branch: dict[int, int | None] = {}
+    for vertex, step in _check_tree(graph, tree).items():
+        branch[vertex] = None if step is None else vertex if step[0] == 0 else branch[step[0]]
+    rows = []
     for label in range(1, graph.rank + 1):
         target = graph.succ.get((0, label))
         if target is None:
             raise InfiniteIndexError(f"base vertex has no outgoing edge labeled {label}")
-        base_lifts.append((0, target, label))
-    columns = []
-    for word in basis(graph, tree):
-        chain = cycle_chain(graph, word)
-        columns.append([chain.get(edge, 0) for edge in base_lifts])
-    return tuple(
-        tuple(column[row] for column in columns) for row in range(graph.rank)
-    )
+        lift = (0, target, label)
+        # -1 is no vertex: a lift off the tree is only crossed as f.
+        top = target if lift in tree.tree_edges else -1
+        rows.append(
+            tuple(
+                (f == lift) + (branch[f[0]] == top) - (branch[f[1]] == top)
+                for f in tree.nontree_edges
+            )
+        )
+    return tuple(rows)
 
 
 def apply_projection(matrix: Sequence[Sequence[int]], vector: AbelianVector) -> AbelianVector:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Iterable, Sequence
 
-from .words import MAX_RANK, Word, identity, reduce_word
+from .words import MAX_RANK, Word, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -424,7 +424,6 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     Non-tree edges are ordered by (BFS index of origin, label), where
     BFS indices come from traversing the chosen tree.
     """
-    n = graph.vertex_count
     if override is None:
         letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
         tree: set[Edge] = set()
@@ -434,38 +433,31 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
                 tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
     else:
         tree = {tuple(e) for e in override}
-        graph_edges = set(graph.edges)
-        if not tree <= graph_edges:
-            raise ValueError("override contains edges not in the graph")
-        if len(tree) != n - 1:
-            raise ValueError(f"override has {len(tree)} edges, expected {n - 1}")
-
-    walked = _tree_walk(graph.rank, tree)
-    if len(walked) != n:
-        raise ValueError("override does not span the graph")
-    index = {vertex: i for i, vertex in enumerate(walked)}
     nontree = [e for e in graph.edges if e not in tree]
+    walked = _check_tree(graph, SpanningTree(frozenset(tree), tuple(nontree)))
+    index = {vertex: i for i, vertex in enumerate(walked)}
     nontree.sort(key=lambda e: (index[e[0]], e[2]))
     return SpanningTree(frozenset(tree), tuple(nontree))
 
 
-def _check_tree(graph: CoreGraph, tree: SpanningTree) -> None:
+def _check_tree(graph: CoreGraph, tree: SpanningTree) -> dict[int, tuple[int, int] | None]:
+    """Validate ``tree`` against ``graph`` and walk it from the base.
+
+    The walk is a BFS over the tree edges in canonical letter order.  Its
+    discovery order is the BFS index that orders non-tree edges.  On a
+    tree each vertex's parent is its neighbour towards the base in any
+    letter order, so the same walk gives the tree paths.
+    """
     if tree.tree_edges | set(tree.nontree_edges) != set(graph.edges):
         raise ValueError("spanning tree does not belong to this graph")
     if len(tree.tree_edges) != graph.vertex_count - 1:
         raise ValueError("spanning tree has the wrong number of edges")
-
-
-def _tree_walk(rank: int, tree_edges: Iterable[Edge]) -> dict[int, tuple[int, int] | None]:
-    """BFS over the tree edges from the base, in canonical letter order.
-
-    Its discovery order is the BFS index that orders non-tree edges.  On
-    a tree each vertex's parent is its neighbour towards the base in any
-    letter order, so the same walk gives the tree paths.
-    """
-    succ = {(u, l): v for (u, v, l) in tree_edges}
-    pred = {(v, l): u for (u, v, l) in tree_edges}
-    return _bfs(succ, pred, 0, _canonical_letters(rank))
+    succ = {(u, l): v for (u, v, l) in tree.tree_edges}
+    pred = {(v, l): u for (u, v, l) in tree.tree_edges}
+    parents = _bfs(succ, pred, 0, _canonical_letters(graph.rank))
+    if len(parents) != graph.vertex_count:
+        raise ValueError("spanning tree does not span the graph")
+    return parents
 
 
 def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[int]:
@@ -481,8 +473,7 @@ def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[
 
 def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: int) -> Word:
     """Reduced word spelled by the tree geodesic from source to target."""
-    _check_tree(graph, tree)
-    parents = _tree_walk(graph.rank, tree.tree_edges)
+    parents = _check_tree(graph, tree)
     to_source = _root_path(parents, source)
     to_target = _root_path(parents, target)
     inverted = [-l for l in reversed(to_source)]
@@ -497,9 +488,8 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     """
     if tree is None:
         tree = spanning_tree(graph)
-    _check_tree(graph, tree)
-    parents = _tree_walk(graph.rank, tree.tree_edges)
-    paths = {v: _root_path(parents, v) for v in range(graph.vertex_count)}
+    parents = _check_tree(graph, tree)
+    paths = {v: _root_path(parents, v) for edge in tree.nontree_edges for v in edge[:2]}
     words = []
     for origin, terminus, label in tree.nontree_edges:
         back = [-l for l in reversed(paths[terminus])]
@@ -544,13 +534,15 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
 
 def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: int) -> Word:
     """Substitute actual basis words for the symbols and reduce."""
-    out = identity(rank)
+    letters: list[int] = []
     for symbol in symbols.letters:
         if abs(symbol) > len(basis_words):
             raise ValueError(f"basis symbol {symbol} out of range")
         word = basis_words[abs(symbol) - 1]
-        out = out * (word if symbol > 0 else word.inverse())
-    return out
+        if word.rank != rank:
+            raise ValueError(f"rank mismatch: {rank} != {word.rank}")
+        letters += word.letters if symbol > 0 else word.inverse().letters
+    return reduce_word(rank, letters)
 
 
 @_collector_paused

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 MAX_RANK = 26
 
+_MAX_WORD_LETTERS = 10**6
+
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -97,20 +99,25 @@ class Word:
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = identity(self.rank)
-        square = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        if exponent == 0:
+            return identity(self.rank)
+        # w = p c p^-1 with c cyclically reduced, so w^k = p c^k p^-1.
+        cut = _cyclic_cut(self.letters)
+        end = len(self.letters) - cut
+        core = self.letters[cut:end] * exponent
+        return Word(self.rank, self.letters[:cut] + core + self.letters[end:])
 
 
 def identity(rank: int) -> Word:
     return Word(rank)
+
+
+def _cyclic_cut(letters: Sequence[int]) -> int:
+    """Letters at each end of a reduced word that cancel in its square."""
+    cut = 0
+    while 2 * cut < len(letters) and letters[cut] == -letters[-1 - cut]:
+        cut += 1
+    return cut
 
 
 def reduce_word(rank: int, letters: Iterable[int]) -> Word:
@@ -160,13 +167,13 @@ def substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     """
     if len(images) != w.rank:
         raise ValueError(f"expected {w.rank} images, got {len(images)}")
-    out = identity(rank)
+    letters: list[int] = []
     for letter in w.letters:
         image = images[abs(letter) - 1]
         if image.rank != rank:
             raise ValueError("image word has the wrong rank")
-        out = out * (image if letter > 0 else image.inverse())
-    return out
+        letters += image.letters if letter > 0 else image.inverse().letters
+    return reduce_word(rank, letters)
 
 
 def render_word(w: Word) -> str:
@@ -190,7 +197,8 @@ def parse_word(text: str, rank: int) -> Word:
 
     Lowercase letter at alphabet position i denotes generator i,
     uppercase its inverse; ``[u,v]`` is the commutator.  Whitespace is
-    ignored, and empty input denotes the identity.
+    ignored, empty input denotes the identity, and a word longer than
+    10**6 letters is a :class:`ParseError`, raised before it is built.
     """
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
@@ -234,27 +242,32 @@ class _Parser:
             self._fail(f"expected {char!r}")
         self.pos += 1
 
-    def _expr(self, required: bool = True) -> Word:
-        word = identity(self.rank)
-        count = 0
-        while True:
-            ch = self._peek()
-            if ch is None or ch in ",])":
-                break
-            word = word * self._term()
-            count += 1
-        if required and count == 0:
-            self._fail("expected a word")
-        return word
+    def _check_length(self, letters: int) -> None:
+        if letters > _MAX_WORD_LETTERS:
+            self._fail(f"word longer than {_MAX_WORD_LETTERS} letters")
 
-    def _term(self) -> Word:
+    def _expr(self, required: bool = True) -> Word:
+        ends = (None, ",", "]", ")")
+        if required and self._peek() in ends:
+            self._fail("expected a word")
+        letters: list[int] = []
+        while self._peek() not in ends:
+            term = self._term()
+            self._check_length(len(letters) + len(term))
+            letters += term
+        return reduce_word(self.rank, letters)
+
+    def _term(self) -> tuple[int, ...]:
         atom = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            return atom ** self._integer()
+            exponent = self._integer()
+            cut = _cyclic_cut(atom)
+            self._check_length(abs(exponent) * (len(atom) - 2 * cut) + 2 * cut)
+            return (Word(self.rank, atom) ** exponent).letters
         return atom
 
-    def _atom(self) -> Word:
+    def _atom(self) -> tuple[int, ...]:
         ch = self._peek()
         if ch is None:
             self._fail("expected a letter, '[' or '('")
@@ -262,20 +275,21 @@ class _Parser:
             self.pos += 1
             word = self._expr()
             self._expect(")")
-            return word
+            return word.letters
         if ch == "[":
             self.pos += 1
             left = self._expr()
             self._expect(",")
             right = self._expr()
             self._expect("]")
-            return commutator(left, right)
+            self._check_length(2 * (len(left) + len(right)))
+            return commutator(left, right).letters
         if ch.isascii() and ch.isalpha():
             index = (ord(ch.lower()) - ord("a")) + 1
             if index > self.rank:
                 self._fail(f"letter {ch!r} beyond rank {self.rank}")
             self.pos += 1
-            return Word(self.rank, (index if ch.islower() else -index,))
+            return (index if ch.islower() else -index,)
         self._fail(f"unexpected character {ch!r}")
         raise AssertionError("unreachable")
 

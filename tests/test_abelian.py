@@ -170,17 +170,6 @@ def test_transfer_single_cycle_is_power_abelianized():
     assert transfer(graph, tree, b) == abelianize_in_subgroup(graph, tree, b**3)
 
 
-def test_transfer_is_representative_independent():
-    rng = random.Random(41)
-    graph, tree = hm_graph(5)
-    for _ in range(25):
-        w = random_reduced_word(rng, 2, 12)
-        picked = transfer(graph, tree, w, representative=rng.choice)
-        assert picked == transfer(graph, tree, w)
-    with pytest.raises(ValueError):
-        transfer(graph, tree, parse_word("b", 2), representative=lambda cycle: 99)
-
-
 def test_transfer_gcd_is_tree_independent():
     rng = random.Random(43)
     graph, preferred_tree = hm_graph(4)

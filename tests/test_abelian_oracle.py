@@ -1,0 +1,227 @@
+"""The cycle-by-cycle transfer, the basis-walking homology projection and
+the basis that built a root path for every vertex, kept as the reference
+their closed forms are checked against.
+
+``cycle_transfer``, ``chain_projection`` and ``all_paths_basis`` are the
+old ``transfer``, ``homology_projection`` and ``basis`` as they were:
+the transfer rewrites, for each cycle of the coset permutation, the
+lifted loop (tree path) w^len(cycle) (tree path back) over the subgroup
+basis; the projection builds every basis word and reads the base lifts
+off its chain.  The seeded tests below require the new code to return
+equal values and to raise the same errors.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable
+
+import pytest
+
+from fgr import (
+    AbelianVector,
+    CoreGraph,
+    InfiniteIndexError,
+    Permutation,
+    SpanningTree,
+    Word,
+    abelianize_in_subgroup,
+    basis,
+    coset_permutation,
+    cycle_chain,
+    from_generators,
+    homology_projection,
+    parse_word,
+    reduce_word,
+    schreier_graph,
+    spanning_tree,
+    subgroup_index,
+    transfer,
+    tree_path_word,
+)
+from fgr.constructions import hm_graph, wk_word
+from fgr.stallings import _check_tree, _root_path
+
+
+def cycle_transfer(
+    graph: CoreGraph,
+    tree: SpanningTree,
+    w: Word,
+    representative: Callable[[tuple[int, ...]], int] | None = None,
+) -> AbelianVector:
+    """Transfer of ``w`` into the abelianized finite-index subgroup.
+
+    For each cycle c of the coset permutation of ``w``, pick a vertex v
+    on c, form the member word (tree path base -> v) w^len(c) (tree
+    path v -> base), abelianize it over the subgroup basis, and sum over
+    cycles.  The default representative is the least vertex of the
+    cycle; the result does not depend on this choice because conjugation
+    dies in the abelianization.
+    """
+    perm = coset_permutation(graph, w)
+    total = AbelianVector("subgroup", (0,) * len(tree.nontree_edges))
+    for cycle in perm.cycles():
+        vertex = min(cycle) if representative is None else representative(cycle)
+        if vertex not in cycle:
+            raise ValueError(f"representative {vertex} is not on the cycle {cycle}")
+        loop = (
+            tree_path_word(graph, tree, 0, vertex)
+            * w ** len(cycle)
+            * tree_path_word(graph, tree, vertex, 0)
+        )
+        total = total + abelianize_in_subgroup(graph, tree, loop)
+    return total
+
+
+def all_paths_basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
+    """The free basis of the subgroup induced by a spanning tree.
+
+    For each non-tree edge e the basis word is (tree path base ->
+    origin(e)) . label(e) . (tree path terminus(e) -> base), reduced.
+    """
+    if tree is None:
+        tree = spanning_tree(graph)
+    parents = _check_tree(graph, tree)
+    paths = {v: _root_path(parents, v) for v in range(graph.vertex_count)}
+    words = []
+    for origin, terminus, label in tree.nontree_edges:
+        back = [-l for l in reversed(paths[terminus])]
+        words.append(reduce_word(graph.rank, paths[origin] + [label] + back))
+    return words
+
+
+def chain_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int, ...], ...]:
+    """Matrix projecting subgroup homology onto the ambient lattice.
+
+    Row i, column j is the coefficient, in the chain of the j-th basis
+    word, of the designated lift of generator i: the unique edge labeled
+    i leaving the base.  Requires finite index so that every such lift
+    exists.
+    """
+    if subgroup_index(graph) is None:
+        raise InfiniteIndexError("the chain projection needs a finite-index subgroup")
+    base_lifts = []
+    for label in range(1, graph.rank + 1):
+        target = graph.succ.get((0, label))
+        if target is None:
+            raise InfiniteIndexError(f"base vertex has no outgoing edge labeled {label}")
+        base_lifts.append((0, target, label))
+    columns = []
+    for word in all_paths_basis(graph, tree):
+        chain = cycle_chain(graph, word)
+        columns.append([chain.get(edge, 0) for edge in base_lifts])
+    return tuple(
+        tuple(column[row] for column in columns) for row in range(graph.rank)
+    )
+
+
+def outcome(function, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def random_reduced_word(rng, rank, max_len):
+    letters = []
+    for _ in range(rng.randint(0, max_len)):
+        options = [
+            l for l in range(-rank, rank + 1) if l != 0 and (not letters or l != -letters[-1])
+        ]
+        letters.append(rng.choice(options))
+    return Word(rank, tuple(letters))
+
+
+def random_cover(rng, rank, max_index):
+    points = rng.randint(1, max_index)
+    while True:
+        perms = []
+        for _ in range(rank):
+            images = list(range(points))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+        try:
+            return schreier_graph(rank, perms, 0)
+        except ValueError:
+            continue
+
+
+def random_tree(rng, graph):
+    """A uniformly shuffled Kruskal spanning tree, as an override."""
+    edges = list(graph.edges)
+    rng.shuffle(edges)
+    parent = list(range(graph.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for u, v, l in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append((u, v, l))
+    return spanning_tree(graph, override=chosen)
+
+
+def assert_agree(graph, tree, words):
+    assert basis(graph, tree) == all_paths_basis(graph, tree)
+    assert outcome(homology_projection, graph, tree) == outcome(chain_projection, graph, tree)
+    for w in words:
+        assert outcome(transfer, graph, tree, w) == outcome(cycle_transfer, graph, tree, w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_forms_match_oracle_on_random_covers(seed):
+    rng = random.Random(9100 + seed)
+    for _ in range(40):
+        rank = rng.randint(2, 4)
+        graph = random_cover(rng, rank, 15)
+        words = [random_reduced_word(rng, rank, 30) for _ in range(3)]
+        assert_agree(graph, spanning_tree(graph), words)
+        assert_agree(graph, random_tree(rng, graph), words)
+
+
+@pytest.mark.parametrize("m", range(3, 16))
+def test_closed_forms_match_oracle_on_hm_graphs(m):
+    graph, tree = hm_graph(m)
+    rng = random.Random(m)
+    words = [wk_word(k) for k in range(1, m)] + [random_reduced_word(rng, 2, 40)]
+    assert_agree(graph, tree, words)
+    assert_agree(graph, spanning_tree(graph), words[:3])
+
+
+def test_closed_forms_raise_like_oracle():
+    rng = random.Random(9200)
+    for _ in range(40):
+        rank = rng.randint(2, 3)
+        gens = [random_reduced_word(rng, rank, 6) for _ in range(rng.randint(1, 3))]
+        graph = from_generators(rank, gens)
+        tree = spanning_tree(graph)
+        w = random_reduced_word(rng, rank, 10)
+        assert outcome(transfer, graph, tree, w) == outcome(cycle_transfer, graph, tree, w)
+        assert outcome(homology_projection, graph, tree) == outcome(
+            chain_projection, graph, tree
+        )
+        assert basis(graph, tree) == all_paths_basis(graph, tree)
+    graph, tree = hm_graph(5)
+    other, other_tree = hm_graph(7)
+    for args in ((graph, tree, parse_word("ab", 3)), (graph, other_tree, wk_word(1))):
+        assert outcome(transfer, *args) == outcome(cycle_transfer, *args)
+    assert outcome(homology_projection, graph, other_tree) == outcome(
+        chain_projection, graph, other_tree
+    )
+
+
+def test_transfer_is_representative_independent():
+    rng = random.Random(41)
+    graph, tree = hm_graph(5)
+    for _ in range(25):
+        w = random_reduced_word(rng, 2, 12)
+        picked = cycle_transfer(graph, tree, w, representative=rng.choice)
+        assert picked == cycle_transfer(graph, tree, w) == transfer(graph, tree, w)
+    with pytest.raises(ValueError):
+        cycle_transfer(graph, tree, parse_word("b", 2), representative=lambda cycle: 99)

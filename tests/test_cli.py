@@ -269,3 +269,13 @@ def test_deeply_nested_word_is_a_parse_error(capsys):
     code, out, err = run_cli(capsys, "member", *H3_FLAGS, "--word", word)
     assert_one_error_line(code, out, err)
     assert "nested too deeply" in err
+
+
+def test_words_over_the_length_budget_are_errors(capsys):
+    nested = "b"
+    for _ in range(40):
+        nested = f"[a,{nested}]"
+    for word in ("(ab)^10000000000", nested):
+        code, out, err = run_cli(capsys, "visible", "--rank", "2", "--word", word)
+        assert_one_error_line(code, out, err)
+        assert "longer than 1000000 letters" in err

@@ -1,11 +1,15 @@
 """Byte-for-byte stdout of a fixed set of CLI calls.
 
 Each digest is the SHA-256 of stdout recorded before folding moved to a
-worklist with union-find; any change to a graph's numbering, a basis
+worklist with union-find, or, for the calls after the first eighteen,
+before transfer and the homology projection took their closed forms and
+words were built in one pass; any change to a graph's numbering, a basis
 order, a report or a seeded suite shows up here.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -30,6 +34,7 @@ GOLDEN = [
     (("suite", "schreier-formula", "--trials", "50", "--seed", "1"), "5929ce002163af7d1e415e83b474412d5abe6987ae18b08c2e15762f35338d08"),
     (("suite", "single-cycle-power", "--trials", "50", "--seed", "1"), "f532e20080b983dd5f114b2f1439cbbdb37f3d24fda519d6e15493b54fb50be7"),
     (("suite", "transfer-visibility", "--trials", "50", "--seed", "1"), "019a60f299f460c0bdf2af9960690d0d4c0845b489be67cf8a70ad5de20c649b"),
+    (("basis", "--rank", "2", "--gens", "(ab)^300"), "0ba1caa0044341a3ee4cb0ea8c8abb642163f9a50c60b2e6d069ad635fc6c37e"),
 ]
 
 
@@ -37,3 +42,29 @@ GOLDEN = [
 def test_cli_stdout_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_transfer_on_hm9_with_its_tree_digest(capsys, tmp_path):
+    assert main(["hm", "--m", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    path = tmp_path / "hm9.json"
+    path.write_text(json.dumps(payload))
+    argv = ["transfer", "--graph", str(path), "--tree", ",".join(payload["tree"])]
+    assert (
+        stdout_digest(capsys, argv + ["--word", "a[a,b]^4"])
+        == "5d3f605acc3ccca2da2145657011377a4efea6cc0b200eec9a1b08c63cebc24b"
+    )
+
+
+def test_member_with_flat_2048_letter_word_digest(capsys):
+    word = "".join(random.Random(2048).choice("abAB") for _ in range(2048))
+    argv = ["member", "--rank", "2", "--gens", "aa,ab,aB", "--word", word]
+    assert (
+        stdout_digest(capsys, argv)
+        == "77d672fc7ee073399a780f5b5e93903d542442fce5ef200ac2d7fc24ff8deb45"
+    )

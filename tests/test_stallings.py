@@ -8,6 +8,7 @@ from fgr import (
     InfiniteIndexError,
     NotAMemberError,
     Permutation,
+    SpanningTree,
     Word,
     basis,
     canonicalize,
@@ -27,6 +28,7 @@ from fgr import (
     spanning_tree,
     subgroup_index,
     subgroup_rank,
+    tree_path_word,
     trivial_graph,
 )
 from fgr.constructions import gamma_graph, hm_graph, wk_word
@@ -209,6 +211,18 @@ def test_spanning_tree_override_validation():
         spanning_tree(g, override=[(0, 1, 2), (0, 0, 1)])
     with pytest.raises(ValueError):
         spanning_tree(g, override=[(0, 1, 2), (9, 9, 2)])
+
+
+def test_tree_that_does_not_span_is_rejected():
+    g = CoreGraph(2, 2, ((0, 0, 1), (0, 1, 2), (1, 0, 2)))
+    stray = SpanningTree(frozenset({(0, 0, 1)}), ((0, 1, 2), (1, 0, 2)))
+    for call in (
+        lambda: basis(g, stray),
+        lambda: tree_path_word(g, stray, 0, 1),
+        lambda: rewrite_in_basis(g, stray, parse_word("bb", 2)),
+    ):
+        with pytest.raises(ValueError, match="does not span"):
+            call()
 
 
 def test_basis_of_h3_under_preferred_tree():

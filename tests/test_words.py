@@ -127,6 +127,25 @@ def test_parse_deep_nesting():
         parse_word("(" * 3000 + "a" + ")" * 3000, 2)
 
 
+def test_word_length_budget():
+    assert len(parse_word("(abA)^400000", 2)) == 400_002
+    for text, position in (("(ab)^10000000000", 16), ("a^1000001", 9)):
+        with pytest.raises(ParseError, match="longer than 1000000 letters") as info:
+            parse_word(text, 2)
+        assert info.value.position == position
+    nested = "b"
+    for _ in range(40):
+        nested = f"[a,{nested}]"
+    with pytest.raises(ParseError, match="longer than 1000000 letters"):
+        parse_word(nested, 2)
+    with pytest.raises(ParseError, match="longer than 1000000 letters"):
+        parse_word("a^600000 b^600000", 2)
+    # Caught at the commutator, before it is built and raised to ^0.
+    with pytest.raises(ParseError, match="longer than 1000000 letters") as info:
+        parse_word("[a^300000,b^300000]^0", 2)
+    assert info.value.position == 19
+
+
 def test_exponent_sums_examples():
     assert exponent_sums(identity(2)) == (0, 0)
     assert exponent_sums(parse_word("aabAB", 2)) == (1, 0)

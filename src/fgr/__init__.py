@@ -32,7 +32,6 @@ from .retracts import (
     SuiteReport,
     bergman_counterexample,
     cyclic_retract,
-    cyclic_retract_check,
     intersection_report,
     random_retract,
     run_suite,

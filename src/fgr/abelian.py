@@ -23,7 +23,6 @@ from .stallings import (
     InfiniteIndexError,
     NotAMemberError,
     SpanningTree,
-    _check_tree,
     rewrite_in_basis,
     subgroup_index,
 )
@@ -103,7 +102,8 @@ def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
-    _check_tree(graph, tree)
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
     sums = exponent_sums(w)
     return AbelianVector("subgroup", tuple(sums[l - 1] for (_, _, l) in tree.nontree_edges))
 
@@ -148,9 +148,11 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
     """
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("the chain projection needs a finite-index subgroup")
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
     # branch[x]: the child of the base whose subtree holds x (parents come first).
     branch: dict[int, int | None] = {}
-    for vertex, step in _check_tree(graph, tree).items():
+    for vertex, step in tree.parents.items():
         branch[vertex] = None if step is None else vertex if step[0] == 0 else branch[step[0]]
     rows = []
     for label in range(1, graph.rank + 1):

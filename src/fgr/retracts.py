@@ -116,11 +116,6 @@ class IntersectionReport:
         }
 
 
-def cyclic_retract_check(w: Word) -> bool:
-    """Whether the cyclic subgroup on ``w`` is a retract: visibility."""
-    return is_visible(w)
-
-
 def turner_power_word(exponents: Sequence[int]) -> bool:
     """Test-element criterion for x_1^k_1 .. x_n^k_n: every exponent
     nonzero and the gcd of their absolute values different from 1."""
@@ -172,7 +167,7 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     At finite index this is the length of the coset-permutation cycle
     through the base.  Otherwise the intersection with the cyclic
     subgroup on ``w`` is computed by pullback; its single basis word is
-    w^(+-m).
+    w^(+-m), and its length gives m.
     """
     if not w.letters:
         raise ValueError("the trivial word has no smallest power")
@@ -190,13 +185,12 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
         return None
     assert rank_i == 1, "intersection with a cyclic subgroup must be cyclic"
     generator = basis(intersection)[0]
-    power = w
-    m = 1
-    while len(power) <= len(generator):
-        if power == generator or power.inverse() == generator:
-            return m
-        power = power * w
-        m += 1
+    # Each further copy of w adds step letters: |w^m| = |w| + (m - 1) * step.
+    step = len(w * w) - len(w)
+    m = (len(generator) - len(w)) // step + 1
+    power = w ** m
+    if power == generator or power.inverse() == generator:
+        return m
     raise AssertionError("cyclic intersection generator is not a power of the word")
 
 
@@ -447,11 +441,11 @@ class SuiteReport:
         }
 
 
-def _trial_transfer_visibility(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    rank = rng.choice(bounds.get("ranks", (2, 3)))
-    graph = _random_transitive_graph(rng, rank, bounds.get("max_index", 12))
+def _trial_transfer_visibility(rng: random.Random) -> tuple[bool, dict | None]:
+    rank = rng.choice((2, 3))
+    graph = _random_transitive_graph(rng, rank, 12)
     tree = spanning_tree(graph)
-    w = _random_visible_word(rng, rank, bounds.get("max_word_len", 40))
+    w = _random_visible_word(rng, rank, 40)
     image = transfer(graph, tree, w)
     projected = apply_projection(homology_projection(graph, tree), image)
     ok = image.coordinate_gcd() == 1 and projected.entries == exponent_sums(w)
@@ -460,15 +454,13 @@ def _trial_transfer_visibility(rng: random.Random, bounds: dict) -> tuple[bool, 
     return False, {"graph": graph_to_json(graph), "word": render_word(w)}
 
 
-def _trial_single_cycle_power(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    rank = rng.choice(bounds.get("ranks", (2, 3)))
-    max_index = bounds.get("max_index", 12)
-    max_len = bounds.get("max_word_len", 40)
+def _trial_single_cycle_power(rng: random.Random) -> tuple[bool, dict | None]:
+    rank = rng.choice((2, 3))
     for _ in range(200):
-        graph = _random_transitive_graph(rng, rank, max_index)
+        graph = _random_transitive_graph(rng, rank, 12)
         tree = spanning_tree(graph)
         for _ in range(60):
-            w = _random_visible_word(rng, rank, max_len)
+            w = _random_visible_word(rng, rank, 40)
             perm = coset_permutation(graph, w)
             if len(perm.cycles()) != 1:
                 continue
@@ -483,11 +475,11 @@ def _trial_single_cycle_power(rng: random.Random, bounds: dict) -> tuple[bool, d
     raise RuntimeError("failed to condition on a single-cycle action")
 
 
-def _trial_normal_power(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    rank = rng.choice(bounds.get("ranks", (2, 3)))
+def _trial_normal_power(rng: random.Random) -> tuple[bool, dict | None]:
+    rank = rng.choice((2, 3))
     graph = _random_normal_graph(rng, rank)
     tree = spanning_tree(graph)
-    w = _random_visible_word(rng, rank, bounds.get("max_word_len", 40))
+    w = _random_visible_word(rng, rank, 40)
     m = smallest_power_in(graph, w)
     ok = m is not None and is_visible_in_subgroup(graph, tree, w ** m)
     if ok:
@@ -503,9 +495,9 @@ def _random_rank2_subgroup(rng: random.Random, rank: int, max_len: int) -> CoreG
     raise RuntimeError("failed to draw a rank-2 subgroup")
 
 
-def _trial_rank2_intersection(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    n = rng.randint(2, bounds.get("max_rank", 4))
-    subgroup = _random_rank2_subgroup(rng, n, bounds.get("max_word_len", 30))
+def _trial_rank2_intersection(rng: random.Random) -> tuple[bool, dict | None]:
+    n = rng.randint(2, 4)
+    subgroup = _random_rank2_subgroup(rng, n, 30)
     if rng.random() < 0.5:
         retract = random_retract(
             n, rng.randint(1, n - 1), rng.getrandbits(63), rng.randint(0, 2)
@@ -522,9 +514,9 @@ def _trial_rank2_intersection(rng: random.Random, bounds: dict) -> tuple[bool, d
     }
 
 
-def _trial_rank_bound(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    n = rng.randint(2, bounds.get("max_rank", 4))
-    subgroup = _random_subgroup(rng, n, 3, bounds.get("max_word_len", 30))
+def _trial_rank_bound(rng: random.Random) -> tuple[bool, dict | None]:
+    n = rng.randint(2, 4)
+    subgroup = _random_subgroup(rng, n, 3, 30)
     retract = random_retract(
         n, rng.randint(1, n - 1), rng.getrandbits(63), rng.randint(0, 2)
     )
@@ -537,27 +529,26 @@ def _trial_rank_bound(rng: random.Random, bounds: dict) -> tuple[bool, dict | No
     }
 
 
-def _trial_hanna_neumann(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    rank = rng.choice(bounds.get("ranks", (2, 3)))
-    max_len = bounds.get("max_word_len", 12)
-    a = _random_subgroup(rng, rank, rng.randint(1, 3), max_len)
-    b = _random_subgroup(rng, rank, rng.randint(1, 3), max_len)
+def _trial_hanna_neumann(rng: random.Random) -> tuple[bool, dict | None]:
+    rank = rng.choice((2, 3))
+    a = _random_subgroup(rng, rank, rng.randint(1, 3), 12)
+    b = _random_subgroup(rng, rank, rng.randint(1, 3), 12)
     bound = (subgroup_rank(a) - 1) * (subgroup_rank(b) - 1)
     if max(subgroup_rank(pullback(a, b)) - 1, 0) <= bound:
         return True, None
     return False, {"a": graph_to_json(a), "b": graph_to_json(b)}
 
 
-def _trial_schreier_formula(rng: random.Random, bounds: dict) -> tuple[bool, dict | None]:
-    rank = rng.choice(bounds.get("ranks", (2, 3)))
-    graph = _random_transitive_graph(rng, rank, bounds.get("max_index", 12))
+def _trial_schreier_formula(rng: random.Random) -> tuple[bool, dict | None]:
+    rank = rng.choice((2, 3))
+    graph = _random_transitive_graph(rng, rank, 12)
     index = subgroup_index(graph)
     if index is not None and subgroup_rank(graph) == index * (rank - 1) + 1:
         return True, None
     return False, {"graph": graph_to_json(graph)}
 
 
-_SUITES: dict[str, Callable[[random.Random, dict], tuple[bool, dict | None]]] = {
+_SUITES: dict[str, Callable[[random.Random], tuple[bool, dict | None]]] = {
     "transfer-visibility": _trial_transfer_visibility,
     "single-cycle-power": _trial_single_cycle_power,
     "normal-power": _trial_normal_power,
@@ -572,7 +563,7 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def run_suite(name: str, trials: int, seed: int, **bounds) -> SuiteReport:
+def run_suite(name: str, trials: int, seed: int) -> SuiteReport:
     """Run a named property suite; deterministic for a given seed.
 
     The report counts passes and records the first counterexample, if
@@ -587,7 +578,7 @@ def run_suite(name: str, trials: int, seed: int, **bounds) -> SuiteReport:
     passes = 0
     failures: list[dict] = []
     for index in range(trials):
-        ok, detail = trial(_trial_rng(seed, index), bounds)
+        ok, detail = trial(_trial_rng(seed, index))
         if ok:
             passes += 1
         elif not failures:

@@ -15,6 +15,12 @@ permutation graph is a complete cover, so both only restrict to the base
 component, trim and renumber.  ``canonicalize`` renumbers vertices
 deterministically so that structural equality of canonical graphs
 coincides with equality of subgroups.
+
+A ``SpanningTree`` is checked against its graph once, when it is built,
+and carries its tree walk and ordered non-tree edges; the functions that
+take a graph and a tree (``basis``, ``tree_path_word``,
+``rewrite_in_basis``, the transfer and the homology projection) only
+check that the tree was built for that graph.
 """
 
 from __future__ import annotations
@@ -98,14 +104,41 @@ class CoreGraph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree of a core graph plus its ordered non-tree edges.
+    """A spanning tree of a core graph, checked against it once when built.
 
-    The non-tree edges index the induced free basis of the subgroup;
-    their order is fixed at construction (see :func:`spanning_tree`).
+    Construction raises ``ValueError`` unless ``tree_edges`` are edges of
+    ``graph`` that span it as a tree, so a function given a graph and a
+    tree only checks that the tree was built for that graph.  It records
+    ``parents``, the walk of the tree from the base in canonical letter
+    order (vertex -> (parent, signed letter); the base -> None), which
+    gives the tree paths; ``nontree_edges``, ordered by (index of origin
+    in the walk, label), which index the induced free basis; and
+    ``symbols``, each non-tree edge's 1-based basis symbol.
     """
 
+    graph: CoreGraph
     tree_edges: frozenset[Edge]
-    nontree_edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        graph = self.graph
+        tree = frozenset(self.tree_edges)
+        object.__setattr__(self, "tree_edges", tree)
+        if not tree.issubset(graph.edges):
+            raise ValueError("spanning tree does not belong to this graph")
+        if len(tree) != graph.vertex_count - 1:
+            raise ValueError("spanning tree has the wrong number of edges")
+        succ = {(u, l): v for (u, v, l) in tree}
+        pred = {(v, l): u for (u, v, l) in tree}
+        parents = _bfs(succ, pred, 0, _canonical_letters(graph.rank))
+        if len(parents) != graph.vertex_count:
+            raise ValueError("spanning tree does not span the graph")
+        index = {vertex: i for i, vertex in enumerate(parents)}
+        nontree = sorted(
+            (e for e in graph.edges if e not in tree), key=lambda e: (index[e[0]], e[2])
+        )
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "nontree_edges", tuple(nontree))
+        object.__setattr__(self, "symbols", {e: i for i, e in enumerate(nontree, start=1)})
 
 
 @dataclass(frozen=True)
@@ -207,13 +240,11 @@ def subgroup_index(graph: CoreGraph) -> int | None:
     """The subgroup index, or None when it is infinite.
 
     The index is finite exactly when the graph is a complete covering:
-    one outgoing and one incoming edge per label at every vertex.
+    one outgoing and one incoming edge per label at every vertex.  A
+    folded graph has at most one of each, so it is complete exactly when
+    it has rank * vertex_count edges.
     """
-    for vertex in range(graph.vertex_count):
-        for label in range(1, graph.rank + 1):
-            if (vertex, label) not in graph.succ or (vertex, label) not in graph.pred:
-                return None
-    return graph.vertex_count
+    return graph.vertex_count if len(graph.edges) == graph.rank * graph.vertex_count else None
 
 
 def _canonical_letters(rank: int) -> tuple[int, ...]:
@@ -419,45 +450,18 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     The default tree is grown by BFS from the base exploring, at each
     vertex, labels 1..n in (label, direction) order with outgoing before
     incoming.  ``override`` supplies an explicit tree edge set instead;
-    it must be a spanning tree of the graph.
-
-    Non-tree edges are ordered by (BFS index of origin, label), where
-    BFS indices come from traversing the chosen tree.
+    :class:`SpanningTree` checks that it is a spanning tree of the graph
+    and orders the non-tree edges.
     """
-    if override is None:
-        letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
-        tree: set[Edge] = set()
-        for vertex, step in _bfs(graph.succ, graph.pred, 0, letters).items():
-            if step is not None:
-                parent, letter = step
-                tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
-    else:
-        tree = {tuple(e) for e in override}
-    nontree = [e for e in graph.edges if e not in tree]
-    walked = _check_tree(graph, SpanningTree(frozenset(tree), tuple(nontree)))
-    index = {vertex: i for i, vertex in enumerate(walked)}
-    nontree.sort(key=lambda e: (index[e[0]], e[2]))
-    return SpanningTree(frozenset(tree), tuple(nontree))
-
-
-def _check_tree(graph: CoreGraph, tree: SpanningTree) -> dict[int, tuple[int, int] | None]:
-    """Validate ``tree`` against ``graph`` and walk it from the base.
-
-    The walk is a BFS over the tree edges in canonical letter order.  Its
-    discovery order is the BFS index that orders non-tree edges.  On a
-    tree each vertex's parent is its neighbour towards the base in any
-    letter order, so the same walk gives the tree paths.
-    """
-    if tree.tree_edges | set(tree.nontree_edges) != set(graph.edges):
-        raise ValueError("spanning tree does not belong to this graph")
-    if len(tree.tree_edges) != graph.vertex_count - 1:
-        raise ValueError("spanning tree has the wrong number of edges")
-    succ = {(u, l): v for (u, v, l) in tree.tree_edges}
-    pred = {(v, l): u for (u, v, l) in tree.tree_edges}
-    parents = _bfs(succ, pred, 0, _canonical_letters(graph.rank))
-    if len(parents) != graph.vertex_count:
-        raise ValueError("spanning tree does not span the graph")
-    return parents
+    if override is not None:
+        return SpanningTree(graph, frozenset(tuple(e) for e in override))
+    letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
+    tree: set[Edge] = set()
+    for vertex, step in _bfs(graph.succ, graph.pred, 0, letters).items():
+        if step is not None:
+            parent, letter = step
+            tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
+    return SpanningTree(graph, frozenset(tree))
 
 
 def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[int]:
@@ -473,9 +477,10 @@ def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[
 
 def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: int) -> Word:
     """Reduced word spelled by the tree geodesic from source to target."""
-    parents = _check_tree(graph, tree)
-    to_source = _root_path(parents, source)
-    to_target = _root_path(parents, target)
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+    to_source = _root_path(tree.parents, source)
+    to_target = _root_path(tree.parents, target)
     inverted = [-l for l in reversed(to_source)]
     return reduce_word(graph.rank, inverted + to_target)
 
@@ -488,8 +493,9 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     """
     if tree is None:
         tree = spanning_tree(graph)
-    parents = _check_tree(graph, tree)
-    paths = {v: _root_path(parents, v) for edge in tree.nontree_edges for v in edge[:2]}
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+    paths = {v: _root_path(tree.parents, v) for edge in tree.nontree_edges for v in edge[:2]}
     words = []
     for origin, terminus, label in tree.nontree_edges:
         back = [-l for l in reversed(paths[terminus])]
@@ -506,8 +512,8 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
     """
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
-    _check_tree(graph, tree)
-    symbol = {edge: i + 1 for i, edge in enumerate(tree.nontree_edges)}
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
     vertex = 0
     out: list[int] = []
     for letter in w.letters:
@@ -515,7 +521,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
             target = graph.succ.get((vertex, letter))
             if target is None:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            sym = symbol.get((vertex, target, letter))
+            sym = tree.symbols.get((vertex, target, letter))
             if sym is not None:
                 out.append(sym)
             vertex = target
@@ -523,7 +529,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
             source = graph.pred.get((vertex, -letter))
             if source is None:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            sym = symbol.get((source, vertex, -letter))
+            sym = tree.symbols.get((source, vertex, -letter))
             if sym is not None:
                 out.append(-sym)
             vertex = source
@@ -634,9 +640,9 @@ def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
     return Permutation(tuple(images))
 
 
-def graph_to_json(graph: CoreGraph, canonical: bool = True) -> dict:
+def graph_to_json(graph: CoreGraph) -> dict:
     """JSON-serializable form with canonical vertex numbering."""
-    g = canonicalize(graph) if canonical else graph
+    g = canonicalize(graph)
     return {
         "rank": g.rank,
         "vertices": g.vertex_count,

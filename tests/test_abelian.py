@@ -96,6 +96,7 @@ def test_visibility_examples():
     assert is_visible(parse_word("ab", 2))
     for k in range(1, 11):
         assert is_visible(wk_word(k))
+    assert not is_visible(parse_word("aa", 2))
     assert not is_visible(parse_word("aabb", 2))
     assert not is_visible(identity(2))
     assert not is_visible(parse_word("[a,b]", 2))

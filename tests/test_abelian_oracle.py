@@ -1,20 +1,23 @@
-"""The cycle-by-cycle transfer, the basis-walking homology projection and
-the basis that built a root path for every vertex, kept as the reference
-their closed forms are checked against.
+"""The cycle-by-cycle transfer, the basis-walking homology projection,
+the basis that built a root path for every vertex and the per-call tree
+check, kept as the reference their replacements are checked against.
 
 ``cycle_transfer``, ``chain_projection`` and ``all_paths_basis`` are the
 old ``transfer``, ``homology_projection`` and ``basis`` as they were:
 the transfer rewrites, for each cycle of the coset permutation, the
 lifted loop (tree path) w^len(cycle) (tree path back) over the subgroup
 basis; the projection builds every basis word and reads the base lifts
-off its chain.  The seeded tests below require the new code to return
-equal values and to raise the same errors.
+off its chain.  ``_check_tree`` is the check every function taking a
+tree ran on each call, and ``oracle_tree`` adds the non-tree edge sort
+``spanning_tree`` did after it; a ``SpanningTree`` now does both once,
+when it is built.  The seeded tests below require the new code to
+return equal values and to raise the same errors.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -40,7 +43,46 @@ from fgr import (
     tree_path_word,
 )
 from fgr.constructions import hm_graph, wk_word
-from fgr.stallings import _check_tree, _root_path
+from fgr.stallings import Edge, _bfs, _canonical_letters, _root_path
+
+
+class OldTree(NamedTuple):
+    """The fields a ``SpanningTree`` had before it was bound to its graph."""
+
+    tree_edges: frozenset[Edge]
+    nontree_edges: tuple[Edge, ...]
+
+
+def _check_tree(graph: CoreGraph, tree: OldTree) -> dict[int, tuple[int, int] | None]:
+    """Validate ``tree`` against ``graph`` and walk it from the base.
+
+    The walk is a BFS over the tree edges in canonical letter order.  Its
+    discovery order is the BFS index that orders non-tree edges.  On a
+    tree each vertex's parent is its neighbour towards the base in any
+    letter order, so the same walk gives the tree paths.
+    """
+    if tree.tree_edges | set(tree.nontree_edges) != set(graph.edges):
+        raise ValueError("spanning tree does not belong to this graph")
+    if len(tree.tree_edges) != graph.vertex_count - 1:
+        raise ValueError("spanning tree has the wrong number of edges")
+    succ = {(u, l): v for (u, v, l) in tree.tree_edges}
+    pred = {(v, l): u for (u, v, l) in tree.tree_edges}
+    parents = _bfs(succ, pred, 0, _canonical_letters(graph.rank))
+    if len(parents) != graph.vertex_count:
+        raise ValueError("spanning tree does not span the graph")
+    return parents
+
+
+def oracle_tree(graph: CoreGraph, tree_edges) -> tuple[list, tuple[Edge, ...]]:
+    """The walk (as (vertex, step) pairs in discovery order) and the
+    ordered non-tree edges of a tree, checked and sorted as
+    ``spanning_tree`` did with ``_check_tree``."""
+    tree = {tuple(e) for e in tree_edges}
+    nontree = [e for e in graph.edges if e not in tree]
+    walked = _check_tree(graph, OldTree(frozenset(tree), tuple(nontree)))
+    index = {vertex: i for i, vertex in enumerate(walked)}
+    nontree.sort(key=lambda e: (index[e[0]], e[2]))
+    return list(walked.items()), tuple(nontree)
 
 
 def cycle_transfer(
@@ -81,8 +123,9 @@ def all_paths_basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[
     """
     if tree is None:
         tree = spanning_tree(graph)
-    parents = _check_tree(graph, tree)
-    paths = {v: _root_path(parents, v) for v in range(graph.vertex_count)}
+    if tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+    paths = {v: _root_path(tree.parents, v) for v in range(graph.vertex_count)}
     words = []
     for origin, terminus, label in tree.nontree_edges:
         back = [-l for l in reversed(paths[terminus])]
@@ -121,6 +164,12 @@ def outcome(function, *args):
         return function(*args)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def new_tree(graph, edges):
+    """``oracle_tree`` computed by a ``SpanningTree``."""
+    tree = spanning_tree(graph, override=edges)
+    return list(tree.parents.items()), tree.nontree_edges
 
 
 def random_reduced_word(rng, rank, max_len):
@@ -168,6 +217,7 @@ def random_tree(rng, graph):
 
 
 def assert_agree(graph, tree, words):
+    assert new_tree(graph, tree.tree_edges) == oracle_tree(graph, tree.tree_edges)
     assert basis(graph, tree) == all_paths_basis(graph, tree)
     assert outcome(homology_projection, graph, tree) == outcome(chain_projection, graph, tree)
     for w in words:
@@ -214,6 +264,25 @@ def test_closed_forms_raise_like_oracle():
     assert outcome(homology_projection, graph, other_tree) == outcome(
         chain_projection, graph, other_tree
     )
+
+
+def test_tree_checks_raise_like_oracle():
+    # Random edge sets around the size of a tree, sometimes with an edge
+    # of no graph: each is rejected with the old message or gives the
+    # old walk and non-tree edge order.
+    rng = random.Random(9300)
+    for _ in range(300):
+        rank = rng.randint(2, 3)
+        if rng.random() < 0.5:
+            graph = random_cover(rng, rank, 8)
+        else:
+            gens = [random_reduced_word(rng, rank, 6) for _ in range(rng.randint(1, 3))]
+            graph = from_generators(rank, gens)
+        size = graph.vertex_count - 1 + rng.choice((-1, 0, 0, 0, 1))
+        edges = rng.sample(graph.edges, max(0, min(size, len(graph.edges))))
+        if rng.random() < 0.2:
+            edges[rng.randrange(len(edges) + 1):0] = [(0, graph.vertex_count, 1)]
+        assert outcome(new_tree, graph, edges) == outcome(oracle_tree, graph, edges)
 
 
 def test_transfer_is_representative_independent():

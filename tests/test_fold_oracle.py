@@ -6,8 +6,10 @@ was: every pass re-scans all edges, merging targets of equal-label edges
 that share an endpoint, until a pass changes nothing; then it restricts
 to the base component, trims hair pass by pass and renumbers.
 ``oracle_pullback`` and ``oracle_schreier_graph`` are the old
-``pullback`` and ``schreier_graph``, which folded their results again.
-The seeded tests below require the new code to return equal graphs.
+``pullback`` and ``schreier_graph``, which folded their results again,
+and ``oracle_subgroup_index`` is the old per-vertex, per-label
+``subgroup_index``.  The seeded tests below require the new code to
+return equal graphs and indices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from fgr import CoreGraph, Permutation, Word, fold, from_generators, pullback, schreier_graph
+from fgr import (
+    CoreGraph,
+    Permutation,
+    Word,
+    fold,
+    from_generators,
+    pullback,
+    schreier_graph,
+    subgroup_index,
+)
 from fgr.stallings import Edge, trivial_graph
 
 
@@ -207,6 +218,19 @@ def oracle_schreier_graph(rank: int, perms: Sequence[Permutation], base: int) ->
 
 
 
+def oracle_subgroup_index(graph: CoreGraph) -> int | None:
+    """The subgroup index, or None when it is infinite.
+
+    The index is finite exactly when the graph is a complete covering:
+    one outgoing and one incoming edge per label at every vertex.
+    """
+    for vertex in range(graph.vertex_count):
+        for label in range(1, graph.rank + 1):
+            if (vertex, label) not in graph.succ or (vertex, label) not in graph.pred:
+                return None
+    return graph.vertex_count
+
+
 # --- seeded comparisons ---------------------------------------------------------
 
 def random_reduced_word(rng, rank, max_len):
@@ -277,7 +301,9 @@ def test_fold_matches_oracle_on_random_digraphs(seed):
             for _ in range(rng.randint(0, 2 * vertex_count))
         ]
         base = rng.randrange(vertex_count)
-        assert fold(rank, vertex_count, edges, base) == _normalize(rank, vertex_count, edges, base)
+        graph = fold(rank, vertex_count, edges, base)
+        assert graph == _normalize(rank, vertex_count, edges, base)
+        assert subgroup_index(graph) == oracle_subgroup_index(graph)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -309,6 +335,12 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
             continue
         graph = schreier_graph(rank, perms, base)
         assert graph == expected
+        assert subgroup_index(graph) == oracle_subgroup_index(graph) == points
+        # Without one of its edges a cover folds to an infinite-index core.
+        edges = list(graph.edges)
+        del edges[rng.randrange(len(edges))]
+        cut = fold(rank, points, edges)
+        assert subgroup_index(cut) == oracle_subgroup_index(cut) is None
         covers.append(graph)
     for g1 in covers:
         for g2 in covers:

@@ -9,7 +9,6 @@ from fgr import (
     bergman_counterexample,
     contains,
     cyclic_retract,
-    cyclic_retract_check,
     from_generators,
     identity,
     intersection_report,
@@ -18,6 +17,7 @@ from fgr import (
     random_retract,
     run_suite,
     smallest_power_in,
+    subgroup_index,
     subgroup_rank,
     substitute,
     turner_power_word,
@@ -30,12 +30,6 @@ def words(rank, *texts):
 
 
 # --- cyclic retracts -----------------------------------------------------------
-
-def test_cyclic_retract_check_examples():
-    assert cyclic_retract_check(wk_word(1))
-    assert not cyclic_retract_check(parse_word("aa", 2))
-    assert not cyclic_retract_check(parse_word("[a,b]", 2))
-
 
 def test_cyclic_retract_presentation():
     presented = cyclic_retract(wk_word(1))
@@ -137,6 +131,39 @@ def test_smallest_power_agrees_with_pullback_route():
         m = smallest_power_in(graph, w)
         generator = basis(pullback(graph, from_generators(2, [w])))[0]
         assert generator in (w**m, (w**m).inverse())
+
+
+
+def power_loop_exponent(graph, w):
+    """The multiplying loop ``smallest_power_in`` ran at infinite index,
+    kept as the reference for its closed-form exponent."""
+    intersection = pullback(graph, from_generators(graph.rank, [w]))
+    if subgroup_rank(intersection) == 0:
+        return None
+    generator = basis(intersection)[0]
+    power, m = w, 1
+    while len(power) <= len(generator):
+        if power == generator or power.inverse() == generator:
+            return m
+        power, m = power * w, m + 1
+    raise AssertionError("cyclic intersection generator is not a power of the word")
+
+
+def test_smallest_power_matches_power_loop_at_infinite_index():
+    rng = random.Random(5150)
+    checked = 0
+    while checked < 150:
+        rank = rng.randint(2, 3)
+        w = random_reduced_word(rng, rank, 6)
+        # Half the time w^k is conjugated, so w's powers may miss it.
+        conjugator = random_reduced_word(rng, rank, 3) if rng.random() < 0.5 else w ** 0
+        gens = [conjugator * w ** rng.randint(1, 7) * conjugator.inverse()]
+        gens += [random_reduced_word(rng, rank, 5) for _ in range(rng.randint(0, 2))]
+        graph = from_generators(rank, gens)
+        if subgroup_index(graph) is not None:
+            continue
+        assert smallest_power_in(graph, w) == power_loop_exponent(graph, w)
+        checked += 1
 
 
 # --- intersection reports ---------------------------------------------------------

@@ -19,6 +19,7 @@ from fgr import (
     from_generators,
     graph_from_json,
     graph_to_json,
+    homology_projection,
     identity,
     parse_word,
     pullback,
@@ -28,6 +29,7 @@ from fgr import (
     spanning_tree,
     subgroup_index,
     subgroup_rank,
+    transfer,
     tree_path_word,
     trivial_graph,
 )
@@ -215,14 +217,45 @@ def test_spanning_tree_override_validation():
 
 def test_tree_that_does_not_span_is_rejected():
     g = CoreGraph(2, 2, ((0, 0, 1), (0, 1, 2), (1, 0, 2)))
-    stray = SpanningTree(frozenset({(0, 0, 1)}), ((0, 1, 2), (1, 0, 2)))
-    for call in (
-        lambda: basis(g, stray),
-        lambda: tree_path_word(g, stray, 0, 1),
-        lambda: rewrite_in_basis(g, stray, parse_word("bb", 2)),
+    with pytest.raises(ValueError, match="does not span"):
+        SpanningTree(g, frozenset({(0, 0, 1)}))
+
+
+def test_spanning_tree_checks_itself_when_built():
+    g = gamma_graph(3)
+    for edges, message in (
+        ({(0, 1, 2), (9, 9, 2)}, "does not belong to this graph"),
+        ({(0, 1, 2)}, "has the wrong number of edges"),
+        ({(1, 2, 1), (2, 1, 1)}, "does not span the graph"),
     ):
-        with pytest.raises(ValueError, match="does not span"):
-            call()
+        with pytest.raises(ValueError, match=message):
+            SpanningTree(g, frozenset(edges))
+    tree = SpanningTree(g, frozenset({(0, 1, 2), (1, 2, 2)}))
+    assert tree == spanning_tree(g, override=[(0, 1, 2), (1, 2, 2)])
+    assert tree.parents == {0: None, 1: (0, 2), 2: (1, 2)}
+    assert tree.symbols == {e: i for i, e in enumerate(tree.nontree_edges, start=1)}
+
+
+def test_consumers_reject_a_tree_built_for_another_graph():
+    graph, _ = hm_graph(5)
+    w = wk_word(1)
+    calls = (
+        lambda tree: basis(graph, tree),
+        lambda tree: tree_path_word(graph, tree, 0, 1),
+        lambda tree: rewrite_in_basis(graph, tree, w ** 2),
+        lambda tree: transfer(graph, tree, w),
+        lambda tree: homology_projection(graph, tree),
+    )
+    # Same edges at another rank: a different graph, so its tree is foreign too.
+    widened = CoreGraph(3, graph.vertex_count, graph.edges)
+    for foreign in (hm_graph(7)[1], spanning_tree(widened)):
+        for call in calls:
+            with pytest.raises(ValueError, match="does not belong"):
+                call(foreign)
+    # An equal graph built separately owns the same trees.
+    twin = spanning_tree(CoreGraph(graph.rank, graph.vertex_count, graph.edges))
+    for call in calls:
+        assert call(twin) == call(spanning_tree(graph))
 
 
 def test_basis_of_h3_under_preferred_tree():

@@ -118,15 +118,15 @@ def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
     vertex = 0
     for letter in w.letters:
         if letter > 0:
-            target = graph.succ.get((vertex, letter))
-            if target is None:
+            target = graph.out[letter][vertex]
+            if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (vertex, target, letter)
             counts[edge] = checked_int64(counts.get(edge, 0) + 1)
             vertex = target
         else:
-            source = graph.pred.get((vertex, -letter))
-            if source is None:
+            source = graph.in_[-letter][vertex]
+            if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (source, vertex, -letter)
             counts[edge] = checked_int64(counts.get(edge, 0) - 1)
@@ -156,8 +156,8 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
         branch[vertex] = None if step is None else vertex if step[0] == 0 else branch[step[0]]
     rows = []
     for label in range(1, graph.rank + 1):
-        target = graph.succ.get((0, label))
-        if target is None:
+        target = graph.out[label][0]
+        if target < 0:
             raise InfiniteIndexError(f"base vertex has no outgoing edge labeled {label}")
         lift = (0, target, label)
         # -1 is no vertex: a lift off the tree is only crossed as f.

@@ -50,6 +50,7 @@ from .stallings import (
     spanning_tree,
     subgroup_index,
     subgroup_rank,
+    walk,
 )
 from .words import Word, exponent_sums, identity, render_word, substitute, with_rank
 
@@ -165,19 +166,20 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     """Least m >= 1 with w^m in the subgroup, or None if there is none.
 
     At finite index this is the length of the coset-permutation cycle
-    through the base.  Otherwise the intersection with the cyclic
+    through the base, found by lifting ``w`` from the base until the
+    lifts return to it.  Otherwise the intersection with the cyclic
     subgroup on ``w`` is computed by pullback; its single basis word is
     w^(+-m), and its length gives m.
     """
     if not w.letters:
         raise ValueError("the trivial word has no smallest power")
     if subgroup_index(graph) is not None:
-        perm = coset_permutation(graph, w)
-        length = 1
-        vertex = perm(0)
+        if w.rank != graph.rank:
+            raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+        # A complete cover: every lift exists and w permutes the vertices.
+        vertex, length = walk(graph, 0, w.letters), 1
         while vertex != 0:
-            vertex = perm(vertex)
-            length += 1
+            vertex, length = walk(graph, vertex, w.letters), length + 1
         return length
     intersection = pullback(graph, from_generators(graph.rank, [w]))
     rank_i = subgroup_rank(intersection)

@@ -3,18 +3,27 @@
 A core graph is a folded, based, connected, edge-labeled digraph whose
 loops at the base vertex spell exactly the members of a subgroup.
 Vertices are ``0..vertex_count-1`` with the base fixed at 0; an edge
-``(u, v, l)`` runs from u to v and carries the generator label l.
+``(u, v, l)`` runs from u to v and carries the generator label l.  A
+validated graph also holds one int array per label and direction,
+``out[l][v]`` and ``in_[l][v]`` (-1 where there is no edge), and every
+walk, search and builder reads those arrays.
 
-Construction folds a wedge of generator loops with a worklist fold: a
+``from_generators`` reads each generator into the graph folded so far:
+it follows the word forward from the base as far as edges exist and
+backward from the base along the rest, adds only the unread middle
+path, and folds whatever clashes.  Folding is a worklist fold: a
 union-find over the vertices plus a stack of pending merges, so each
 merge is done once instead of re-scanning every edge per pass.
 ``pullback`` computes the fiber product realizing subgroup intersection;
 ``schreier_graph`` builds the coset graph of a permutation action.
 Neither folds: a product of folded graphs is already folded and a
 permutation graph is a complete cover, so both only restrict to the base
-component, trim and renumber.  ``canonicalize`` renumbers vertices
-deterministically so that structural equality of canonical graphs
-coincides with equality of subgroups.
+component, trim and renumber.  ``pullback`` tries the letters in
+canonical order, so it discovers the product's vertices already in
+canonical order and needs no second search.  ``canonicalize`` renumbers
+vertices deterministically so that structural equality of canonical
+graphs coincides with equality of subgroups; a graph already in
+canonical numbering is returned as it is.
 
 A ``SpanningTree`` is checked against its graph once, when it is built,
 and carries its tree walk and ordered non-tree edges; the functions that
@@ -26,9 +35,9 @@ check that the tree was built for that graph.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .words import MAX_RANK, Word, reduce_word
@@ -49,9 +58,11 @@ class InfiniteIndexError(ValueError):
 class CoreGraph:
     """A validated core graph.
 
-    ``succ`` maps (origin, label) to terminus and ``pred`` maps
-    (terminus, label) to origin; validation builds both once, and both
-    are functions because the graph is folded.
+    Validation builds, once, one int array per label and direction:
+    ``out[l][v]`` is the terminus of the edge labeled l leaving v and
+    ``in_[l][v]`` the origin of the edge labeled l entering v, or -1
+    where there is none (index 0 of both is None).  One entry per slot
+    suffices because the graph is folded.
     """
 
     rank: int
@@ -63,43 +74,42 @@ class CoreGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        succ: dict[tuple[int, int], int] = {}
-        pred: dict[tuple[int, int], int] = {}
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {self.rank}")
-        if self.vertex_count < 1:
+        rank, count = self.rank, self.vertex_count
+        _check_rank(rank)
+        if count < 1:
             raise ValueError("graph needs at least the base vertex")
         # Checked before anything is sized by vertex_count, so a declared
         # count cannot ask for unbounded memory.
-        if self.vertex_count > len(self.edges) + 1:
+        if count > len(self.edges) + 1:
             raise ValueError("graph is not connected to the base vertex")
-        degree = [0] * self.vertex_count
+        out = _empty_arrays(rank, count)
+        in_ = _empty_arrays(rank, count)
+        degree = [0] * count
         for origin, terminus, label in self.edges:
-            if not (0 <= origin < self.vertex_count and 0 <= terminus < self.vertex_count):
+            if not (0 <= origin < count and 0 <= terminus < count):
                 raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
-            if not 1 <= label <= self.rank:
+            if not 1 <= label <= rank:
                 raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
-            if (origin, label) in succ:
+            leaving, entering = out[label], in_[label]
+            if leaving[origin] >= 0:
                 raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
-            if (terminus, label) in pred:
+            if entering[terminus] >= 0:
                 raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
-            succ[(origin, label)] = terminus
-            pred[(terminus, label)] = origin
+            leaving[origin] = terminus
+            entering[terminus] = origin
             degree[origin] += 1
             degree[terminus] += 1
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "pred", pred)
-        if len(_bfs(succ, pred, 0, _canonical_letters(self.rank))) != self.vertex_count:
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "in_", in_)
+        if len(_bfs(out, in_, 0, _canonical_letters(rank))) != count:
             raise ValueError("graph is not connected to the base vertex")
-        for vertex in range(1, self.vertex_count):
+        for vertex in range(1, count):
             if degree[vertex] < 2:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
     def step(self, vertex: int, letter: int) -> int | None:
         """Endpoint of the signed ``letter`` traversal from ``vertex``."""
-        if letter > 0:
-            return self.succ.get((vertex, letter))
-        return self.pred.get((vertex, -letter))
+        return walk(self, vertex, (letter,))
 
 
 @dataclass(frozen=True)
@@ -127,15 +137,22 @@ class SpanningTree:
             raise ValueError("spanning tree does not belong to this graph")
         if len(tree) != graph.vertex_count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
-        succ = {(u, l): v for (u, v, l) in tree}
-        pred = {(v, l): u for (u, v, l) in tree}
-        parents = _bfs(succ, pred, 0, _canonical_letters(graph.rank))
+        out = _empty_arrays(graph.rank, graph.vertex_count)
+        in_ = _empty_arrays(graph.rank, graph.vertex_count)
+        for u, v, l in tree:
+            out[l][u] = v
+            in_[l][v] = u
+        parents = _bfs(out, in_, 0, _canonical_letters(graph.rank))
         if len(parents) != graph.vertex_count:
             raise ValueError("spanning tree does not span the graph")
-        index = {vertex: i for i, vertex in enumerate(parents)}
-        nontree = sorted(
-            (e for e in graph.edges if e not in tree), key=lambda e: (index[e[0]], e[2])
-        )
+        # A folded graph has at most one edge per (origin, label), so
+        # reading them in walk order gives the (walk index, label) order.
+        nontree = [
+            (u, v, l)
+            for u in parents
+            for l in range(1, graph.rank + 1)
+            if (v := graph.out[l][u]) >= 0 and (u, v, l) not in tree
+        ]
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "nontree_edges", tuple(nontree))
         object.__setattr__(self, "symbols", {e: i for i, e in enumerate(nontree, start=1)})
@@ -215,13 +232,22 @@ def trivial_graph(rank: int) -> CoreGraph:
 
 
 def walk(graph: CoreGraph, vertex: int, letters: Iterable[int]) -> int | None:
-    """Follow a signed letter sequence; None if the path breaks."""
-    current: int | None = vertex
-    for letter in letters:
-        current = graph.step(current, letter)
-        if current is None:
-            return None
-    return current
+    """Follow a signed letter sequence; None if the path breaks.
+
+    A start outside the graph or a letter outside the alphabet breaks
+    the path too.
+    """
+    if not 0 <= vertex < graph.vertex_count:
+        return None
+    out, in_ = graph.out, graph.in_
+    try:
+        for letter in letters:
+            vertex = out[letter][vertex] if letter > 0 else in_[-letter][vertex]
+            if vertex < 0:
+                return None
+    except (IndexError, TypeError):  # |letter| > rank, or letter 0 (index 0 is None)
+        return None
+    return vertex
 
 
 def contains(graph: CoreGraph, w: Word) -> bool:
@@ -247,30 +273,40 @@ def subgroup_index(graph: CoreGraph) -> int | None:
     return graph.vertex_count if len(graph.edges) == graph.rank * graph.vertex_count else None
 
 
+@cache
 def _canonical_letters(rank: int) -> tuple[int, ...]:
     """Outgoing labels 1..n, then incoming labels 1..n."""
     return (*range(1, rank + 1), *range(-1, -rank - 1, -1))
 
 
+def _check_rank(rank: int) -> None:
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+
+
+def _empty_arrays(rank: int, count: int) -> list:
+    """Per-label arrays over ``count`` vertices with no edges: index 0
+    is None, index l in 1..rank a list of -1s."""
+    return [None, *map(list, [[-1] * count] * rank)]
+
+
 def _bfs(
-    succ: dict[tuple[int, int], int],
-    pred: dict[tuple[int, int], int],
-    base: int,
-    letters: Sequence[int],
+    out: list, in_: list, base: int, letters: Sequence[int]
 ) -> dict[int, tuple[int, int] | None]:
-    """Breadth-first search from ``base`` trying the signed ``letters`` in
-    order at each vertex.
+    """Breadth-first search from ``base`` over per-label arrays (as in
+    :class:`CoreGraph`), trying the signed ``letters`` in order at each
+    vertex.
 
     Maps every vertex reached, in discovery order, to (parent, signed
     letter spelling parent -> vertex); the base maps to None.
     """
-    moves = [(succ, l, l) if l > 0 else (pred, -l, l) for l in letters]
+    moves = [(out[l] if l > 0 else in_[-l], l) for l in letters]
     found: dict[int, tuple[int, int] | None] = {base: None}
     order = [base]
     for vertex in order:
-        for table, label, letter in moves:
-            other = table.get((vertex, label))
-            if other is not None and other not in found:
+        for array, letter in moves:
+            other = array[vertex]
+            if other >= 0 and other not in found:
                 found[other] = (vertex, letter)
                 order.append(other)
     return found
@@ -278,7 +314,7 @@ def _bfs(
 
 def canonical_relabeling(graph: CoreGraph) -> dict[int, int]:
     """Map from current vertex ids to canonical BFS ids."""
-    order = _bfs(graph.succ, graph.pred, 0, _canonical_letters(graph.rank))
+    order = _bfs(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
     return {vertex: i for i, vertex in enumerate(order)}
 
 
@@ -286,9 +322,12 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     """Renumber vertices canonically; idempotent.
 
     Two folded core graphs represent the same subgroup exactly when
-    their canonical forms are equal.
+    their canonical forms are equal.  A graph whose numbering is
+    already canonical (every builder returns one) is returned as is.
     """
     order = canonical_relabeling(graph)
+    if all(vertex == i for vertex, i in order.items()):
+        return graph
     edges = tuple((order[u], order[v], l) for (u, v, l) in graph.edges)
     return CoreGraph(graph.rank, graph.vertex_count, edges)
 
@@ -296,8 +335,8 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
 def _collector_paused(build):
     """Run the graph builder ``build`` with the cyclic collector paused.
 
-    Builders allocate a tuple per edge and per (vertex, label) key, none
-    in a reference cycle; left on, the collector would traverse them on
+    Builders allocate a tuple per edge and per product pair, none in a
+    reference cycle; left on, the collector would traverse them on
     every collection they trigger, at a cost set by its state at entry.
     """
 
@@ -314,42 +353,170 @@ def _collector_paused(build):
     return run
 
 
-def _core(
-    rank: int,
-    succ: dict[tuple[int, int], int],
-    pred: dict[tuple[int, int], int],
-    base: int,
-) -> CoreGraph:
+def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
     """Core graph of the base component of a folded graph.
 
-    ``succ``/``pred`` describe the folded graph as in :class:`CoreGraph`
-    and are consumed.  Non-base vertices of degree <= 1 are trimmed from
-    a worklist, then the rest is renumbered canonically.  The component's
-    BFS order restricted to the kept vertices is the core's BFS order: a
-    trimmed tree hangs from one kept vertex and is only entered through
-    it, so it never discovers a kept vertex.
+    ``out``/``in_`` describe the folded graph as in :class:`CoreGraph`
+    and are consumed; ``order`` lists the base component in canonical
+    BFS order, base first.  Non-base vertices of degree <= 1 are trimmed
+    from a worklist, then the rest is renumbered in that order.  The
+    component's BFS order restricted to the kept vertices is the core's
+    BFS order: a trimmed tree hangs from one kept vertex and is only
+    entered through it, so it never discovers a kept vertex.
     """
-    component = _bfs(succ, pred, base, _canonical_letters(rank))
-    degree = dict.fromkeys(component, 0)
-    for (origin, _), terminus in succ.items():
-        if origin in degree:
-            degree[origin] += 1
-            degree[terminus] += 1
-    hair = [v for v, d in degree.items() if d <= 1 and v != base]
+    base = order[0]
+    links = [(out[l], in_[l]) for l in range(1, rank + 1)]
+    size = len(out[1])
+    # degree[v] counts the edges at v: 2 * rank less its empty slots, which
+    # compress picks out without a Python-level pass over the full slots.
+    # Only entries on ``order`` are read.
+    degree = [2 * rank] * size
+    for pair in links:
+        for array in pair:
+            for vertex in compress(range(size), map((0).__gt__, array)):
+                degree[vertex] -= 1
+    hair = [v for v in order if degree[v] <= 1 and v != base]
     while hair:
         vertex = hair.pop()
-        del degree[vertex]
-        for label in range(1, rank + 1):
-            for table, reverse in ((succ, pred), (pred, succ)):
-                other = table.pop((vertex, label), None)
-                if other is not None:
-                    del reverse[(other, label)]
+        for leaving, entering in links:
+            for array, reverse in ((leaving, entering), (entering, leaving)):
+                other = array[vertex]
+                if other >= 0:
+                    array[vertex] = reverse[other] = -1
                     degree[other] -= 1
                     if degree[other] == 1 and other != base:
                         hair.append(other)
-    order = {v: i for i, v in enumerate(v for v in component if v in degree)}
-    edges = tuple((order[u], order[v], l) for (u, l), v in succ.items() if u in order)
-    return CoreGraph(rank, len(order), edges)
+    kept = [v for v in order if degree[v] > 1 or v == base]
+    number = [-1] * size
+    for i, v in enumerate(kept):
+        number[v] = i
+    # One run per label, each sorted by origin: CoreGraph's sort merges them.
+    edges = [
+        (number[u], number[v], l)
+        for l, (leaving, _) in enumerate(links, start=1)
+        for u in kept
+        if (v := leaving[u]) >= 0
+    ]
+    return CoreGraph(rank, len(kept), edges)
+
+
+class _Folding:
+    """A graph being folded.
+
+    Vertices are ``0..len(parent)-1``, kept in a union-find.  ``out`` and
+    ``in_`` are per-label arrays as in :class:`CoreGraph`, filled only at
+    class roots; their entries may name merged vertices until ``find``
+    resolves them.  Adding a second edge with the same label and
+    direction at a vertex queues a merge of the two far endpoints on
+    ``pending`` instead; ``settle`` runs the merges (Touikan, "A fast
+    algorithm for Stallings' folding process", 2006), the smaller class
+    handing its edges to the larger and queueing any clash, until none
+    is pending.  Every array is sized by the vertices added.
+    """
+
+    def __init__(self, rank: int, vertex_count: int) -> None:
+        _check_rank(rank)
+        self.rank = rank
+        self.out = _empty_arrays(rank, vertex_count)
+        self.in_ = _empty_arrays(rank, vertex_count)
+        self.arrays = [a for l in range(1, rank + 1) for a in (self.out[l], self.in_[l])]
+        self.parent = list(range(vertex_count))
+        self.size = [1] * vertex_count
+        self.pending: list[tuple[int, int]] = []
+
+    def add_vertices(self, count: int) -> int:
+        """Add ``count`` isolated vertices; returns the first new id."""
+        first = len(self.parent)
+        self.parent.extend(range(first, first + count))
+        self.size.extend([1] * count)
+        for array in self.arrays:
+            array.extend([-1] * count)
+        return first
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def add_edge(self, origin: int, terminus: int, label: int) -> None:
+        """Add an edge between class roots, queueing any clash."""
+        sides = ((self.out[label], origin, terminus), (self.in_[label], terminus, origin))
+        for array, x, y in sides:
+            known = array[x]
+            if known < 0:
+                array[x] = y
+            elif known != y:
+                self.pending.append((known, y))
+
+    def settle(self) -> None:
+        """Run pending merges until none is left."""
+        parent, size, pending, find = self.parent, self.size, self.pending, self.find
+        while pending:
+            keep, merge = pending.pop()
+            keep, merge = find(keep), find(merge)
+            if keep == merge:
+                continue
+            if size[keep] < size[merge]:
+                keep, merge = merge, keep
+            parent[merge] = keep
+            size[keep] += size[merge]
+            for array in self.arrays:
+                far = array[merge]
+                if far >= 0:
+                    array[merge] = -1
+                    known = array[keep]
+                    if known < 0:
+                        array[keep] = far
+                    elif known != far:
+                        pending.append((known, far))
+
+    def read_loop(self, letters: Sequence[int]) -> None:
+        """Add the loop spelled by ``letters`` at vertex 0 and fold.
+
+        The word is read forward from the class of vertex 0 as far as
+        edges exist and backward from it along the rest; only the unread
+        middle is added as a new path.  When the two reads meet, their
+        endpoints are merged instead.
+        """
+        out, in_, find = self.out, self.in_, self.find
+        # Vertex 0 may have been merged into another class by now.
+        start = find(0)
+        head, i = start, 0
+        while i < len(letters):
+            letter = letters[i]
+            target = out[letter][head] if letter > 0 else in_[-letter][head]
+            if target < 0:
+                break
+            head, i = find(target), i + 1
+        tail, j = start, len(letters)
+        while j > i:
+            letter = letters[j - 1]
+            source = in_[letter][tail] if letter > 0 else out[-letter][tail]
+            if source < 0:
+                break
+            tail, j = find(source), j - 1
+        if i == j:
+            self.pending.append((head, tail))
+        else:
+            first = self.add_vertices(j - i - 1)
+            path = [head, *range(first, first + j - i - 1), tail]
+            for k, letter in enumerate(letters[i:j]):
+                u, v = path[k], path[k + 1]
+                if letter > 0:
+                    self.add_edge(u, v, letter)
+                else:
+                    self.add_edge(v, u, -letter)
+        self.settle()
+
+    def core(self) -> CoreGraph:
+        """The core graph of the settled graph, based at vertex 0."""
+        find = self.find
+        for array in self.arrays:
+            array[:] = [x if x < 0 else find(x) for x in array]
+        order = list(_bfs(self.out, self.in_, find(0), _canonical_letters(self.rank)))
+        return _core(self.rank, self.out, self.in_, order)
 
 
 @_collector_paused
@@ -357,12 +524,12 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
     """Fold an arbitrary based labeled digraph into a core graph.
 
     Each vertex keeps at most one edge per label and direction; an edge
-    that would be a second one queues a merge of the two far endpoints.
-    Merges run on a union-find (Touikan, "A fast algorithm for Stallings'
-    folding process", 2006), the smaller class handing its edges to the
-    larger and queueing any clash, until no merge is pending.  The result
-    is independent of edge order (folding is confluent) and is returned
-    in canonical numbering with the base at 0.
+    that would be a second one queues a merge of the two far endpoints,
+    and the merges run on a union-find worklist (see ``_Folding``).  The
+    vertices the edges touch are numbered densely first, so nothing is
+    sized by ``vertex_count``.  The result is independent of edge order
+    (folding is confluent) and is returned in canonical numbering with
+    the base at 0.
     """
     edge_set = {(int(u), int(v), int(l)) for (u, v, l) in edges}
     for u, v, l in edge_set:
@@ -372,76 +539,34 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
             raise ValueError(f"edge label out of range: {(u, v, l)}")
     if not 0 <= base < vertex_count:
         raise ValueError("base vertex out of range")
-
-    # Keyed by the vertices the edges touch, not sized by vertex_count.
-    parent = {base: base}
-    succ: dict[tuple[int, int], int] = {}
-    pred: dict[tuple[int, int], int] = {}
-    pending: list[tuple[int, int]] = []
+    ids = {base: 0}
+    for u, v, _ in edge_set:
+        ids.setdefault(u, len(ids))
+        ids.setdefault(v, len(ids))
+    folding = _Folding(rank, len(ids))
     for u, v, l in edge_set:
-        parent[u] = u
-        parent[v] = v
-        known = succ.setdefault((u, l), v)
-        if known != v:
-            pending.append((known, v))
-        known = pred.setdefault((v, l), u)
-        if known != u:
-            pending.append((known, u))
-    size = dict.fromkeys(parent, 1)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    while pending:
-        keep, merge = pending.pop()
-        keep, merge = find(keep), find(merge)
-        if keep == merge:
-            continue
-        if size[keep] < size[merge]:
-            keep, merge = merge, keep
-        parent[merge] = keep
-        size[keep] += size[merge]
-        for label in range(1, rank + 1):
-            for table in (succ, pred):
-                far = table.pop((merge, label), None)
-                if far is not None:
-                    known = table.setdefault((keep, label), far)
-                    if known != far:
-                        pending.append((known, far))
-
-    succ = {key: find(v) for key, v in succ.items()}
-    pred = {key: find(v) for key, v in pred.items()}
-    return _core(rank, succ, pred, find(base))
+        folding.add_edge(ids[u], ids[v], l)
+    folding.settle()
+    return folding.core()
 
 
+@_collector_paused
 def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
     """Stallings graph of the subgroup generated by the given words.
 
-    Builds a wedge of loop paths at the base and folds.  Identity words
-    are discarded; if nothing remains the trivial one-vertex graph is
-    returned by convention.
+    Reads each generator as a loop at the base into the graph folded so
+    far (see ``_Folding.read_loop``), which gives the fold of the wedge
+    of generator loops.  Identity words are discarded; if nothing
+    remains the trivial one-vertex graph is returned by convention.
     """
-    edges: list[Edge] = []
-    next_vertex = 1
     for g in generators:
         if g.rank != rank:
             raise ValueError(f"generator rank {g.rank} != ambient rank {rank}")
-        if not g.letters:
-            continue
-        current = 0
-        for i, letter in enumerate(g.letters):
-            target = 0 if i == len(g.letters) - 1 else next_vertex
-            if target:
-                next_vertex += 1
-            if letter > 0:
-                edges.append((current, target, letter))
-            else:
-                edges.append((target, current, -letter))
-            current = target
-    return fold(rank, next_vertex, edges)
+    folding = _Folding(rank, 1)
+    for g in generators:
+        if g.letters:
+            folding.read_loop(g.letters)
+    return folding.core()
 
 
 def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> SpanningTree:
@@ -457,7 +582,7 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
         return SpanningTree(graph, frozenset(tuple(e) for e in override))
     letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
     tree: set[Edge] = set()
-    for vertex, step in _bfs(graph.succ, graph.pred, 0, letters).items():
+    for vertex, step in _bfs(graph.out, graph.in_, 0, letters).items():
         if step is not None:
             parent, letter = step
             tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
@@ -515,27 +640,27 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
     if tree.graph is not graph and tree.graph != graph:
         raise ValueError("spanning tree does not belong to this graph")
     vertex = 0
-    out: list[int] = []
+    symbols: list[int] = []
     for letter in w.letters:
         if letter > 0:
-            target = graph.succ.get((vertex, letter))
-            if target is None:
+            target = graph.out[letter][vertex]
+            if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             sym = tree.symbols.get((vertex, target, letter))
             if sym is not None:
-                out.append(sym)
+                symbols.append(sym)
             vertex = target
         else:
-            source = graph.pred.get((vertex, -letter))
-            if source is None:
+            source = graph.in_[-letter][vertex]
+            if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             sym = tree.symbols.get((source, vertex, -letter))
             if sym is not None:
-                out.append(-sym)
+                symbols.append(-sym)
             vertex = source
     if vertex != 0:
         raise NotAMemberError("path does not close at the base")
-    return BasisWord(tuple(out))
+    return BasisWord(tuple(symbols))
 
 
 def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: int) -> Word:
@@ -559,37 +684,35 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     vertices rather than materializing the full product; the result is
     core-trimmed and canonical.  A trivial intersection yields the
     one-vertex graph.  The product of folded graphs is folded, so it is
-    only trimmed and renumbered.
+    only trimmed and renumbered.  A pair (a, b) is keyed by the int
+    a * V2 + b, and the letters are tried in canonical order, so pairs
+    are numbered in the product's canonical BFS order as they are found.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
-    ids: dict[tuple[int, int], int] = {(0, 0): 0}
-    queue: deque[tuple[int, int]] = deque([(0, 0)])
-    succ: dict[tuple[int, int], int] = {}
-    pred: dict[tuple[int, int], int] = {}
-    while queue:
-        p, q = queue.popleft()
-        here = ids[(p, q)]
-        for label in range(1, g1.rank + 1):
-            a = g1.succ.get((p, label))
-            b = g2.succ.get((q, label))
-            if a is not None and b is not None:
-                pair = (a, b)
-                there = ids.get(pair)
-                if there is None:
-                    there = ids[pair] = len(ids)
-                    queue.append(pair)
-                succ[(here, label)] = there
-            a = g1.pred.get((p, label))
-            b = g2.pred.get((q, label))
-            if a is not None and b is not None:
-                pair = (a, b)
-                there = ids.get(pair)
-                if there is None:
-                    there = ids[pair] = len(ids)
-                    queue.append(pair)
-                pred[(here, label)] = there
-    return _core(g1.rank, succ, pred, 0)
+    rank, width = g1.rank, g2.vertex_count
+    # rows[k][i] is the endpoint of the k-th letter from pair i: pairs
+    # are explored in the order they are numbered, one entry each.
+    rows: list[list[int]] = [[] for _ in range(2 * rank)]
+    firsts, seconds = g1.out[1:] + g1.in_[1:], g2.out[1:] + g2.in_[1:]
+    moves = [(a, b, row.append) for a, b, row in zip(firsts, seconds, rows)]
+    ids = {0: 0}
+    pairs = [(0, 0)]
+    count = 1
+    for p, q in pairs:
+        for first, second, append in moves:
+            a, b = first[p], second[q]
+            if a < 0 or b < 0:
+                append(-1)
+                continue
+            there = ids.setdefault(a * width + b, count)
+            if there == count:
+                pairs.append((a, b))
+                count += 1
+            append(there)
+    # The trim and validation peak higher; they no longer need the pairs.
+    del ids, pairs
+    return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
 
 
 @_collector_paused
@@ -600,7 +723,7 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
     resulting graph is a complete covering with the given base point,
     renumbered canonically.  Raises when the action is not transitive.
     A complete covering is folded and has no hair, so it is only
-    restricted to the base orbit and renumbered.
+    renumbered.
     """
     if len(perms) != rank:
         raise ValueError(f"expected {rank} permutations, got {len(perms)}")
@@ -610,16 +733,17 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
             raise ValueError("permutations act on different point counts")
     if not 0 <= base < points:
         raise ValueError("base point out of range")
-    succ: dict[tuple[int, int], int] = {}
-    pred: dict[tuple[int, int], int] = {}
+    _check_rank(rank)
+    out = [None] + [list(perm.images) for perm in perms]
+    in_ = _empty_arrays(rank, points)
     for label, perm in enumerate(perms, start=1):
+        inverse = in_[label]
         for p, image in enumerate(perm.images):
-            succ[(p, label)] = image
-            pred[(image, label)] = p
-    graph = _core(rank, succ, pred, base)
-    if graph.vertex_count != points:
+            inverse[image] = p
+    order = list(_bfs(out, in_, base, _canonical_letters(rank)))
+    if len(order) != points:
         raise ValueError("action is not transitive: coset graph is not connected")
-    return graph
+    return _core(rank, out, in_, order)
 
 
 def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
@@ -632,11 +756,10 @@ def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
-    images = []
-    for vertex in range(graph.vertex_count):
-        target = walk(graph, vertex, w.letters)
-        assert target is not None  # complete covering
-        images.append(target)
+    images = list(range(graph.vertex_count))
+    for letter in w.letters:
+        array = graph.out[letter] if letter > 0 else graph.in_[-letter]
+        images = [array[v] for v in images]
     return Permutation(tuple(images))
 
 

@@ -59,11 +59,21 @@ def random_transitive_graph(rng, rank, max_index):
             continue
 
 
+def succ_pred(graph):
+    """The (origin, label) -> terminus and (terminus, label) -> origin
+    dicts a ``CoreGraph`` kept before its per-label arrays, rebuilt from
+    its edges."""
+    succ = {(u, l): v for (u, v, l) in graph.edges}
+    pred = {(v, l): u for (u, v, l) in graph.edges}
+    return succ, pred
+
+
 def oracle_transfer(graph, tree, w):
     """Independent transfer computation: per cycle of the coset action,
     walk the lifted power and count signed non-tree edge crossings.
     Collapsing the spanning tree identifies those counts with homology
     coordinates, so no basis rewriting is involved."""
+    succ, pred = succ_pred(graph)
     position = {edge: i for i, edge in enumerate(tree.nontree_edges)}
     totals = [0] * len(tree.nontree_edges)
     seen = set()
@@ -76,13 +86,13 @@ def oracle_transfer(graph, tree, w):
             seen.add(vertex)
             for letter in w.letters:
                 if letter > 0:
-                    target = graph.succ[(vertex, letter)]
+                    target = succ[(vertex, letter)]
                     edge = (vertex, target, letter)
                     if edge in position:
                         totals[position[edge]] += 1
                     vertex = target
                 else:
-                    source = graph.pred[(vertex, -letter)]
+                    source = pred[(vertex, -letter)]
                     edge = (source, vertex, -letter)
                     if edge in position:
                         totals[position[edge]] -= 1

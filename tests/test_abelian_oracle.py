@@ -8,16 +8,18 @@ the transfer rewrites, for each cycle of the coset permutation, the
 lifted loop (tree path) w^len(cycle) (tree path back) over the subgroup
 basis; the projection builds every basis word and reads the base lifts
 off its chain.  ``_check_tree`` is the check every function taking a
-tree ran on each call, and ``oracle_tree`` adds the non-tree edge sort
-``spanning_tree`` did after it; a ``SpanningTree`` now does both once,
-when it is built.  The seeded tests below require the new code to
+tree ran on each call, with the dict-based ``_bfs`` it called, and
+``oracle_tree`` adds the non-tree edge sort ``spanning_tree`` did after
+it; a ``SpanningTree`` now does both once, when it is built.  The
+oracles read the graph through ``succ_pred``, which rebuilds the
+(vertex, label) dicts a ``CoreGraph`` once kept.  The seeded tests below require the new code to
 return equal values and to raise the same errors.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import pytest
 
@@ -43,7 +45,7 @@ from fgr import (
     tree_path_word,
 )
 from fgr.constructions import hm_graph, wk_word
-from fgr.stallings import Edge, _bfs, _canonical_letters, _root_path
+from fgr.stallings import Edge, _canonical_letters, _root_path
 
 
 class OldTree(NamedTuple):
@@ -51,6 +53,30 @@ class OldTree(NamedTuple):
 
     tree_edges: frozenset[Edge]
     nontree_edges: tuple[Edge, ...]
+
+
+def _bfs(
+    succ: dict[tuple[int, int], int],
+    pred: dict[tuple[int, int], int],
+    base: int,
+    letters: Sequence[int],
+) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first search from ``base`` trying the signed ``letters`` in
+    order at each vertex.
+
+    Maps every vertex reached, in discovery order, to (parent, signed
+    letter spelling parent -> vertex); the base maps to None.
+    """
+    moves = [(succ, l, l) if l > 0 else (pred, -l, l) for l in letters]
+    found: dict[int, tuple[int, int] | None] = {base: None}
+    order = [base]
+    for vertex in order:
+        for table, label, letter in moves:
+            other = table.get((vertex, label))
+            if other is not None and other not in found:
+                found[other] = (vertex, letter)
+                order.append(other)
+    return found
 
 
 def _check_tree(graph: CoreGraph, tree: OldTree) -> dict[int, tuple[int, int] | None]:
@@ -133,6 +159,15 @@ def all_paths_basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[
     return words
 
 
+def succ_pred(graph):
+    """The (origin, label) -> terminus and (terminus, label) -> origin
+    dicts a ``CoreGraph`` kept before its per-label arrays, rebuilt from
+    its edges."""
+    succ = {(u, l): v for (u, v, l) in graph.edges}
+    pred = {(v, l): u for (u, v, l) in graph.edges}
+    return succ, pred
+
+
 def chain_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int, ...], ...]:
     """Matrix projecting subgroup homology onto the ambient lattice.
 
@@ -143,9 +178,10 @@ def chain_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int, .
     """
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("the chain projection needs a finite-index subgroup")
+    succ, _ = succ_pred(graph)
     base_lifts = []
     for label in range(1, graph.rank + 1):
-        target = graph.succ.get((0, label))
+        target = succ.get((0, label))
         if target is None:
             raise InfiniteIndexError(f"base vertex has no outgoing edge labeled {label}")
         base_lifts.append((0, target, label))

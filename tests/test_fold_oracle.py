@@ -8,8 +8,14 @@ to the base component, trims hair pass by pass and renumbers.
 ``oracle_pullback`` and ``oracle_schreier_graph`` are the old
 ``pullback`` and ``schreier_graph``, which folded their results again,
 and ``oracle_subgroup_index`` is the old per-vertex, per-label
-``subgroup_index``.  The seeded tests below require the new code to
-return equal graphs and indices.
+``subgroup_index``.  ``oracle_from_generators`` is the old
+``from_generators``, which built the whole wedge of generator loops and
+folded it, and ``oracle_validate`` is the old dict-based validation of
+``CoreGraph`` (with the dict-based ``_dict_bfs`` it called).  The
+oracles read a graph through ``succ_pred``, which rebuilds the
+(vertex, label) dicts a ``CoreGraph`` once kept.  The seeded tests below
+require the new code to return equal graphs and indices and to raise
+the same errors.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Iterable, Sequence
 import pytest
 
 from fgr import (
+    MAX_RANK,
     CoreGraph,
     Permutation,
     Word,
@@ -30,7 +37,8 @@ from fgr import (
     schreier_graph,
     subgroup_index,
 )
-from fgr.stallings import Edge, trivial_graph
+from fgr.constructions import gamma_graph, subgroup_t_word
+from fgr.stallings import Edge, _canonical_letters, trivial_graph
 
 
 def _bfs_relabeling(
@@ -141,6 +149,15 @@ def _normalize(rank: int, vertex_count: int, edges: Iterable[Edge], base: int) -
     return CoreGraph(rank, len(order), renumbered)
 
 
+def succ_pred(graph):
+    """The (origin, label) -> terminus and (terminus, label) -> origin
+    dicts a ``CoreGraph`` kept before its per-label arrays, rebuilt from
+    its edges."""
+    succ = {(u, l): v for (u, v, l) in graph.edges}
+    pred = {(v, l): u for (u, v, l) in graph.edges}
+    return succ, pred
+
+
 def oracle_pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
@@ -151,6 +168,7 @@ def oracle_pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
+    (succ1, pred1), (succ2, pred2) = succ_pred(g1), succ_pred(g2)
     ids: dict[tuple[int, int], int] = {(0, 0): 0}
     queue: deque[tuple[int, int]] = deque([(0, 0)])
     edges: set[Edge] = set()
@@ -158,8 +176,8 @@ def oracle_pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
         p, q = queue.popleft()
         here = ids[(p, q)]
         for label in range(1, g1.rank + 1):
-            a = g1.succ.get((p, label))
-            b = g2.succ.get((q, label))
+            a = succ1.get((p, label))
+            b = succ2.get((q, label))
             if a is not None and b is not None:
                 pair = (a, b)
                 there = ids.get(pair)
@@ -167,8 +185,8 @@ def oracle_pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                     there = ids[pair] = len(ids)
                     queue.append(pair)
                 edges.add((here, there, label))
-            a = g1.pred.get((p, label))
-            b = g2.pred.get((q, label))
+            a = pred1.get((p, label))
+            b = pred2.get((q, label))
             if a is not None and b is not None:
                 pair = (a, b)
                 there = ids.get(pair)
@@ -224,11 +242,96 @@ def oracle_subgroup_index(graph: CoreGraph) -> int | None:
     The index is finite exactly when the graph is a complete covering:
     one outgoing and one incoming edge per label at every vertex.
     """
+    succ, pred = succ_pred(graph)
     for vertex in range(graph.vertex_count):
         for label in range(1, graph.rank + 1):
-            if (vertex, label) not in graph.succ or (vertex, label) not in graph.pred:
+            if (vertex, label) not in succ or (vertex, label) not in pred:
                 return None
     return graph.vertex_count
+
+
+def oracle_from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
+    """Stallings graph of the subgroup generated by the given words.
+
+    Builds a wedge of loop paths at the base and folds.  Identity words
+    are discarded; if nothing remains the trivial one-vertex graph is
+    returned by convention.
+    """
+    edges: list[Edge] = []
+    next_vertex = 1
+    for g in generators:
+        if g.rank != rank:
+            raise ValueError(f"generator rank {g.rank} != ambient rank {rank}")
+        if not g.letters:
+            continue
+        current = 0
+        for i, letter in enumerate(g.letters):
+            target = 0 if i == len(g.letters) - 1 else next_vertex
+            if target:
+                next_vertex += 1
+            if letter > 0:
+                edges.append((current, target, letter))
+            else:
+                edges.append((target, current, -letter))
+            current = target
+    return fold(rank, next_vertex, edges)
+
+
+def _dict_bfs(
+    succ: dict[tuple[int, int], int],
+    pred: dict[tuple[int, int], int],
+    base: int,
+    letters: Sequence[int],
+) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first search from ``base`` trying the signed ``letters`` in
+    order at each vertex.
+
+    Maps every vertex reached, in discovery order, to (parent, signed
+    letter spelling parent -> vertex); the base maps to None.
+    """
+    moves = [(succ, l, l) if l > 0 else (pred, -l, l) for l in letters]
+    found: dict[int, tuple[int, int] | None] = {base: None}
+    order = [base]
+    for vertex in order:
+        for table, label, letter in moves:
+            other = table.get((vertex, label))
+            if other is not None and other not in found:
+                found[other] = (vertex, letter)
+                order.append(other)
+    return found
+
+
+def oracle_validate(rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
+    """The checks of ``CoreGraph.__post_init__`` when it built the
+    ``succ``/``pred`` dicts; raises ``ValueError`` where they failed."""
+    edges = tuple(sorted(edges))
+    succ: dict[tuple[int, int], int] = {}
+    pred: dict[tuple[int, int], int] = {}
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    if vertex_count < 1:
+        raise ValueError("graph needs at least the base vertex")
+    if vertex_count > len(edges) + 1:
+        raise ValueError("graph is not connected to the base vertex")
+    degree = [0] * vertex_count
+    for origin, terminus, label in edges:
+        if not (0 <= origin < vertex_count and 0 <= terminus < vertex_count):
+            raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
+        if not 1 <= label <= rank:
+            raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
+        if (origin, label) in succ:
+            raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
+        if (terminus, label) in pred:
+            raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
+        succ[(origin, label)] = terminus
+        pred[(terminus, label)] = origin
+        degree[origin] += 1
+        degree[terminus] += 1
+    if len(_dict_bfs(succ, pred, 0, _canonical_letters(rank))) != vertex_count:
+        raise ValueError("graph is not connected to the base vertex")
+    for vertex in range(1, vertex_count):
+        if degree[vertex] < 2:
+            raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
 # --- seeded comparisons ---------------------------------------------------------
@@ -346,3 +449,150 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
         for g2 in covers:
             if g1.rank == g2.rank:
                 assert pullback(g1, g2) == oracle_pullback(g1, g2)
+
+
+def outcome(build) -> str:
+    """'ok', or the message of the ValueError that ``build()`` raises."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_generators_matches_oracle_on_random_generator_sets(seed):
+    rng = random.Random(5000 + seed)
+    for _ in range(150):
+        rank = rng.randint(1, 4)
+        gens = [random_reduced_word(rng, rank, 12) for _ in range(rng.randint(0, 5))]
+        if gens and rng.random() < 0.3:
+            # A product of earlier generators reads fully into the graph.
+            gens.append(rng.choice(gens) * rng.choice(gens).inverse())
+        if rng.random() < 0.3:
+            gens.insert(rng.randint(0, len(gens)), Word(rank, ()))
+        rng.shuffle(gens)
+        assert from_generators(rank, gens) == oracle_from_generators(rank, gens)
+
+
+def test_from_generators_matches_oracle_on_lm_generators():
+    for m in range(3, 42):
+        gens = [Word(2, (1,))] + [subgroup_t_word(m, i) for i in range(1, m)]
+        assert from_generators(2, gens) == oracle_from_generators(2, gens)
+
+
+def test_from_generators_when_the_base_merges_away_mid_read():
+    # Reading these in order merges the base into another vertex's class,
+    # so later reads must start from the base's class, not from vertex 0.
+    gens = [
+        Word(2, letters)
+        for letters in (
+            (-2, 1, 1, 2, -1, -2, -2, -2, -1),
+            (1,),
+            (2, -1, 2, 2, -1, -1, -2, -1, -2, -2),
+            (-1, -2, -1, 2),
+            (-2, -2, -2),
+        )
+    ]
+    assert from_generators(2, gens) == oracle_from_generators(2, gens)
+
+
+def test_from_generators_raises_like_oracle():
+    cases = [
+        (2, [Word(2, (1,)), Word(3, (1,))]),
+        (3, [Word(2, ())]),
+        (0, []),
+        (MAX_RANK + 1, []),
+        (1, []),
+    ]
+    for rank, gens in cases:
+        got = outcome(lambda: from_generators(rank, gens))
+        assert got == outcome(lambda: oracle_from_generators(rank, gens))
+
+
+EDGE_LIST_KINDS = (
+    "valid", "unfolded", "disconnected", "dangling", "out-of-range", "huge", "mutated"
+)
+
+
+def random_edge_list(rng) -> tuple[str, int, int, list[Edge]]:
+    """(kind, rank, vertex count, edges) built from a folded graph with
+    shuffled vertex ids, then broken in the way ``kind`` names."""
+    rank = rng.randint(1, 3)
+    gens = [random_reduced_word(rng, rank, 8) for _ in range(rng.randint(1, 3))]
+    graph = from_generators(rank, gens)
+    count = graph.vertex_count
+    ids = [0] + rng.sample(range(1, count), count - 1)
+    edges = [(ids[u], ids[v], l) for (u, v, l) in graph.edges]
+    kind = rng.choice(EDGE_LIST_KINDS)
+    if kind == "unfolded" and edges:
+        u, v, l = rng.choice(edges)
+        other = rng.randrange(count)
+        edges.append((u, other, l) if rng.random() < 0.5 else (other, v, l))
+    elif kind == "disconnected":
+        edges += [(u + count, v + count, l) for (u, v, l) in edges]
+        count *= 2
+    elif kind == "dangling":
+        u, l = rng.randrange(count), rng.randint(1, rank)
+        edges.append((u, count, l) if rng.random() < 0.5 else (count, u, l))
+        count += 1
+    elif kind == "out-of-range" and edges:
+        i = rng.randrange(len(edges))
+        u, v, l = edges[i]
+        edges[i] = rng.choice(((count, v, l), (u, -1, l), (u, v, 0), (u, v, rank + 1)))
+    elif kind == "huge":
+        count = rng.choice((10**12, len(edges) + 2))
+    elif kind == "mutated":
+        for _ in range(rng.randint(1, 3)):
+            if edges and rng.random() < 0.5:
+                del edges[rng.randrange(len(edges))]
+            elif edges:
+                i = rng.randrange(len(edges))
+                u, v, l = edges[i]
+                edges[i] = (u, rng.randrange(count), rng.randint(1, rank))
+    rng.shuffle(edges)
+    return kind, rank, count, edges
+
+
+def test_validation_matches_dict_oracle_on_random_edge_lists():
+    rng = random.Random(7000)
+    checks = ("rank must be", "not connected", "out of range", "not folded", "dangles")
+    seen_kinds, seen_checks = set(), set()
+    for _ in range(3000):
+        kind, rank, count, edges = random_edge_list(rng)
+        if rng.random() < 0.02:
+            rank = rng.choice((0, MAX_RANK + 1))
+        got = outcome(lambda: CoreGraph(rank, count, edges))
+        assert got == outcome(lambda: oracle_validate(rank, count, edges)), (rank, count, edges)
+        seen_kinds.add(kind)
+        seen_checks.update(c for c in checks if c in got)
+        if got == "ok":
+            graph = CoreGraph(rank, count, edges)
+            succ, pred = succ_pred(graph)
+            for vertex in range(count):
+                for label in range(1, rank + 1):
+                    assert graph.step(vertex, label) == succ.get((vertex, label))
+                    assert graph.step(vertex, -label) == pred.get((vertex, label))
+    assert seen_kinds == set(EDGE_LIST_KINDS)
+    assert seen_checks == set(checks)
+
+
+def gamma_orbit_size(m: int) -> int:
+    """Size of the orbit of (v_0, v_0) under the product of the gamma(m)
+    and gamma(m+1) actions (a: i -> -i, b: i -> i + 1), pair by pair."""
+    seen = {(0, 0)}
+    queue = [(0, 0)]
+    for p, q in queue:
+        for pair in ((-p % m, -q % (m + 1)), ((p + 1) % m, (q + 1) % (m + 1))):
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return len(seen)
+
+
+def test_gamma_pullbacks_match_oracle_and_orbit_size():
+    for m in range(2, 61):
+        g1, g2 = gamma_graph(m), gamma_graph(m + 1)
+        product = pullback(g1, g2)
+        assert product == oracle_pullback(g1, g2)
+        assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from fgr import (
+    Permutation,
     RetractPresentation,
     Word,
     basis,
     bergman_counterexample,
     contains,
+    coset_permutation,
     cyclic_retract,
     from_generators,
     identity,
@@ -16,6 +18,7 @@ from fgr import (
     pullback,
     random_retract,
     run_suite,
+    schreier_graph,
     smallest_power_in,
     subgroup_index,
     subgroup_rank,
@@ -164,6 +167,50 @@ def test_smallest_power_matches_power_loop_at_infinite_index():
             continue
         assert smallest_power_in(graph, w) == power_loop_exponent(graph, w)
         checked += 1
+
+
+def coset_cycle_exponent(graph, w):
+    """The loop ``smallest_power_in`` ran at finite index, kept as the
+    reference for its walk from the base: the length of the cycle of
+    the whole coset permutation of w through the base."""
+    perm = coset_permutation(graph, w)
+    length = 1
+    vertex = perm(0)
+    while vertex != 0:
+        vertex = perm(vertex)
+        length += 1
+    return length
+
+
+def test_smallest_power_matches_coset_cycle_at_finite_index():
+    rng = random.Random(6160)
+    checked = 0
+    while checked < 200:
+        rank = rng.randint(1, 3)
+        points = rng.randint(1, 14)
+        perms = []
+        for _ in range(rank):
+            images = list(range(points))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+        try:
+            graph = schreier_graph(rank, perms, rng.randrange(points))
+        except ValueError:
+            continue
+        w = random_reduced_word(rng, rank, 12)
+        assert smallest_power_in(graph, w) == coset_cycle_exponent(graph, w)
+        checked += 1
+    graph, _ = hm_graph(41)
+    for k in (1, 2, 10, 20):
+        assert smallest_power_in(graph, wk_word(k)) == coset_cycle_exponent(graph, wk_word(k))
+
+
+def test_smallest_power_rank_mismatch_at_finite_index():
+    graph, _ = hm_graph(3)
+    with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
+        coset_cycle_exponent(graph, Word(3, (1,)))
+    with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
+        smallest_power_in(graph, Word(3, (1,)))
 
 
 # --- intersection reports ---------------------------------------------------------

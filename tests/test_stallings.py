@@ -32,6 +32,7 @@ from fgr import (
     transfer,
     tree_path_word,
     trivial_graph,
+    walk,
 )
 from fgr.constructions import gamma_graph, hm_graph, wk_word
 
@@ -476,6 +477,32 @@ def test_huge_declared_vertex_count_allocates_nothing():
     assert folded == CoreGraph(2, 2, ((0, 0, 1), (0, 1, 2), (1, 0, 2)))
     with pytest.raises(ValueError, match="endpoint out of range"):
         fold(2, 10**12, [(0, 10**12, 1)])
+
+
+def test_walk_breaks_outside_the_graph_and_alphabet():
+    # The answers the (vertex, label) dict lookups gave, on starts and
+    # letters inside and outside the graph and its alphabet.
+    graph = gamma_graph(5)
+    succ = {(u, l): v for (u, v, l) in graph.edges}
+    pred = {(v, l): u for (u, v, l) in graph.edges}
+    rng = random.Random(77)
+    for _ in range(500):
+        vertex = rng.randint(-2, 6)
+        letters = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+        expected = vertex
+        for letter in letters:
+            expected = (succ if letter > 0 else pred).get((expected, abs(letter)))
+            if expected is None:
+                break
+        assert walk(graph, vertex, letters) == expected
+        assert graph.step(vertex, letters[0]) == walk(graph, vertex, letters[:1])
+
+
+def test_huge_declared_rank_allocates_nothing():
+    # The rank is checked before any per-label array is made.
+    for build in (lambda: fold(10**9, 1, []), lambda: from_generators(10**9, [])):
+        with pytest.raises(ValueError, match=r"rank must be in 1\.\.26, got 1000000000"):
+            build()
 
 
 def test_graph_builders_restore_collector_state():

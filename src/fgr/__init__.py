@@ -10,15 +10,12 @@ from .abelian import (
     abelianize_in_subgroup,
     ambient_vector,
     apply_projection,
-    cycle_chain,
     homology_projection,
     is_visible,
     is_visible_in_subgroup,
     transfer,
 )
 from .constructions import (
-    DihedralElement,
-    dihedral_image,
     gamma_graph,
     hm_graph,
     lm_graph,

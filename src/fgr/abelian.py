@@ -19,9 +19,7 @@ from typing import Sequence
 
 from .stallings import (
     CoreGraph,
-    Edge,
     InfiniteIndexError,
-    NotAMemberError,
     SpanningTree,
     rewrite_in_basis,
     subgroup_index,
@@ -106,34 +104,6 @@ def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
         raise ValueError("spanning tree does not belong to this graph")
     sums = exponent_sums(w)
     return AbelianVector("subgroup", tuple(sums[l - 1] for (_, _, l) in tree.nontree_edges))
-
-
-def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
-    """Signed edge-traversal counts of the based loop spelling ``w``.
-
-    This is the cellular 1-chain of the lifted loop; it has boundary
-    zero at every vertex.  Raises when ``w`` is not a member.
-    """
-    counts: dict[Edge, int] = {}
-    vertex = 0
-    for letter in w.letters:
-        if letter > 0:
-            target = graph.out[letter][vertex]
-            if target < 0:
-                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            edge = (vertex, target, letter)
-            counts[edge] = checked_int64(counts.get(edge, 0) + 1)
-            vertex = target
-        else:
-            source = graph.in_[-letter][vertex]
-            if source < 0:
-                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            edge = (source, vertex, -letter)
-            counts[edge] = checked_int64(counts.get(edge, 0) - 1)
-            vertex = source
-    if vertex != 0:
-        raise NotAMemberError("path does not close at the base")
-    return counts
 
 
 def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int, ...], ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .abelian import transfer
@@ -34,6 +35,8 @@ from .abelian import is_visible, is_visible_in_subgroup
 from .words import parse_word, render_word
 
 
+# Built once per process: parsing leaves no state in the parser.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgr",

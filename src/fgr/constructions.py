@@ -16,62 +16,8 @@ the preferred basis, used as an oracle against path rewriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .stallings import BasisWord, CoreGraph, SpanningTree, from_generators, spanning_tree
 from .words import Word, commutator
-
-
-@dataclass(frozen=True)
-class DihedralElement:
-    """Element t^reflection s^rotation of D_m = <t, s | t^2, s^m, tst=s^-1>."""
-
-    modulus: int
-    reflection: int
-    rotation: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("dihedral modulus must be positive")
-        if self.reflection not in (0, 1):
-            raise ValueError("reflection bit must be 0 or 1")
-        object.__setattr__(self, "rotation", self.rotation % self.modulus)
-
-    @classmethod
-    def identity(cls, modulus: int) -> "DihedralElement":
-        return cls(modulus, 0, 0)
-
-    def is_identity(self) -> bool:
-        return self.reflection == 0 and self.rotation == 0
-
-    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        if not isinstance(other, DihedralElement):
-            return NotImplemented
-        if self.modulus != other.modulus:
-            raise ValueError("dihedral modulus mismatch")
-        # (t^r1 s^a1)(t^r2 s^a2) = t^(r1+r2) s^(a2 + a1*(-1)^r2)
-        rotation = other.rotation + self.rotation * (-1 if other.reflection else 1)
-        return DihedralElement(self.modulus, self.reflection ^ other.reflection, rotation)
-
-    def inverse(self) -> "DihedralElement":
-        if self.reflection:
-            return self
-        return DihedralElement(self.modulus, 0, -self.rotation)
-
-
-def dihedral_image(w: Word, m: int) -> DihedralElement:
-    """Image of a rank-2 word under x -> t, y -> s in D_m."""
-    if w.rank != 2:
-        raise ValueError(f"dihedral image needs a rank-2 word, got rank {w.rank}")
-    if m < 1:
-        raise ValueError("dihedral modulus must be positive")
-    t = DihedralElement(m, 1, 0)
-    s = DihedralElement(m, 0, 1)
-    table = {1: t, -1: t, 2: s, -2: s.inverse()}
-    out = DihedralElement.identity(m)
-    for letter in w.letters:
-        out = out * table[letter]
-    return out
 
 
 def gamma_graph(m: int) -> CoreGraph:

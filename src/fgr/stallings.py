@@ -4,9 +4,13 @@ A core graph is a folded, based, connected, edge-labeled digraph whose
 loops at the base vertex spell exactly the members of a subgroup.
 Vertices are ``0..vertex_count-1`` with the base fixed at 0; an edge
 ``(u, v, l)`` runs from u to v and carries the generator label l.  A
-validated graph also holds one int array per label and direction,
-``out[l][v]`` and ``in_[l][v]`` (-1 where there is no edge), and every
-walk, search and builder reads those arrays.
+``CoreGraph`` is held as one int array per label and direction,
+``out[l][v]`` and ``in_[l][v]`` (-1 where there is no edge), plus its
+edge count; every walk, search and builder reads the arrays, and the
+sorted ``edges`` tuple is a view derived from them when first asked
+for.  ``CoreGraph(rank, vertex_count, edges)`` checks its input; the
+builders below make arrays that are valid by construction and pass
+them to a private constructor that checks nothing.
 
 ``from_generators`` reads each generator into the graph folded so far:
 it follows the word forward from the base as far as edges exist and
@@ -18,9 +22,12 @@ merge is done once instead of re-scanning every edge per pass.
 ``schreier_graph`` builds the coset graph of a permutation action.
 Neither folds: a product of folded graphs is already folded and a
 permutation graph is a complete cover, so both only restrict to the base
-component, trim and renumber.  ``pullback`` tries the letters in
-canonical order, so it discovers the product's vertices already in
-canonical order and needs no second search.  ``canonicalize`` renumbers
+component, trim and renumber.  A graph without an empty slot is a
+complete cover and has nothing to trim; when its vertices are already
+in canonical order its arrays are kept as they are.  ``pullback`` tries
+the letters in canonical order, so it discovers the product's vertices
+already in canonical order and needs no second search; at finite index
+its arrays become the result's.  ``canonicalize`` renumbers
 vertices deterministically so that structural equality of canonical
 graphs coincides with equality of subgroups; a graph already in
 canonical numbering is returned as it is.
@@ -38,6 +45,7 @@ import gc
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import compress
+from operator import eq
 from typing import Iterable, Sequence
 
 from .words import MAX_RANK, Word, reduce_word
@@ -54,38 +62,41 @@ class InfiniteIndexError(ValueError):
     """The graph is not a finite covering of the rose."""
 
 
-@dataclass(frozen=True)
 class CoreGraph:
-    """A validated core graph.
+    """A core graph, held as one int array per label and direction.
 
-    Validation builds, once, one int array per label and direction:
     ``out[l][v]`` is the terminus of the edge labeled l leaving v and
     ``in_[l][v]`` the origin of the edge labeled l entering v, or -1
     where there is none (index 0 of both is None).  One entry per slot
-    suffices because the graph is folded.
+    suffices because the graph is folded.  The arrays and the edge count
+    are the whole graph: ``edges`` is a sorted view derived from ``out``
+    on first use, and equality and hashing read the arrays.
+
+    ``CoreGraph(rank, vertex_count, edges)`` checks its input and raises
+    ``ValueError`` unless the edges form a folded core graph based at 0.
+    The builders of this module make arrays that are valid by
+    construction and hand them to ``_from_arrays``, which checks nothing.
     """
 
-    rank: int
-    vertex_count: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("rank", "vertex_count", "out", "in_", "_edge_count", "_edges")
 
     # The base vertex is 0 by convention; renumbering preserves this.
     base = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        rank, count = self.rank, self.vertex_count
+    def __init__(self, rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
+        edges = tuple(sorted(edges))
+        count = vertex_count
         _check_rank(rank)
         if count < 1:
             raise ValueError("graph needs at least the base vertex")
         # Checked before anything is sized by vertex_count, so a declared
         # count cannot ask for unbounded memory.
-        if count > len(self.edges) + 1:
+        if count > len(edges) + 1:
             raise ValueError("graph is not connected to the base vertex")
         out = _empty_arrays(rank, count)
         in_ = _empty_arrays(rank, count)
         degree = [0] * count
-        for origin, terminus, label in self.edges:
+        for origin, terminus, label in edges:
             if not (0 <= origin < count and 0 <= terminus < count):
                 raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
             if not 1 <= label <= rank:
@@ -99,17 +110,49 @@ class CoreGraph:
             entering[terminus] = origin
             degree[origin] += 1
             degree[terminus] += 1
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "in_", in_)
         if len(_bfs(out, in_, 0, _canonical_letters(rank))) != count:
             raise ValueError("graph is not connected to the base vertex")
         for vertex in range(1, count):
             if degree[vertex] < 2:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
+        self.rank, self.vertex_count, self.out, self.in_ = rank, count, out, in_
+        self._edge_count, self._edges = len(edges), None
 
-    def step(self, vertex: int, letter: int) -> int | None:
-        """Endpoint of the signed ``letter`` traversal from ``vertex``."""
-        return walk(self, vertex, (letter,))
+    @classmethod
+    def _from_arrays(
+        cls, rank: int, vertex_count: int, out: list, in_: list, edge_count: int
+    ) -> CoreGraph:
+        """A graph on arrays a builder has made valid, taken as they are."""
+        graph = cls.__new__(cls)
+        graph.rank, graph.vertex_count, graph.out, graph.in_ = rank, vertex_count, out, in_
+        graph._edge_count, graph._edges = edge_count, None
+        return graph
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges (origin, terminus, label) in sorted order."""
+        if self._edges is None:
+            self._edges = tuple(sorted(
+                (u, v, l)
+                for l in range(1, self.rank + 1)
+                for u, v in enumerate(self.out[l])
+                if v >= 0
+            ))
+        return self._edges
+
+    # ``in_`` is the inverse of ``out``, so ``out`` decides equality.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoreGraph):
+            return NotImplemented
+        return (self.rank, self.vertex_count, self.out) == (
+            other.rank, other.vertex_count, other.out
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.vertex_count, *map(tuple, self.out[1:])))
+
+    def __repr__(self) -> str:
+        return f"CoreGraph(rank={self.rank}, vertex_count={self.vertex_count}, edges={self.edges})"
 
 
 @dataclass(frozen=True)
@@ -133,7 +176,10 @@ class SpanningTree:
         graph = self.graph
         tree = frozenset(self.tree_edges)
         object.__setattr__(self, "tree_edges", tree)
-        if not tree.issubset(graph.edges):
+        rank, count, arrays = graph.rank, graph.vertex_count, graph.out
+        if not all(
+            1 <= l <= rank and 0 <= u < count and 0 <= v == arrays[l][u] for u, v, l in tree
+        ):
             raise ValueError("spanning tree does not belong to this graph")
         if len(tree) != graph.vertex_count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
@@ -192,21 +238,11 @@ class Permutation:
         if sorted(self.images) != list(range(n)):
             raise ValueError("images are not a bijection")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite permutation: apply ``self`` first, then ``other``."""
-        if len(self.images) != len(other.images):
-            raise ValueError("permutation degree mismatch")
-        return Permutation(tuple(other.images[i] for i in self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All cycles (fixed points included), ordered by least element."""
@@ -259,7 +295,7 @@ def contains(graph: CoreGraph, w: Word) -> bool:
 
 def subgroup_rank(graph: CoreGraph) -> int:
     """Rank of the represented subgroup: |edges| - |vertices| + 1."""
-    return len(graph.edges) - graph.vertex_count + 1
+    return graph._edge_count - graph.vertex_count + 1
 
 
 def subgroup_index(graph: CoreGraph) -> int | None:
@@ -270,7 +306,7 @@ def subgroup_index(graph: CoreGraph) -> int | None:
     folded graph has at most one of each, so it is complete exactly when
     it has rank * vertex_count edges.
     """
-    return graph.vertex_count if len(graph.edges) == graph.rank * graph.vertex_count else None
+    return graph.vertex_count if graph._edge_count == graph.rank * graph.vertex_count else None
 
 
 @cache
@@ -328,8 +364,7 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     order = canonical_relabeling(graph)
     if all(vertex == i for vertex, i in order.items()):
         return graph
-    edges = tuple((order[u], order[v], l) for (u, v, l) in graph.edges)
-    return CoreGraph(graph.rank, graph.vertex_count, edges)
+    return _renumbered(graph.rank, graph.out, graph.in_, list(order))
 
 
 def _collector_paused(build):
@@ -358,15 +393,22 @@ def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
 
     ``out``/``in_`` describe the folded graph as in :class:`CoreGraph`
     and are consumed; ``order`` lists the base component in canonical
-    BFS order, base first.  Non-base vertices of degree <= 1 are trimmed
-    from a worklist, then the rest is renumbered in that order.  The
-    component's BFS order restricted to the kept vertices is the core's
-    BFS order: a trimmed tree hangs from one kept vertex and is only
-    entered through it, so it never discovers a kept vertex.
+    BFS order, base first.  When no slot is empty the graph is a
+    complete cover, where no vertex dangles: it is only renumbered, and
+    its arrays are taken as they are when ``order`` is already
+    ``0..size-1``.  Otherwise non-base vertices of degree <= 1 are
+    trimmed from a worklist, then the rest is renumbered in that order.
+    The component's BFS order restricted to the kept vertices is the
+    core's BFS order: a trimmed tree hangs from one kept vertex and is
+    only entered through it, so it never discovers a kept vertex.
     """
+    size = len(out[1])
+    if not any(-1 in array for array in out[1:]):
+        if len(order) == size and all(map(eq, order, range(size))):
+            return CoreGraph._from_arrays(rank, size, out, in_, rank * size)
+        return _renumbered(rank, out, in_, order)
     base = order[0]
     links = [(out[l], in_[l]) for l in range(1, rank + 1)]
-    size = len(out[1])
     # degree[v] counts the edges at v: 2 * rank less its empty slots, which
     # compress picks out without a Python-level pass over the full slots.
     # Only entries on ``order`` are read.
@@ -386,18 +428,27 @@ def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
                     degree[other] -= 1
                     if degree[other] == 1 and other != base:
                         hair.append(other)
-    kept = [v for v in order if degree[v] > 1 or v == base]
-    number = [-1] * size
-    for i, v in enumerate(kept):
-        number[v] = i
-    # One run per label, each sorted by origin: CoreGraph's sort merges them.
-    edges = [
-        (number[u], number[v], l)
-        for l, (leaving, _) in enumerate(links, start=1)
-        for u in kept
-        if (v := leaving[u]) >= 0
-    ]
-    return CoreGraph(rank, len(kept), edges)
+    return _renumbered(rank, out, in_, [v for v in order if degree[v] > 1 or v == base])
+
+
+def _renumbered(rank: int, out: list, in_: list, kept: Sequence[int]) -> CoreGraph:
+    """The graph on the vertices ``kept``, with kept[i] renumbered i.
+
+    ``out``/``in_`` are per-label arrays as in :class:`CoreGraph` whose
+    entries at kept vertices name kept vertices or -1, and ``kept`` is a
+    core graph's vertex set in canonical order, base first.
+    """
+    # number[-1] stays -1, so mapping through number carries empty slots.
+    number = [-1] * (len(out[1]) + 1)
+    for i, vertex in enumerate(kept):
+        number[vertex] = i
+    renumber = number.__getitem__
+    out, in_ = (
+        [None, *(list(map(renumber, map(array.__getitem__, kept))) for array in arrays[1:])]
+        for arrays in (out, in_)
+    )
+    edge_count = sum(len(kept) - array.count(-1) for array in out[1:])
+    return CoreGraph._from_arrays(rank, len(kept), out, in_, edge_count)
 
 
 class _Folding:
@@ -710,7 +761,7 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                 pairs.append((a, b))
                 count += 1
             append(there)
-    # The trim and validation peak higher; they no longer need the pairs.
+    # The trim and renumbering peak higher; they no longer need the pairs.
     del ids, pairs
     return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
 

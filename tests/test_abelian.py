@@ -11,7 +11,6 @@ from fgr import (
     abelianize_in_subgroup,
     apply_projection,
     basis,
-    cycle_chain,
     exponent_sums,
     from_generators,
     homology_projection,
@@ -198,25 +197,6 @@ def test_transfer_needs_finite_index():
     g = from_generators(2, [parse_word("a", 2)])
     with pytest.raises(InfiniteIndexError):
         transfer(g, spanning_tree(g), parse_word("a", 2))
-
-
-def test_cycle_chain_has_zero_boundary():
-    rng = random.Random(47)
-    graph, tree = hm_graph(4)
-    base_words = basis(graph, tree)
-    for _ in range(25):
-        member = identity(2)
-        for _ in range(rng.randint(1, 4)):
-            member = member * rng.choice(base_words)
-        chain = cycle_chain(graph, member)
-        for vertex in range(graph.vertex_count):
-            boundary = 0
-            for (u, v, _), count in chain.items():
-                if v == vertex:
-                    boundary += count
-                if u == vertex:
-                    boundary -= count
-            assert boundary == 0
 
 
 def test_projection_of_whole_group_is_identity():

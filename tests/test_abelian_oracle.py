@@ -7,7 +7,8 @@ old ``transfer``, ``homology_projection`` and ``basis`` as they were:
 the transfer rewrites, for each cycle of the coset permutation, the
 lifted loop (tree path) w^len(cycle) (tree path back) over the subgroup
 basis; the projection builds every basis word and reads the base lifts
-off its chain.  ``_check_tree`` is the check every function taking a
+off its chain, which ``cycle_chain`` (once public in ``fgr.abelian``)
+counts.  ``_check_tree`` is the check every function taking a
 tree ran on each call, with the dict-based ``_bfs`` it called, and
 ``oracle_tree`` adds the non-tree edge sort ``spanning_tree`` did after
 it; a ``SpanningTree`` now does both once, when it is built.  The
@@ -27,15 +28,17 @@ from fgr import (
     AbelianVector,
     CoreGraph,
     InfiniteIndexError,
+    NotAMemberError,
     Permutation,
     SpanningTree,
     Word,
     abelianize_in_subgroup,
     basis,
+    checked_int64,
     coset_permutation,
-    cycle_chain,
     from_generators,
     homology_projection,
+    identity,
     parse_word,
     reduce_word,
     schreier_graph,
@@ -192,6 +195,53 @@ def chain_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int, .
     return tuple(
         tuple(column[row] for column in columns) for row in range(graph.rank)
     )
+
+
+def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
+    """Signed edge-traversal counts of the based loop spelling ``w``.
+
+    This is the cellular 1-chain of the lifted loop; it has boundary
+    zero at every vertex.  Raises when ``w`` is not a member.
+    """
+    counts: dict[Edge, int] = {}
+    vertex = 0
+    for letter in w.letters:
+        if letter > 0:
+            target = graph.out[letter][vertex]
+            if target < 0:
+                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
+            edge = (vertex, target, letter)
+            counts[edge] = checked_int64(counts.get(edge, 0) + 1)
+            vertex = target
+        else:
+            source = graph.in_[-letter][vertex]
+            if source < 0:
+                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
+            edge = (source, vertex, -letter)
+            counts[edge] = checked_int64(counts.get(edge, 0) - 1)
+            vertex = source
+    if vertex != 0:
+        raise NotAMemberError("path does not close at the base")
+    return counts
+
+
+def test_cycle_chain_has_zero_boundary():
+    rng = random.Random(47)
+    graph, tree = hm_graph(4)
+    base_words = basis(graph, tree)
+    for _ in range(25):
+        member = identity(2)
+        for _ in range(rng.randint(1, 4)):
+            member = member * rng.choice(base_words)
+        chain = cycle_chain(graph, member)
+        for vertex in range(graph.vertex_count):
+            boundary = 0
+            for (u, v, _), count in chain.items():
+                if v == vertex:
+                    boundary += count
+                if u == vertex:
+                    boundary -= count
+            assert boundary == 0
 
 
 def outcome(function, *args):

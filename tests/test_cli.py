@@ -233,6 +233,32 @@ def test_module_entry_point():
     assert result.stdout == '"aabABabAB"\n'
 
 
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; each call in a sequence of
+    # successes, usage errors, domain errors and help still gives the
+    # bytes and exit code of a fresh process.
+    src = str(Path(fgr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = (
+        ("wk", "--k", "3"),
+        ("wk",),
+        ("gamma", "--m", "1"),
+        ("--help",),
+        ("member", *H3_FLAGS, "--word", "(a[a,b])^2"),
+    )
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fgr", *argv], capture_output=True, text=True, env=env
+        )
+        got = run_cli(capsys, *argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(got[0])
+    assert codes == [0, 2, 1, 0, 0]
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""

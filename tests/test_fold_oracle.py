@@ -15,27 +15,40 @@ folded it, and ``oracle_validate`` is the old dict-based validation of
 oracles read a graph through ``succ_pred``, which rebuilds the
 (vertex, label) dicts a ``CoreGraph`` once kept.  The seeded tests below
 require the new code to return equal graphs and indices and to raise
-the same errors.
+the same errors.  The builders hand their arrays to ``CoreGraph``
+unchecked, so every graph they return here, and in a Hypothesis
+property over random generator sets and actions, goes through
+``revalidated``, which checks it with ``oracle_validate`` and against
+the checked constructor.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from datetime import timedelta
+from functools import partial
 from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgr import (
     MAX_RANK,
     CoreGraph,
     Permutation,
     Word,
+    canonical_relabeling,
+    canonicalize,
     fold,
     from_generators,
     pullback,
+    reduce_word,
     schreier_graph,
     subgroup_index,
+    subgroup_rank,
+    walk,
 )
 from fgr.constructions import gamma_graph, subgroup_t_word
 from fgr.stallings import Edge, _canonical_letters, trivial_graph
@@ -334,6 +347,23 @@ def oracle_validate(rank: int, vertex_count: int, edges: Iterable[Edge]) -> None
             raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
+def revalidated(graph: CoreGraph) -> CoreGraph:
+    """``graph``, once checked for what a builder hands over unchecked.
+
+    The graph must pass ``oracle_validate``, be in canonical numbering,
+    and equal the checked constructor's graph on its edges: the same
+    ``out`` and ``in_`` arrays, the same rank and the same index.
+    """
+    rank, count, edges = graph.rank, graph.vertex_count, graph.edges
+    oracle_validate(rank, count, edges)
+    checked = CoreGraph(rank, count, edges)
+    assert (graph.out, graph.in_) == (checked.out, checked.in_)
+    assert subgroup_rank(graph) == subgroup_rank(checked)
+    assert subgroup_index(graph) == subgroup_index(checked)
+    assert list(canonical_relabeling(graph)) == list(range(count))
+    return graph
+
+
 # --- seeded comparisons ---------------------------------------------------------
 
 def random_reduced_word(rng, rank, max_len):
@@ -386,9 +416,9 @@ def test_fold_matches_oracle_on_shuffled_wedges(seed):
         gens = [random_reduced_word(rng, rank, 14) for _ in range(rng.randint(1, 5))]
         vertex_count, edges, base = shuffled_wedge(rng, rank, gens)
         expected = _normalize(rank, vertex_count, edges, base)
-        assert fold(rank, vertex_count, edges, base) == expected
+        assert revalidated(fold(rank, vertex_count, edges, base)) == expected
         if base == 0:
-            assert from_generators(rank, gens) == expected
+            assert revalidated(from_generators(rank, gens)) == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -404,7 +434,7 @@ def test_fold_matches_oracle_on_random_digraphs(seed):
             for _ in range(rng.randint(0, 2 * vertex_count))
         ]
         base = rng.randrange(vertex_count)
-        graph = fold(rank, vertex_count, edges, base)
+        graph = revalidated(fold(rank, vertex_count, edges, base))
         assert graph == _normalize(rank, vertex_count, edges, base)
         assert subgroup_index(graph) == oracle_subgroup_index(graph)
 
@@ -418,7 +448,7 @@ def test_pullback_matches_oracle_on_random_subgroups(seed):
             from_generators(rank, [random_reduced_word(rng, rank, 10) for _ in range(rng.randint(1, 4))])
             for _ in range(2)
         )
-        assert pullback(g1, g2) == oracle_pullback(g1, g2)
+        assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -436,19 +466,19 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
             with pytest.raises(ValueError, match="not transitive"):
                 schreier_graph(rank, perms, base)
             continue
-        graph = schreier_graph(rank, perms, base)
+        graph = revalidated(schreier_graph(rank, perms, base))
         assert graph == expected
         assert subgroup_index(graph) == oracle_subgroup_index(graph) == points
         # Without one of its edges a cover folds to an infinite-index core.
         edges = list(graph.edges)
         del edges[rng.randrange(len(edges))]
-        cut = fold(rank, points, edges)
+        cut = revalidated(fold(rank, points, edges))
         assert subgroup_index(cut) == oracle_subgroup_index(cut) is None
         covers.append(graph)
     for g1 in covers:
         for g2 in covers:
             if g1.rank == g2.rank:
-                assert pullback(g1, g2) == oracle_pullback(g1, g2)
+                assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
 
 
 def outcome(build) -> str:
@@ -472,13 +502,13 @@ def test_from_generators_matches_oracle_on_random_generator_sets(seed):
         if rng.random() < 0.3:
             gens.insert(rng.randint(0, len(gens)), Word(rank, ()))
         rng.shuffle(gens)
-        assert from_generators(rank, gens) == oracle_from_generators(rank, gens)
+        assert revalidated(from_generators(rank, gens)) == oracle_from_generators(rank, gens)
 
 
 def test_from_generators_matches_oracle_on_lm_generators():
     for m in range(3, 42):
         gens = [Word(2, (1,))] + [subgroup_t_word(m, i) for i in range(1, m)]
-        assert from_generators(2, gens) == oracle_from_generators(2, gens)
+        assert revalidated(from_generators(2, gens)) == oracle_from_generators(2, gens)
 
 
 def test_from_generators_when_the_base_merges_away_mid_read():
@@ -494,7 +524,7 @@ def test_from_generators_when_the_base_merges_away_mid_read():
             (-2, -2, -2),
         )
     ]
-    assert from_generators(2, gens) == oracle_from_generators(2, gens)
+    assert revalidated(from_generators(2, gens)) == oracle_from_generators(2, gens)
 
 
 def test_from_generators_raises_like_oracle():
@@ -568,11 +598,12 @@ def test_validation_matches_dict_oracle_on_random_edge_lists():
         seen_checks.update(c for c in checks if c in got)
         if got == "ok":
             graph = CoreGraph(rank, count, edges)
+            assert revalidated(canonicalize(graph)) == _normalize(rank, count, edges, 0)
             succ, pred = succ_pred(graph)
             for vertex in range(count):
                 for label in range(1, rank + 1):
-                    assert graph.step(vertex, label) == succ.get((vertex, label))
-                    assert graph.step(vertex, -label) == pred.get((vertex, label))
+                    assert walk(graph, vertex, (label,)) == succ.get((vertex, label))
+                    assert walk(graph, vertex, (-label,)) == pred.get((vertex, label))
     assert seen_kinds == set(EDGE_LIST_KINDS)
     assert seen_checks == set(checks)
 
@@ -593,6 +624,31 @@ def gamma_orbit_size(m: int) -> int:
 def test_gamma_pullbacks_match_oracle_and_orbit_size():
     for m in range(2, 61):
         g1, g2 = gamma_graph(m), gamma_graph(m + 1)
-        product = pullback(g1, g2)
+        product = revalidated(pullback(g1, g2))
         assert product == oracle_pullback(g1, g2)
         assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=1))
+@given(st.data())
+def test_builder_outputs_pass_the_checked_constructor(data):
+    rank = data.draw(st.integers(1, 3))
+    word = st.lists(st.sampled_from(_canonical_letters(rank)), max_size=10)
+    generator_sets = st.lists(word.map(partial(reduce_word, rank)), max_size=4)
+    rng = data.draw(st.randoms(use_true_random=False))
+    gens = data.draw(generator_sets)
+    g1 = revalidated(from_generators(rank, gens))
+    g2 = revalidated(from_generators(rank, data.draw(generator_sets)))
+    revalidated(pullback(g1, g2))
+    assert revalidated(fold(rank, *shuffled_wedge(rng, rank, gens))) == g1
+    ids = [0] + rng.sample(range(1, g1.vertex_count), g1.vertex_count - 1)
+    shuffled = CoreGraph(rank, g1.vertex_count, [(ids[u], ids[v], l) for u, v, l in g1.edges])
+    assert revalidated(canonicalize(shuffled)) == g1
+    points = rng.randint(1, 8)
+    try:
+        cover = schreier_graph(rank, random_permutations(rng, rank, points), rng.randrange(points))
+    except ValueError as exc:
+        assert "not transitive" in str(exc)
+    else:
+        revalidated(cover)
+        revalidated(pullback(cover, g1))

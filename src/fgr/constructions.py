@@ -17,7 +17,7 @@ the preferred basis, used as an oracle against path rewriting.
 from __future__ import annotations
 
 from .stallings import BasisWord, CoreGraph, SpanningTree, from_generators, spanning_tree
-from .words import Word, commutator
+from .words import _MAX_WORD_LETTERS, Word, commutator
 
 
 def gamma_graph(m: int) -> CoreGraph:
@@ -65,9 +65,11 @@ def lm_graph(m: int) -> CoreGraph:
 
 
 def wk_word(k: int) -> Word:
-    """The visible word x[x,y]^k; reduced length 4k + 1."""
+    """The visible word x[x,y]^k; reduced length 4k + 1, at most 10**6."""
     if k < 1:
         raise ValueError(f"wk needs k >= 1, got {k}")
+    if 4 * k + 1 > _MAX_WORD_LETTERS:
+        raise ValueError(f"wk word longer than {_MAX_WORD_LETTERS} letters: k = {k}")
     a = Word(2, (1,))
     b = Word(2, (2,))
     return a * commutator(a, b) ** k
@@ -77,10 +79,13 @@ def wk_square_rewrite(m: int) -> BasisWord:
     """Closed form of wk_word(k)^2 over the preferred basis, m = 2k+1.
 
     Symbols: 1 is x, j+1 is t_j, m+1 is y^m.  The word is
-    x^2 t_{m-1}^-1 t_{m-2} .. t_2^-1 t_1 t_{m-1} t_{m-2}^-1 .. t_2 t_1^-1.
+    x^2 t_{m-1}^-1 t_{m-2} .. t_2^-1 t_1 t_{m-1} t_{m-2}^-1 .. t_2 t_1^-1,
+    2m symbols, at most 10**6.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"the closed form needs odd m >= 3, got {m}")
+    if 2 * m > _MAX_WORD_LETTERS:
+        raise ValueError(f"closed form longer than {_MAX_WORD_LETTERS} symbols: m = {m}")
     falling = range(m - 1, 0, -1)
     first = [(j + 1) if j % 2 == 1 else -(j + 1) for j in falling]
     second = [(j + 1) if j % 2 == 0 else -(j + 1) for j in falling]

@@ -36,7 +36,10 @@ A ``SpanningTree`` is checked against its graph once, when it is built,
 and carries its tree walk and ordered non-tree edges; the functions that
 take a graph and a tree (``basis``, ``tree_path_word``,
 ``rewrite_in_basis``, the transfer and the homology projection) only
-check that the tree was built for that graph.
+check that the tree was built for that graph.  ``basis``,
+``tree_path_word`` and ``rewrite_in_basis`` build words that are
+reduced by construction and hand them over unchecked, as the builders
+of ``fgr.words`` do.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import gc
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import compress
-from operator import eq
+from operator import eq, neg
 from typing import Iterable, Sequence
 
 from .words import MAX_RANK, Word, reduce_word
@@ -210,6 +213,9 @@ class BasisWord:
 
     Letters are signed 1-based indices into the non-tree edge list of a
     spanning tree; sign +1 traverses the edge along its orientation.
+    The constructor checks its letters; ``rewrite_in_basis`` makes
+    reduced ones and hands them to ``_from_letters``, which checks
+    nothing.
     """
 
     letters: tuple[int, ...] = ()
@@ -222,6 +228,13 @@ class BasisWord:
             if letter == -previous:
                 raise ValueError("basis word is not freely reduced")
             previous = letter
+
+    @classmethod
+    def _from_letters(cls, letters: tuple[int, ...]) -> BasisWord:
+        """A basis word on letters made reduced, taken as they are."""
+        word = cls.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -640,43 +653,85 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     return SpanningTree(graph, frozenset(tree))
 
 
-def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[int]:
+def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> tuple[int, ...]:
     """Signed letters spelling the tree path base -> vertex."""
     letters: list[int] = []
     while parents[vertex] is not None:
-        parent, letter = parents[vertex]  # type: ignore[misc]
+        vertex, letter = parents[vertex]  # type: ignore[misc]
         letters.append(letter)
-        vertex = parent
     letters.reverse()
-    return letters
+    return tuple(letters)
+
+
+def _root_paths(
+    parents: dict[int, tuple[int, int] | None], wanted: Iterable[int]
+) -> dict[int, tuple[int, ...]]:
+    """The signed letters of the tree path base -> v, for each v wanted.
+
+    The tree walk lists every vertex after its parent, so by the time a
+    wanted vertex comes up, each wanted ancestor has its path: the
+    vertex climbs to the nearest one and extends that path.  Only wanted
+    paths are kept, so memory, and time beyond one step per vertex, are
+    proportional to their total length.
+    """
+    wanted = set(wanted)
+    paths: dict[int, tuple[int, ...]] = {0: ()}
+    for vertex in parents:
+        if vertex in wanted:
+            climb = []
+            up = vertex
+            while up not in paths:
+                up, letter = parents[up]  # type: ignore[misc]
+                climb.append(letter)
+            climb.reverse()
+            paths[vertex] = paths[up] + tuple(climb)
+    return paths
 
 
 def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: int) -> Word:
-    """Reduced word spelled by the tree geodesic from source to target."""
+    """Reduced word spelled by the tree geodesic from source to target.
+
+    The two root paths agree up to the last common ancestor and differ
+    right after it (a letter leads to one vertex), so dropping their
+    common prefix leaves the geodesic, which is reduced.
+    """
     if tree.graph is not graph and tree.graph != graph:
         raise ValueError("spanning tree does not belong to this graph")
     to_source = _root_path(tree.parents, source)
     to_target = _root_path(tree.parents, target)
-    inverted = [-l for l in reversed(to_source)]
-    return reduce_word(graph.rank, inverted + to_target)
+    common = 0
+    for a, b in zip(to_source, to_target):
+        if a != b:
+            break
+        common += 1
+    back = tuple(map(neg, reversed(to_source[common:])))
+    return Word._from_letters(graph.rank, back + to_target[common:])
 
 
 def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     """The free basis of the subgroup induced by a spanning tree.
 
-    For each non-tree edge e the basis word is (tree path base ->
-    origin(e)) . label(e) . (tree path terminus(e) -> base), reduced.
+    For each non-tree edge e = (u, v, l) the basis word is (tree path
+    base -> u) . l . (tree path v -> base), built without reduction
+    because it is already reduced.  Both tree paths are reduced, and
+    neither joint cancels: the path to u could end in l^-1 only by a
+    tree edge labeled l leaving u, and the path back from v could start
+    with l^-1 only by a tree edge labeled l entering v, and in a folded
+    graph either would be e, which is not a tree edge.  Root paths are
+    built only for the endpoints of non-tree edges, each from the
+    nearest such ancestor's (see ``_root_paths``).
     """
     if tree is None:
         tree = spanning_tree(graph)
     if tree.graph is not graph and tree.graph != graph:
         raise ValueError("spanning tree does not belong to this graph")
-    paths = {v: _root_path(tree.parents, v) for edge in tree.nontree_edges for v in edge[:2]}
-    words = []
-    for origin, terminus, label in tree.nontree_edges:
-        back = [-l for l in reversed(paths[terminus])]
-        words.append(reduce_word(graph.rank, paths[origin] + [label] + back))
-    return words
+    nontree = tree.nontree_edges
+    paths = _root_paths(tree.parents, [v for edge in nontree for v in edge[:2]])
+    rank = graph.rank
+    return [
+        Word._from_letters(rank, (*paths[u], l, *map(neg, reversed(paths[v]))))
+        for u, v, l in nontree
+    ]
 
 
 def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord:
@@ -711,7 +766,9 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
             vertex = source
     if vertex != 0:
         raise NotAMemberError("path does not close at the base")
-    return BasisWord(tuple(symbols))
+    # Reduced: crossing a non-tree edge and then straight back would need
+    # a reduced closed walk in the tree between them, and that is empty.
+    return BasisWord._from_letters(tuple(symbols))
 
 
 def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: int) -> Word:

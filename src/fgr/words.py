@@ -5,15 +5,26 @@ A word is a freely reduced sequence of signed generator indices: letter
 The text form writes generator i as the i-th lowercase ASCII letter and
 its inverse as the matching uppercase letter, which caps the rank at 26.
 
-All operations return freely reduced words.  Exponent arithmetic is
-checked against the signed 64-bit range so that an overflow fails loudly
-instead of silently promoting.
+All operations return freely reduced words.  The public constructor
+``Word(rank, letters)`` checks its input.  The builders (``reduce_word``,
+``*``, ``inverse``, ``**`` and the parser) make words that are reduced
+by construction and hand them to ``Word._from_letters``, which checks
+nothing; ``reduce_word`` first checks the alphabet and the rank of its
+raw letters, then reduces them in one pass.  The parser reads each
+maximal run of letters and whitespace whole, with one regex match and
+one table lookup per letter, and reduces each expression once.
+Exponent arithmetic is checked against the signed 64-bit range so that
+an overflow fails loudly instead of silently promoting.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
+from operator import neg
 from typing import Iterable, Sequence
 
 MAX_RANK = 26
@@ -52,7 +63,9 @@ class Word:
 
     Instances are immutable values; group operations produce new words.
     The constructor rejects unreduced letter sequences -- use
-    :func:`reduce_word` to build a word from raw letters.
+    :func:`reduce_word` to build a word from raw letters.  Builders whose
+    letters are reduced by construction use ``_from_letters``, which
+    checks nothing.
     """
 
     rank: int
@@ -71,6 +84,14 @@ class Word:
                 raise ValueError("letter sequence is not freely reduced")
             previous = letter
 
+    @classmethod
+    def _from_letters(cls, rank: int, letters: tuple[int, ...]) -> Word:
+        """A word on letters a builder has made reduced, taken as they are."""
+        word = cls.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -85,16 +106,14 @@ class Word:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        head = list(self.letters)
-        tail = other.letters
-        cut = 0
-        while head and cut < len(tail) and head[-1] == -tail[cut]:
-            head.pop()
+        head, tail = self.letters, other.letters
+        cut, most = 0, min(len(head), len(tail))
+        while cut < most and head[-1 - cut] == -tail[cut]:
             cut += 1
-        return Word(self.rank, tuple(head) + tail[cut:])
+        return Word._from_letters(self.rank, head[: len(head) - cut] + tail[cut:])
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-l for l in reversed(self.letters)))
+        return Word._from_letters(self.rank, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
@@ -105,7 +124,7 @@ class Word:
         cut = _cyclic_cut(self.letters)
         end = len(self.letters) - cut
         core = self.letters[cut:end] * exponent
-        return Word(self.rank, self.letters[:cut] + core + self.letters[end:])
+        return Word._from_letters(self.rank, self.letters[:cut] + core + self.letters[end:])
 
 
 def identity(rank: int) -> Word:
@@ -123,18 +142,30 @@ def _cyclic_cut(letters: Sequence[int]) -> int:
 def reduce_word(rank: int, letters: Iterable[int]) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
 
-    Idempotent and length-nonincreasing; raises on letters outside the
-    alphabet (zero or beyond the rank).
+    Idempotent and length-nonincreasing; raises on the first letter
+    outside the alphabet (zero or beyond the rank), then on a rank
+    outside 1..26.
     """
-    stack: list[int] = []
+    if not isinstance(letters, (list, tuple)):
+        letters = list(letters)
     for letter in letters:
         if letter == 0 or abs(letter) > rank:
             raise ValueError(f"letter {letter} outside alphabet of rank {rank}")
-        if stack and stack[-1] == -letter:
-            stack.pop()
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    return Word._from_letters(rank, _free_reduction(letters))
+
+
+def _free_reduction(letters: Iterable[int]) -> tuple[int, ...]:
+    """The free reduction of nonzero letters, in one pass over a stack."""
+    stack = [0]  # a floor no nonzero letter cancels
+    push, pop = stack.append, stack.pop
+    for letter in letters:
+        if stack[-1] == -letter:
+            pop()
         else:
-            stack.append(letter)
-    return Word(rank, tuple(stack))
+            push(letter)
+    return tuple(stack[1:])
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -176,12 +207,14 @@ def substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     return reduce_word(rank, letters)
 
 
+# _GLYPHS[l] is the text form of letter l for l in -26..26: a negative
+# index counts from the end, where the uppercase letters stand reversed.
+_GLYPHS = ("", *string.ascii_lowercase, *reversed(string.ascii_uppercase))
+
+
 def render_word(w: Word) -> str:
     """Canonical text form: one ASCII letter per reduced letter."""
-    return "".join(
-        string.ascii_lowercase[l - 1] if l > 0 else string.ascii_uppercase[-l - 1]
-        for l in w.letters
-    )
+    return "".join(map(_GLYPHS.__getitem__, w.letters))
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -199,6 +232,8 @@ def parse_word(text: str, rank: int) -> Word:
     uppercase its inverse; ``[u,v]`` is the commutator.  Whitespace is
     ignored, empty input denotes the identity, and a word longer than
     10**6 letters is a :class:`ParseError`, raised before it is built.
+    A run of letters and whitespace is read whole; it raises what
+    reading it letter by letter would, at the same position.
     """
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
@@ -211,11 +246,26 @@ def parse_word(text: str, rank: int) -> Word:
         raise ParseError("expression nested too deeply", parser.pos) from None
 
 
+@cache
+def _letter_runs(rank: int) -> tuple[re.Pattern, dict[str, int]]:
+    """A pattern matching a run of the rank's letters and whitespace, and
+    the letter each of those letters denotes.
+
+    ``\\s`` matches exactly the characters ``str.isspace`` accepts, as do
+    ``str.split`` and ``str.rstrip`` without arguments.
+    """
+    lower, upper = string.ascii_lowercase[:rank], string.ascii_uppercase[:rank]
+    values = {ch: i for i, ch in enumerate(lower, start=1)}
+    values.update({ch: -i for i, ch in enumerate(upper, start=1)})
+    return re.compile(f"[{lower}{upper}\\s]+"), values
+
+
 class _Parser:
     def __init__(self, text: str, rank: int) -> None:
         self.text = text
         self.rank = rank
         self.pos = 0
+        self.run_pattern, self.values = _letter_runs(rank)
 
     def parse(self) -> Word:
         word = self._expr(required=False)
@@ -251,11 +301,39 @@ class _Parser:
         if required and self._peek() in ends:
             self._fail("expected a word")
         letters: list[int] = []
-        while self._peek() not in ends:
+        while True:
+            self._run(letters)
+            if self._peek() in ends:
+                break
             term = self._term()
             self._check_length(len(letters) + len(term))
             letters += term
-        return reduce_word(self.rank, letters)
+        # Each letter came from the rank's table or a word of this rank.
+        return Word._from_letters(self.rank, _free_reduction(letters))
+
+    def _run(self, letters: list[int]) -> None:
+        """Read the run of letters and whitespace at ``pos`` into
+        ``letters``, each letter a term of its own; a last letter that
+        takes a power is left to ``_term``.  Letters beyond the rank end
+        the run, so ``_atom`` reports them."""
+        run = self.run_pattern.match(self.text, self.pos)
+        if run is None:
+            return
+        start, end = run.span()
+        body = run.group()
+        if self.text.startswith("^", end):
+            body = body.rstrip()[:-1]
+            end = start + len(body)
+        taken = "".join(body.split())
+        allowed = _MAX_WORD_LETTERS - len(letters)
+        if len(taken) > allowed:
+            # Where the term of the first letter over the budget ends.
+            offsets = (i for i, ch in enumerate(body) if not ch.isspace())
+            self.pos = start + next(islice(offsets, allowed, None)) + 1
+            self._skip_space()
+            self._check_length(_MAX_WORD_LETTERS + 1)
+        letters += map(self.values.__getitem__, taken)
+        self.pos = end
 
     def _term(self) -> tuple[int, ...]:
         atom = self._atom()
@@ -264,7 +342,7 @@ class _Parser:
             exponent = self._integer()
             cut = _cyclic_cut(atom)
             self._check_length(abs(exponent) * (len(atom) - 2 * cut) + 2 * cut)
-            return (Word(self.rank, atom) ** exponent).letters
+            return (Word._from_letters(self.rank, atom) ** exponent).letters
         return atom
 
     def _atom(self) -> tuple[int, ...]:

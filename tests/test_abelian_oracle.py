@@ -1,6 +1,7 @@
 """The cycle-by-cycle transfer, the basis-walking homology projection,
-the basis that built a root path for every vertex and the per-call tree
-check, kept as the reference their replacements are checked against.
+the bases and tree paths that reduced what they built, and the per-call
+tree check, kept as the reference their replacements are checked
+against.
 
 ``cycle_transfer``, ``chain_projection`` and ``all_paths_basis`` are the
 old ``transfer``, ``homology_projection`` and ``basis`` as they were:
@@ -8,7 +9,13 @@ the transfer rewrites, for each cycle of the coset permutation, the
 lifted loop (tree path) w^len(cycle) (tree path back) over the subgroup
 basis; the projection builds every basis word and reads the base lifts
 off its chain, which ``cycle_chain`` (once public in ``fgr.abelian``)
-counts.  ``_check_tree`` is the check every function taking a
+counts.  ``root_path_basis`` and ``reducing_tree_path_word`` are the
+``basis`` and ``tree_path_word`` that replaced those: they built a root
+path per endpoint with ``_root_path`` and reduced every word they
+returned; the new ones build reduced words from shared root paths and
+hand them, like ``rewrite_in_basis`` its basis words, to the unchecked
+constructors, so the tests below pass every such word through
+``rechecked``.  ``_check_tree`` is the check every function taking a
 tree ran on each call, with the dict-based ``_bfs`` it called, and
 ``oracle_tree`` adds the non-tree edge sort ``spanning_tree`` did after
 it; a ``SpanningTree`` now does both once, when it is built.  The
@@ -20,12 +27,16 @@ return equal values and to raise the same errors.
 from __future__ import annotations
 
 import random
+from datetime import timedelta
 from typing import Callable, NamedTuple, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgr import (
     AbelianVector,
+    BasisWord,
     CoreGraph,
     InfiniteIndexError,
     NotAMemberError,
@@ -36,19 +47,75 @@ from fgr import (
     basis,
     checked_int64,
     coset_permutation,
+    evaluate_basis_word,
     from_generators,
     homology_projection,
     identity,
     parse_word,
     reduce_word,
+    rewrite_in_basis,
     schreier_graph,
     spanning_tree,
     subgroup_index,
     transfer,
     tree_path_word,
+    walk,
 )
 from fgr.constructions import hm_graph, wk_word
-from fgr.stallings import Edge, _canonical_letters, _root_path
+from fgr.stallings import Edge, _canonical_letters
+
+
+def rechecked(w):
+    """``w``, a ``Word`` or ``BasisWord`` a builder handed over unchecked,
+    once checked: the checked constructor accepts its letters, a tuple of
+    ints, and builds an equal word."""
+    assert type(w.letters) is tuple and all(type(l) is int for l in w.letters)
+    if type(w) is BasisWord:
+        assert BasisWord(w.letters) == w
+    else:
+        assert type(w) is Word and Word(w.rank, w.letters) == w
+    return w
+
+
+def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> list[int]:
+    """Signed letters spelling the tree path base -> vertex."""
+    letters: list[int] = []
+    while parents[vertex] is not None:
+        parent, letter = parents[vertex]  # type: ignore[misc]
+        letters.append(letter)
+        vertex = parent
+    letters.reverse()
+    return letters
+
+
+def reducing_tree_path_word(
+    graph: CoreGraph, tree: SpanningTree, source: int, target: int
+) -> Word:
+    """Reduced word spelled by the tree geodesic from source to target."""
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+    to_source = _root_path(tree.parents, source)
+    to_target = _root_path(tree.parents, target)
+    inverted = [-l for l in reversed(to_source)]
+    return reduce_word(graph.rank, inverted + to_target)
+
+
+def root_path_basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
+    """The free basis of the subgroup induced by a spanning tree.
+
+    For each non-tree edge e the basis word is (tree path base ->
+    origin(e)) . label(e) . (tree path terminus(e) -> base), reduced.
+    """
+    if tree is None:
+        tree = spanning_tree(graph)
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+    paths = {v: _root_path(tree.parents, v) for edge in tree.nontree_edges for v in edge[:2]}
+    words = []
+    for origin, terminus, label in tree.nontree_edges:
+        back = [-l for l in reversed(paths[terminus])]
+        words.append(reduce_word(graph.rank, paths[origin] + [label] + back))
+    return words
 
 
 class OldTree(NamedTuple):
@@ -302,9 +369,31 @@ def random_tree(rng, graph):
     return spanning_tree(graph, override=chosen)
 
 
+def assert_words_agree(graph, tree, words):
+    """The basis, tree paths and rewrites of members agree with the
+    oracles and pass the checked constructors; a member is each of
+    ``words`` whose path exists, closed by the tree path back."""
+    base_words = [rechecked(w) for w in basis(graph, tree)]
+    assert base_words == root_path_basis(graph, tree) == all_paths_basis(graph, tree)
+    count = graph.vertex_count
+    for source in range(count):
+        target = (7 * source + 3) % count
+        assert rechecked(tree_path_word(graph, tree, source, target)) == (
+            reducing_tree_path_word(graph, tree, source, target)
+        )
+    for i, w in enumerate(base_words, start=1):
+        assert rechecked(rewrite_in_basis(graph, tree, w)) == BasisWord((i,))
+    for w in words:
+        end = walk(graph, 0, w.letters)
+        if end is not None:
+            member = w * rechecked(tree_path_word(graph, tree, end, 0))
+            symbols = rechecked(rewrite_in_basis(graph, tree, member))
+            assert evaluate_basis_word(base_words, symbols, graph.rank) == member
+
+
 def assert_agree(graph, tree, words):
     assert new_tree(graph, tree.tree_edges) == oracle_tree(graph, tree.tree_edges)
-    assert basis(graph, tree) == all_paths_basis(graph, tree)
+    assert_words_agree(graph, tree, words)
     assert outcome(homology_projection, graph, tree) == outcome(chain_projection, graph, tree)
     for w in words:
         assert outcome(transfer, graph, tree, w) == outcome(cycle_transfer, graph, tree, w)
@@ -342,7 +431,7 @@ def test_closed_forms_raise_like_oracle():
         assert outcome(homology_projection, graph, tree) == outcome(
             chain_projection, graph, tree
         )
-        assert basis(graph, tree) == all_paths_basis(graph, tree)
+        assert_words_agree(graph, tree, [w])
     graph, tree = hm_graph(5)
     other, other_tree = hm_graph(7)
     for args in ((graph, tree, parse_word("ab", 3)), (graph, other_tree, wk_word(1))):
@@ -380,3 +469,28 @@ def test_transfer_is_representative_independent():
         assert picked == cycle_transfer(graph, tree, w) == transfer(graph, tree, w)
     with pytest.raises(ValueError):
         cycle_transfer(graph, tree, parse_word("b", 2), representative=lambda cycle: 99)
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=1), max_examples=60)
+@given(st.data())
+def test_rewriting_a_member_over_the_basis_and_back_is_the_identity(data):
+    # Random covers and folded generator sets, with the default or a
+    # Kruskal tree; members are random words closed by a tree path and
+    # products of basis words.
+    rank = data.draw(st.integers(1, 3))
+    rng = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        graph = random_cover(rng, rank, 12)
+    else:
+        gens = [random_reduced_word(rng, rank, 8) for _ in range(rng.randint(1, 3))]
+        graph = from_generators(rank, gens)
+    tree = random_tree(rng, graph) if data.draw(st.booleans()) else spanning_tree(graph)
+    letters = st.lists(st.sampled_from(_canonical_letters(rank)), max_size=30)
+    words = [reduce_word(rank, data.draw(letters)) for _ in range(3)]
+    base_words = basis(graph, tree)
+    if base_words:
+        product = identity(rank)
+        for _ in range(rng.randint(1, 6)):
+            product = product * rng.choice(base_words) ** rng.choice((1, -1))
+        words.append(product)
+    assert_words_agree(graph, tree, words)

@@ -305,3 +305,10 @@ def test_words_over_the_length_budget_are_errors(capsys):
         code, out, err = run_cli(capsys, "visible", "--rank", "2", "--word", word)
         assert_one_error_line(code, out, err)
         assert "longer than 1000000 letters" in err
+
+
+def test_word_families_over_the_length_budget_are_errors(capsys):
+    for argv in (("wk", "--k", "1000000000000"), ("lemma33", "--m", "1000000000001")):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert "longer than 1000000" in err

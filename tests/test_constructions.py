@@ -202,6 +202,19 @@ def test_wk_examples():
         wk_word(0)
 
 
+def test_word_families_keep_the_letter_budget():
+    # 4k + 1 letters and 2m symbols are checked before anything is built:
+    # k = 10**12 would ask for terabytes.
+    assert len(wk_word(249_999)) == 999_997
+    assert len(wk_square_rewrite(499_999)) == 999_998
+    for k in (250_000, 300_000_000, 10**12):
+        with pytest.raises(ValueError, match="longer than 1000000 letters"):
+            wk_word(k)
+    for m in (500_001, 300_000_001, 10**12 + 1):
+        with pytest.raises(ValueError, match="longer than 1000000 symbols"):
+            wk_square_rewrite(m)
+
+
 # --- the closed-form rewrite ---------------------------------------------------------
 
 def test_closed_form_small():

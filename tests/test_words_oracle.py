@@ -1,22 +1,39 @@
-"""The word builders that left-folded ``Word.__mul__``, kept as the
-reference the single-pass builders are checked against.
+"""The word builders that left-folded ``Word.__mul__``, the parser that
+read one letter per term, and the builders that checked every word they
+made, kept as the reference the single-pass builders are checked against.
 
 ``_LeftFoldParser`` with ``left_fold_parse_word``, ``left_fold_substitute``
 and ``left_fold_evaluate_basis_word`` are the old parser, ``substitute``
 and ``evaluate_basis_word`` as they were: each multiplied its parts into
 a running word one at a time.  ``squaring_power`` is the old
-``Word.__pow__``, which multiplied repeated squares.  The seeded tests
-below require the new code to build equal words and to fail with the
-same error, at the same position for malformed expressions.
+``Word.__pow__``, which multiplied repeated squares.  ``_LetterParser``
+with ``letter_parse_word`` is the parser that replaced the left fold: it
+read every letter as a term of its own and checked the letter budget
+after each; the parser now reads a run of letters whole.
+``checked_reduce_word`` and ``generator_render_word`` are the old
+``reduce_word``, which checked its letters while reducing and its result
+again in ``Word``, and the old ``render_word``.  The seeded tests and
+Hypothesis properties below require the new code to build equal words
+and to fail with the same error, at the same position for malformed
+expressions.  The builders hand their words to ``Word`` unchecked, so
+every word they return here goes through ``rechecked``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+import re
+import string
+import sys
+from contextlib import contextmanager
+from datetime import timedelta
+from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fgr.words
 from fgr import (
     MAX_RANK,
     BasisWord,
@@ -26,8 +43,26 @@ from fgr import (
     evaluate_basis_word,
     identity,
     parse_word,
+    reduce_word,
+    render_word,
     substitute,
 )
+from fgr.words import _cyclic_cut
+
+_MAX_WORD_LETTERS = fgr.words._MAX_WORD_LETTERS
+
+# Hypothesis runs here are short, reproducible and leave no database.
+PROPERTY = settings(derandomize=True, database=None, deadline=timedelta(seconds=1))
+
+
+def rechecked(w: Word) -> Word:
+    """``w``, once checked for what a builder hands over unchecked: the
+    checked constructor accepts its letters, a tuple of ints, and builds
+    an equal word."""
+    assert type(w) is Word and type(w.letters) is tuple
+    assert all(type(letter) is int for letter in w.letters)
+    assert Word(w.rank, w.letters) == w
+    return w
 
 
 def left_fold_parse_word(text: str, rank: int) -> Word:
@@ -144,6 +179,154 @@ class _LeftFoldParser:
             self.pos = start
             self._fail("expected an integer exponent")
         return int(self.text[start : self.pos])
+
+
+def letter_parse_word(text: str, rank: int) -> Word:
+    """Parse a word expression into a reduced :class:`Word`.
+
+    Grammar::
+
+        expr   := term { term }
+        term   := atom [ '^' int ]
+        atom   := letter | '[' expr ',' expr ']' | '(' expr ')'
+        letter := 'a'..'z' | 'A'..'Z'
+        int    := ['-'] digit { digit }
+
+    Lowercase letter at alphabet position i denotes generator i,
+    uppercase its inverse; ``[u,v]`` is the commutator.  Whitespace is
+    ignored, empty input denotes the identity, and a word longer than
+    10**6 letters is a :class:`ParseError`, raised before it is built.
+    """
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    parser = _LetterParser(text, rank)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # The parser recurses once per bracket level; the interpreter's
+        # stack limit is the nesting bound.
+        raise ParseError("expression nested too deeply", parser.pos) from None
+
+
+class _LetterParser:
+    def __init__(self, text: str, rank: int) -> None:
+        self.text = text
+        self.rank = rank
+        self.pos = 0
+
+    def parse(self) -> Word:
+        word = self._expr(required=False)
+        self._skip_space()
+        if self.pos != len(self.text):
+            self._fail(f"unexpected character {self.text[self.pos]!r}")
+        return word
+
+    def _fail(self, message: str) -> None:
+        raise ParseError(message, self.pos)
+
+    def _skip_space(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self) -> str | None:
+        self._skip_space()
+        if self.pos < len(self.text):
+            return self.text[self.pos]
+        return None
+
+    def _expect(self, char: str) -> None:
+        if self._peek() != char:
+            self._fail(f"expected {char!r}")
+        self.pos += 1
+
+    def _check_length(self, letters: int) -> None:
+        if letters > _MAX_WORD_LETTERS:
+            self._fail(f"word longer than {_MAX_WORD_LETTERS} letters")
+
+    def _expr(self, required: bool = True) -> Word:
+        ends = (None, ",", "]", ")")
+        if required and self._peek() in ends:
+            self._fail("expected a word")
+        letters: list[int] = []
+        while self._peek() not in ends:
+            term = self._term()
+            self._check_length(len(letters) + len(term))
+            letters += term
+        return reduce_word(self.rank, letters)
+
+    def _term(self) -> tuple[int, ...]:
+        atom = self._atom()
+        if self._peek() == "^":
+            self.pos += 1
+            exponent = self._integer()
+            cut = _cyclic_cut(atom)
+            self._check_length(abs(exponent) * (len(atom) - 2 * cut) + 2 * cut)
+            return (Word(self.rank, atom) ** exponent).letters
+        return atom
+
+    def _atom(self) -> tuple[int, ...]:
+        ch = self._peek()
+        if ch is None:
+            self._fail("expected a letter, '[' or '('")
+        if ch == "(":
+            self.pos += 1
+            word = self._expr()
+            self._expect(")")
+            return word.letters
+        if ch == "[":
+            self.pos += 1
+            left = self._expr()
+            self._expect(",")
+            right = self._expr()
+            self._expect("]")
+            self._check_length(2 * (len(left) + len(right)))
+            return commutator(left, right).letters
+        if ch.isascii() and ch.isalpha():
+            index = (ord(ch.lower()) - ord("a")) + 1
+            if index > self.rank:
+                self._fail(f"letter {ch!r} beyond rank {self.rank}")
+            self.pos += 1
+            return (index if ch.islower() else -index,)
+        self._fail(f"unexpected character {ch!r}")
+        raise AssertionError("unreachable")
+
+    def _integer(self) -> int:
+        self._skip_space()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            self.pos = start
+            self._fail("expected an integer exponent")
+        return int(self.text[start : self.pos])
+
+
+def checked_reduce_word(rank: int, letters: Iterable[int]) -> Word:
+    """Freely reduce a raw letter sequence into a :class:`Word`.
+
+    Idempotent and length-nonincreasing; raises on letters outside the
+    alphabet (zero or beyond the rank).
+    """
+    stack: list[int] = []
+    for letter in letters:
+        if letter == 0 or abs(letter) > rank:
+            raise ValueError(f"letter {letter} outside alphabet of rank {rank}")
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return Word(rank, tuple(stack))
+
+
+def generator_render_word(w: Word) -> str:
+    """Canonical text form: one ASCII letter per reduced letter."""
+    return "".join(
+        string.ascii_lowercase[l - 1] if l > 0 else string.ascii_uppercase[-l - 1]
+        for l in w.letters
+    )
 
 
 def left_fold_substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
@@ -313,4 +496,135 @@ def test_power_matches_oracle():
         u, w = random_reduced_word(rng, rank, 4), random_reduced_word(rng, rank, 10)
         w = u * w * u.inverse()
         exponent = rng.randint(-12, 12)
-        assert w ** exponent == squaring_power(w, exponent)
+        assert rechecked(w ** exponent) == squaring_power(w, exponent)
+
+
+@contextmanager
+def letter_budget(budget: int):
+    """Both parsers with ``budget`` in place of the 10**6-letter budget."""
+    global _MAX_WORD_LETTERS
+    saved = _MAX_WORD_LETTERS
+    fgr.words._MAX_WORD_LETTERS = _MAX_WORD_LETTERS = budget
+    try:
+        yield
+    finally:
+        fgr.words._MAX_WORD_LETTERS = _MAX_WORD_LETTERS = saved
+
+
+def test_regex_whitespace_is_str_isspace():
+    # The parser's runs match whitespace with \s and drop it with
+    # str.split and str.rstrip; the per-letter parser skipped what
+    # str.isspace accepts.  All four agree on every code point.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(filter(str.isspace, everything))
+    assert "".join(re.findall(r"\s", everything)) == spaces
+    assert spaces.split() == [] and spaces.rstrip() == ""
+
+
+# Unicode whitespace, and letters that are not ASCII.
+SPACES = " \t\n\x0b\x1c\x85\xa0\u2028\u3000"
+FOREIGN = "\xe9\xdf\u03a9\uff41\u0131"
+NOISE = st.sampled_from(string.ascii_letters + FOREIGN + SPACES + "^()[],-0123?")
+POWERS = st.builds(
+    "{}^{}{}".format, st.sampled_from(("", " ", "\u3000")), st.sampled_from(("", " ")),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def expressions(draw, letters: str, depth: int = 2):
+    """Runs of ``letters`` and whitespace, joined, grouped, bracketed and
+    raised to powers, with and without space before '^'."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 3)) if depth else 0
+        if kind < 2:
+            atom = draw(st.text(st.sampled_from(letters), min_size=1, max_size=20))
+        elif kind == 2:
+            atom = f"({draw(expressions(letters, depth - 1))})"
+        else:
+            left, right = (draw(expressions(letters, depth - 1)) for _ in "lr")
+            atom = f"[{left},{right}]"
+        if draw(st.booleans()):
+            atom += draw(POWERS)
+        parts.append(atom)
+    return "".join(parts)
+
+
+@st.composite
+def parser_inputs(draw):
+    """An expression with up to two noise characters inserted anywhere
+    (letters beyond the rank, non-ASCII letters, punctuation), a rank,
+    and a letter budget near the number of letters in it, so that runs
+    cross it."""
+    rank = draw(st.integers(1, 4))
+    own = string.ascii_lowercase[:rank] + string.ascii_uppercase[:rank]
+    text = draw(expressions(own * 8 + SPACES))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(NOISE) + text[at:]
+    letters = sum(ch in own for ch in text)
+    return text, rank, draw(st.integers(0, 2 * letters + 2))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(parser_inputs())
+def test_parser_matches_letter_parser(case):
+    text, rank, budget = case
+    with letter_budget(budget):
+        crossed = outcome(parse_word, text, rank)
+        assert crossed == outcome(letter_parse_word, text, rank)
+    got = outcome(parse_word, text, rank)
+    assert got == outcome(letter_parse_word, text, rank)
+    for word in (crossed, got):
+        if isinstance(word, Word):
+            rechecked(word)
+
+
+def test_run_over_the_real_budget_fails_where_its_letter_term_did():
+    # Letter 1,000,001 is the 'a' at offset 1,000,001; the per-letter
+    # parser failed after its term, past the spaces that follow it.
+    text = "ab" * 500_000 + " a  b"
+    with pytest.raises(ParseError, match="longer than 1000000 letters") as info:
+        parse_word(text, 2)
+    assert info.value.position == 1_000_004
+    assert len(parse_word("ab" * 500_000 + " a^0 ", 2)) == 1_000_000
+
+
+reduced_words = st.integers(1, MAX_RANK).flatmap(
+    lambda rank: st.lists(st.integers(1, rank) | st.integers(-rank, -1), max_size=40).map(
+        lambda letters: reduce_word(rank, letters)
+    )
+)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(reduced_words)
+def test_render_then_parse_is_the_identity(w):
+    text = render_word(rechecked(w))
+    assert text == generator_render_word(w)
+    assert rechecked(parse_word(text, w.rank)) == w
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_builders_hand_over_words_the_checked_constructor_accepts(data):
+    rank = data.draw(st.integers(1, 4))
+    raw = data.draw(st.lists(st.integers(-rank - 1, rank + 1), max_size=30))
+    claimed = data.draw(st.sampled_from((rank, rank, rank, 0, MAX_RANK + 1)))
+    got = outcome(reduce_word, claimed, raw)
+    assert got == outcome(checked_reduce_word, claimed, raw)
+    assert outcome(reduce_word, claimed, iter(raw)) == got
+    if isinstance(got, Word):
+        rechecked(got)
+    letters = st.lists(st.integers(1, rank) | st.integers(-rank, -1), max_size=20)
+    u = rechecked(reduce_word(rank, data.draw(letters)))
+    v = rechecked(reduce_word(rank, data.draw(letters)))
+    assert rechecked(u * v) == checked_reduce_word(rank, u.letters + v.letters)
+    assert rechecked(u.inverse()) * u == identity(rank)
+    exponent = data.draw(st.integers(-4, 4))
+    assert rechecked(u ** exponent) == squaring_power(u, exponent)
+    inverses = [-l for l in reversed(u.letters + v.letters)]
+    assert rechecked(commutator(u, v)) == checked_reduce_word(
+        rank, u.letters + v.letters + tuple(inverses[len(v):] + inverses[: len(v)])
+    )

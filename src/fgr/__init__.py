@@ -8,7 +8,6 @@ verdicts, with seeded randomized property suites and a CLI (``fgr``).
 from .abelian import (
     AbelianVector,
     abelianize_in_subgroup,
-    ambient_vector,
     apply_projection,
     homology_projection,
     is_visible,
@@ -19,7 +18,6 @@ from .constructions import (
     gamma_graph,
     hm_graph,
     lm_graph,
-    subgroup_t_word,
     wk_square_rewrite,
     wk_word,
 )
@@ -61,7 +59,6 @@ from .stallings import (
     subgroup_index,
     subgroup_rank,
     tree_path_word,
-    trivial_graph,
     walk,
 )
 from .words import (
@@ -72,12 +69,10 @@ from .words import (
     checked_int64,
     commutator,
     exponent_sums,
-    identity,
     parse_word,
     reduce_word,
     render_word,
     substitute,
-    with_rank,
 )
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .stallings import (
     CoreGraph,
     InfiniteIndexError,
     SpanningTree,
+    _check_tree_of,
     rewrite_in_basis,
     subgroup_index,
 )
@@ -57,17 +58,13 @@ class AbelianVector:
         return {"basis": self.basis, "entries": list(self.entries)}
 
 
-def ambient_vector(w: Word) -> AbelianVector:
-    return AbelianVector("ambient", exponent_sums(w))
-
-
 def is_visible(w: Word) -> bool:
     """Whether the exponent vector of ``w`` is primitive.
 
     The zero vector has gcd 0, so the identity (and anything in the
     commutator subgroup) is never visible.
     """
-    return ambient_vector(w).coordinate_gcd() == 1
+    return AbelianVector("ambient", exponent_sums(w)).coordinate_gcd() == 1
 
 
 def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
@@ -100,8 +97,7 @@ def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
-    if tree.graph is not graph and tree.graph != graph:
-        raise ValueError("spanning tree does not belong to this graph")
+    _check_tree_of(graph, tree)
     sums = exponent_sums(w)
     return AbelianVector("subgroup", tuple(sums[l - 1] for (_, _, l) in tree.nontree_edges))
 
@@ -118,8 +114,7 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
     """
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("the chain projection needs a finite-index subgroup")
-    if tree.graph is not graph and tree.graph != graph:
-        raise ValueError("spanning tree does not belong to this graph")
+    _check_tree_of(graph, tree)
     # branch[x]: the child of the base whose subtree holds x (parents come first).
     branch: dict[int, int | None] = {}
     for vertex, step in tree.parents.items():

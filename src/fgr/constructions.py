@@ -6,7 +6,16 @@ v_i -> v_{i+1 mod m}.  Based at v_0 it presents the index-m subgroup
 pulled back from the reflection subgroup of the dihedral group D_m
 under x -> t, y -> s; the b-path v_0..v_{m-1} is its preferred spanning
 tree, giving the basis x, t_1, .., t_{m-1}, y^m with t_i = y^i x
-y^-(m-i).
+y^-(m-i).  Since y^m is a basis word of m letters, m is at most 10**6;
+the graph families all build through ``gamma_graph``, which checks that
+bound before it allocates anything.
+
+``lm_graph(m)`` is the rank-m subgroup behind the counterexample.  For
+even m it is ``gamma_graph(m - 1)``.  For odd m it is generated by x,
+t_1, .., t_{m-1}, and its graph has a closed form: ``gamma_graph(m)``
+without the b-edge v_{m-1} -> v_0, the one non-tree edge whose basis
+word is y^m, renumbered canonically.  A subgraph of a folded graph is
+folded, every vertex keeps degree >= 2, and the b-path still spans it.
 
 ``wk_word(k)`` is x[x,y]^k, a visible word whose square always lies in
 the subgroup above while the word itself lies in it only when m | 2k.
@@ -16,7 +25,7 @@ the preferred basis, used as an oracle against path rewriting.
 
 from __future__ import annotations
 
-from .stallings import BasisWord, CoreGraph, SpanningTree, from_generators, spanning_tree
+from .stallings import BasisWord, CoreGraph, SpanningTree, canonicalize, spanning_tree
 from .words import _MAX_WORD_LETTERS, Word, commutator
 
 
@@ -24,6 +33,8 @@ def gamma_graph(m: int) -> CoreGraph:
     """The degree-m cover of the rank-2 rose described above."""
     if m < 2:
         raise ValueError(f"gamma graph needs m >= 2, got {m}")
+    if m > _MAX_WORD_LETTERS:
+        raise ValueError(f"gamma graph needs m <= {_MAX_WORD_LETTERS}, got {m}")
     edges = []
     for i in range(m):
         edges.append((i, (m - i) % m, 1))
@@ -42,26 +53,21 @@ def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
     return graph, tree
 
 
-def subgroup_t_word(m: int, i: int) -> Word:
-    """The basis word t_i = y^i x y^-(m-i) of the index-m subgroup."""
-    if not 0 <= i <= m:
-        raise ValueError(f"t index must be in 0..{m}, got {i}")
-    return Word(2, (2,) * i + (1,) + (-2,) * (m - i))
-
-
 def lm_graph(m: int) -> CoreGraph:
     """Rank-m subgroup whose intersection with a cyclic retract shows
-    the retract property failing.
+    the retract property failing; needs 3 <= m <= 10**6.
 
-    For even m this is the full index-(m-1) subgroup; for odd m it is
-    the proper subgroup generated by x, t_1, .., t_{m-1} (dropping y^m).
+    For even m this is the full index-(m-1) subgroup, ``gamma_graph(m -
+    1)``.  For odd m it is the proper subgroup generated by x, t_1, ..,
+    t_{m-1} (dropping y^m): ``gamma_graph(m)`` without the b-edge
+    v_{m-1} -> v_0, renumbered canonically (see the module docstring).
     """
     if m < 3:
         raise ValueError(f"this family needs m >= 3, got {m}")
     if m % 2 == 0:
-        return hm_graph(m - 1)[0]
-    generators = [Word(2, (1,))] + [subgroup_t_word(m, i) for i in range(1, m)]
-    return from_generators(2, generators)
+        return gamma_graph(m - 1)
+    edges = [edge for edge in gamma_graph(m).edges if edge != (m - 1, 0, 2)]
+    return canonicalize(CoreGraph(2, m, edges))
 
 
 def wk_word(k: int) -> Word:

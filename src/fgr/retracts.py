@@ -52,7 +52,7 @@ from .stallings import (
     subgroup_rank,
     walk,
 )
-from .words import Word, exponent_sums, identity, render_word, substitute, with_rank
+from .words import Word, exponent_sums, render_word, substitute
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,14 @@ def bergman_counterexample(n: int, m: int, k: int) -> IntersectionReport:
         raise ValueError(f"the counterexample family needs m >= 3, got {m}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"retract rank must be in 1..{n - 1}, got {k}")
+    # The word's letter bound is the tighter one, so it fails first.
+    w = Word(n, wk_word((m - 1) // 2).letters)
     lm = lm_graph(m)
     subgroup = CoreGraph(n, lm.vertex_count, lm.edges)
-    w = with_rank(wk_word((m - 1) // 2), n)
     section = [w] + [Word(n, (i,)) for i in range(3, k + 2)]
-    retraction = [Word(k, (1,)), identity(k)]
+    retraction = [Word(k, (1,)), Word(k)]
     retraction += [Word(k, (i - 1,)) for i in range(3, k + 2)]
-    retraction += [identity(k)] * (n - k - 1)
+    retraction += [Word(k)] * (n - k - 1)
     presented = RetractPresentation(n, tuple(section), tuple(retraction))
     return intersection_report(subgroup, presented)
 
@@ -348,7 +349,7 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
         ]
         section = []
         for i in range(1, k + 1):
-            twist = identity(n)
+            twist = Word(n)
             for _ in range(rng.randint(0, complexity)):
                 element = rng.choice(kernel)
                 if rng.random() < 0.5:

@@ -27,26 +27,27 @@ complete cover and has nothing to trim; when its vertices are already
 in canonical order its arrays are kept as they are.  ``pullback`` tries
 the letters in canonical order, so it discovers the product's vertices
 already in canonical order and needs no second search; at finite index
-its arrays become the result's.  ``canonicalize`` renumbers
-vertices deterministically so that structural equality of canonical
-graphs coincides with equality of subgroups; a graph already in
-canonical numbering is returned as it is.
+its arrays become the result's.  It queues each product pair as one int
+key, not as a tuple, so the search leaves the cyclic garbage collector
+little to track, and no builder touches the collector's state.
+``canonicalize`` renumbers vertices deterministically so that
+structural equality of canonical graphs coincides with equality of
+subgroups; a graph already in canonical numbering is returned as it is.
 
 A ``SpanningTree`` is checked against its graph once, when it is built,
 and carries its tree walk and ordered non-tree edges; the functions that
 take a graph and a tree (``basis``, ``tree_path_word``,
 ``rewrite_in_basis``, the transfer and the homology projection) only
-check that the tree was built for that graph.  ``basis``,
-``tree_path_word`` and ``rewrite_in_basis`` build words that are
-reduced by construction and hand them over unchecked, as the builders
-of ``fgr.words`` do.
+check that the tree was built for that graph (``_check_tree_of``).
+``basis``, ``tree_path_word`` and ``rewrite_in_basis`` build words that
+are reduced by construction and hand them over unchecked, as the
+builders of ``fgr.words`` do.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import cache
 from itertools import compress
 from operator import eq, neg
 from typing import Iterable, Sequence
@@ -275,11 +276,6 @@ class Permutation:
         return tuple(out)
 
 
-def trivial_graph(rank: int) -> CoreGraph:
-    """The one-vertex, zero-edge graph representing the trivial subgroup."""
-    return CoreGraph(rank, 1, ())
-
-
 def walk(graph: CoreGraph, vertex: int, letters: Iterable[int]) -> int | None:
     """Follow a signed letter sequence; None if the path breaks.
 
@@ -333,6 +329,12 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
+def _check_tree_of(graph: CoreGraph, tree: SpanningTree) -> None:
+    """Raise unless ``tree`` was built for ``graph`` (or an equal graph)."""
+    if tree.graph is not graph and tree.graph != graph:
+        raise ValueError("spanning tree does not belong to this graph")
+
+
 def _empty_arrays(rank: int, count: int) -> list:
     """Per-label arrays over ``count`` vertices with no edges: index 0
     is None, index l in 1..rank a list of -1s."""
@@ -378,27 +380,6 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     if all(vertex == i for vertex, i in order.items()):
         return graph
     return _renumbered(graph.rank, graph.out, graph.in_, list(order))
-
-
-def _collector_paused(build):
-    """Run the graph builder ``build`` with the cyclic collector paused.
-
-    Builders allocate a tuple per edge and per product pair, none in a
-    reference cycle; left on, the collector would traverse them on
-    every collection they trigger, at a cost set by its state at entry.
-    """
-
-    @wraps(build)
-    def run(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return run
 
 
 def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
@@ -583,7 +564,6 @@ class _Folding:
         return _core(self.rank, self.out, self.in_, order)
 
 
-@_collector_paused
 def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> CoreGraph:
     """Fold an arbitrary based labeled digraph into a core graph.
 
@@ -614,7 +594,6 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
     return folding.core()
 
 
-@_collector_paused
 def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
     """Stallings graph of the subgroup generated by the given words.
 
@@ -695,8 +674,7 @@ def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: in
     right after it (a letter leads to one vertex), so dropping their
     common prefix leaves the geodesic, which is reduced.
     """
-    if tree.graph is not graph and tree.graph != graph:
-        raise ValueError("spanning tree does not belong to this graph")
+    _check_tree_of(graph, tree)
     to_source = _root_path(tree.parents, source)
     to_target = _root_path(tree.parents, target)
     common = 0
@@ -723,8 +701,7 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     """
     if tree is None:
         tree = spanning_tree(graph)
-    if tree.graph is not graph and tree.graph != graph:
-        raise ValueError("spanning tree does not belong to this graph")
+    _check_tree_of(graph, tree)
     nontree = tree.nontree_edges
     paths = _root_paths(tree.parents, [v for edge in nontree for v in edge[:2]])
     rank = graph.rank
@@ -743,8 +720,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
     """
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
-    if tree.graph is not graph and tree.graph != graph:
-        raise ValueError("spanning tree does not belong to this graph")
+    _check_tree_of(graph, tree)
     vertex = 0
     symbols: list[int] = []
     for letter in w.letters:
@@ -784,7 +760,6 @@ def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: i
     return reduce_word(rank, letters)
 
 
-@_collector_paused
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
@@ -795,6 +770,9 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     only trimmed and renumbered.  A pair (a, b) is keyed by the int
     a * V2 + b, and the letters are tried in canonical order, so pairs
     are numbered in the product's canonical BFS order as they are found.
+    Pairs wait to be explored as their int keys, decoded by ``divmod``,
+    so the search allocates no object per pair that the cyclic garbage
+    collector would track.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
@@ -805,25 +783,26 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     firsts, seconds = g1.out[1:] + g1.in_[1:], g2.out[1:] + g2.in_[1:]
     moves = [(a, b, row.append) for a, b, row in zip(firsts, seconds, rows)]
     ids = {0: 0}
-    pairs = [(0, 0)]
+    keys = [0]
     count = 1
-    for p, q in pairs:
+    for key in keys:
+        p, q = divmod(key, width)
         for first, second, append in moves:
             a, b = first[p], second[q]
             if a < 0 or b < 0:
                 append(-1)
                 continue
-            there = ids.setdefault(a * width + b, count)
+            pair = a * width + b
+            there = ids.setdefault(pair, count)
             if there == count:
-                pairs.append((a, b))
+                keys.append(pair)
                 count += 1
             append(there)
-    # The trim and renumbering peak higher; they no longer need the pairs.
-    del ids, pairs
+    # The trim and renumbering peak higher; they no longer need the keys.
+    del ids, keys
     return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
 
 
-@_collector_paused
 def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGraph:
     """Coset graph of a transitive permutation action.
 

@@ -119,16 +119,12 @@ class Word:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         if exponent == 0:
-            return identity(self.rank)
+            return Word(self.rank)
         # w = p c p^-1 with c cyclically reduced, so w^k = p c^k p^-1.
         cut = _cyclic_cut(self.letters)
         end = len(self.letters) - cut
         core = self.letters[cut:end] * exponent
         return Word._from_letters(self.rank, self.letters[:cut] + core + self.letters[end:])
-
-
-def identity(rank: int) -> Word:
-    return Word(rank)
 
 
 def _cyclic_cut(letters: Sequence[int]) -> int:
@@ -171,11 +167,6 @@ def _free_reduction(letters: Iterable[int]) -> tuple[int, ...]:
 def commutator(u: Word, v: Word) -> Word:
     """u v u^-1 v^-1, freely reduced."""
     return u * v * u.inverse() * v.inverse()
-
-
-def with_rank(w: Word, rank: int) -> Word:
-    """The same word viewed in a free group of another rank."""
-    return Word(rank, w.letters)
 
 
 def exponent_sums(w: Word) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ from fgr import (
     exponent_sums,
     from_generators,
     homology_projection,
-    identity,
     is_visible,
     is_visible_in_subgroup,
     parse_word,
@@ -107,14 +106,14 @@ def test_visibility_examples():
         assert is_visible(wk_word(k))
     assert not is_visible(parse_word("aa", 2))
     assert not is_visible(parse_word("aabb", 2))
-    assert not is_visible(identity(2))
+    assert not is_visible(Word(2))
     assert not is_visible(parse_word("[a,b]", 2))
 
 
 def test_abelianize_examples():
     graph, tree = hm_graph(3)
     assert abelianize_in_subgroup(graph, tree, wk_word(1) ** 2).entries == (2, 0, 0, 0)
-    assert abelianize_in_subgroup(graph, tree, identity(2)).entries == (0, 0, 0, 0)
+    assert abelianize_in_subgroup(graph, tree, Word(2)).entries == (0, 0, 0, 0)
     assert abelianize_in_subgroup(graph, tree, parse_word("bbb", 2)).entries == (0, 0, 0, 1)
 
 
@@ -138,8 +137,8 @@ def test_abelianize_is_a_homomorphism_on_members():
     graph, tree = hm_graph(4)
     base_words = basis(graph, tree)
     for _ in range(50):
-        u = identity(2)
-        v = identity(2)
+        u = Word(2)
+        v = Word(2)
         for _ in range(rng.randint(0, 4)):
             u = u * rng.choice(base_words)
             v = v * rng.choice(base_words).inverse()

@@ -50,7 +50,6 @@ from fgr import (
     evaluate_basis_word,
     from_generators,
     homology_projection,
-    identity,
     parse_word,
     reduce_word,
     rewrite_in_basis,
@@ -297,7 +296,7 @@ def test_cycle_chain_has_zero_boundary():
     graph, tree = hm_graph(4)
     base_words = basis(graph, tree)
     for _ in range(25):
-        member = identity(2)
+        member = Word(2)
         for _ in range(rng.randint(1, 4)):
             member = member * rng.choice(base_words)
         chain = cycle_chain(graph, member)
@@ -489,7 +488,7 @@ def test_rewriting_a_member_over_the_basis_and_back_is_the_identity(data):
     words = [reduce_word(rank, data.draw(letters)) for _ in range(3)]
     base_words = basis(graph, tree)
     if base_words:
-        product = identity(rank)
+        product = Word(rank)
         for _ in range(rng.randint(1, 6)):
             product = product * rng.choice(base_words) ** rng.choice((1, -1))
         words.append(product)

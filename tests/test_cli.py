@@ -312,3 +312,16 @@ def test_word_families_over_the_length_budget_are_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert_one_error_line(code, out, err)
         assert "longer than 1000000" in err
+
+
+def test_graph_families_over_the_size_bound_are_errors(capsys):
+    # m = 10**12 would ask for terabytes; the bound is checked first.
+    for argv in (
+        ("gamma", "--m", "1000000000000"),
+        ("hm", "--m", "1000000000000"),
+        ("lm", "--m", "1000000000000"),
+        ("bergman", "--n", "2", "--m", "1000000000000", "--k", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert "1000000" in err

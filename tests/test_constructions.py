@@ -4,11 +4,11 @@ import pytest
 
 from fgr import (
     Word,
+    basis,
     canonicalize,
     contains,
     exponent_sums,
     from_generators,
-    identity,
     is_visible,
     parse_word,
     render_word,
@@ -20,7 +20,6 @@ from fgr.constructions import (
     gamma_graph,
     hm_graph,
     lm_graph,
-    subgroup_t_word,
     wk_square_rewrite,
     wk_word,
 )
@@ -124,7 +123,7 @@ def test_dihedral_image_of_wk():
             image = dihedral_image(wk_word(k), m)
             assert image == DihedralElement(m, 1, -2 * k)
             assert dihedral_image(wk_word(k) ** 2, m).is_identity()
-    assert dihedral_image(identity(2), 4).is_identity()
+    assert dihedral_image(Word(2), 4).is_identity()
 
 
 def test_dihedral_image_requires_rank_two():
@@ -145,8 +144,6 @@ def test_membership_matches_dihedral_quotient():
 
 def test_hm_basis():
     graph, tree = hm_graph(3)
-    from fgr import basis
-
     assert [render_word(w) for w in basis(graph, tree)] == ["a", "baBB", "bbaB", "bbb"]
 
 
@@ -185,8 +182,11 @@ def test_lm_rejects_small_m():
 
 
 def test_t_words():
-    assert render_word(subgroup_t_word(9, 1)) == "baBBBBBBBB"
-    assert render_word(subgroup_t_word(9, 8)) == "bbbbbbbbaB"
+    # The preferred basis of hm_graph(9) is x, t_1, .., t_8, y^9 with
+    # t_i = y^i x y^-(9-i).
+    t_words = basis(*hm_graph(9))[1:9]
+    assert render_word(t_words[0]) == "baBBBBBBBB"
+    assert render_word(t_words[7]) == "bbbbbbbbaB"
 
 
 # --- the word family ---------------------------------------------------------------

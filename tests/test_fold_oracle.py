@@ -10,8 +10,10 @@ to the base component, trims hair pass by pass and renumbers.
 and ``oracle_subgroup_index`` is the old per-vertex, per-label
 ``subgroup_index``.  ``oracle_from_generators`` is the old
 ``from_generators``, which built the whole wedge of generator loops and
-folded it, and ``oracle_validate`` is the old dict-based validation of
-``CoreGraph`` (with the dict-based ``_dict_bfs`` it called).  The
+folded it; ``from_generators`` on ``lm_generators(m)`` is in turn the
+oracle for the closed form of the odd ``lm_graph(m)``.
+``oracle_validate`` is the old dict-based validation of ``CoreGraph``
+(with the dict-based ``_dict_bfs`` it called).  The
 oracles read a graph through ``succ_pred``, which rebuilds the
 (vertex, label) dicts a ``CoreGraph`` once kept.  The seeded tests below
 require the new code to return equal graphs and indices and to raise
@@ -50,8 +52,8 @@ from fgr import (
     subgroup_rank,
     walk,
 )
-from fgr.constructions import gamma_graph, subgroup_t_word
-from fgr.stallings import Edge, _canonical_letters, trivial_graph
+from fgr.constructions import gamma_graph, lm_graph
+from fgr.stallings import Edge, _canonical_letters
 
 
 def _bfs_relabeling(
@@ -208,7 +210,7 @@ def oracle_pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                     queue.append(pair)
                 edges.add((there, here, label))
     if not edges:
-        return trivial_graph(g1.rank)
+        return CoreGraph(g1.rank, 1, ())
     return _normalize(g1.rank, len(ids), edges, 0)
 
 
@@ -505,10 +507,23 @@ def test_from_generators_matches_oracle_on_random_generator_sets(seed):
         assert revalidated(from_generators(rank, gens)) == oracle_from_generators(rank, gens)
 
 
+def lm_generators(m: int) -> list[Word]:
+    """x, t_1, .., t_{m-1} with t_i = y^i x y^-(m-i): the generators the
+    odd ``lm_graph(m)`` was once read from, now its oracle."""
+    t_words = [Word(2, (2,) * i + (1,) + (-2,) * (m - i)) for i in range(1, m)]
+    return [Word(2, (1,)), *t_words]
+
+
 def test_from_generators_matches_oracle_on_lm_generators():
     for m in range(3, 42):
-        gens = [Word(2, (1,))] + [subgroup_t_word(m, i) for i in range(1, m)]
+        gens = lm_generators(m)
         assert revalidated(from_generators(2, gens)) == oracle_from_generators(2, gens)
+
+
+def test_lm_graph_closed_form_matches_its_generators():
+    # Odd m: gamma_graph(m) less the edge of y^m is the graph of <x, t_1..t_{m-1}>.
+    for m in range(3, 42, 2):
+        assert revalidated(lm_graph(m)) == revalidated(from_generators(2, lm_generators(m)))
 
 
 def test_from_generators_when_the_base_merges_away_mid_read():

@@ -12,7 +12,6 @@ from fgr import (
     coset_permutation,
     cyclic_retract,
     from_generators,
-    identity,
     intersection_report,
     parse_word,
     pullback,
@@ -122,7 +121,7 @@ def test_smallest_power_of_conjugated_word():
 
 def test_smallest_power_rejects_trivial_word():
     with pytest.raises(ValueError):
-        smallest_power_in(hm_graph(3)[0], identity(2))
+        smallest_power_in(hm_graph(3)[0], Word(2))
 
 
 def test_smallest_power_agrees_with_pullback_route():

@@ -20,7 +20,6 @@ from fgr import (
     graph_from_json,
     graph_to_json,
     homology_projection,
-    identity,
     parse_word,
     pullback,
     render_word,
@@ -31,7 +30,6 @@ from fgr import (
     subgroup_rank,
     transfer,
     tree_path_word,
-    trivial_graph,
     walk,
 )
 from fgr.constructions import gamma_graph, hm_graph, wk_word
@@ -95,8 +93,8 @@ def test_l3_graph_shape():
 
 
 def test_trivial_generators_give_trivial_graph():
-    assert from_generators(2, []) == trivial_graph(2)
-    assert from_generators(2, [identity(2)]) == trivial_graph(2)
+    assert from_generators(2, []) == CoreGraph(2, 1, ())
+    assert from_generators(2, [Word(2)]) == CoreGraph(2, 1, ())
 
 
 def test_generator_rank_mismatch():
@@ -113,7 +111,7 @@ def test_generators_are_members():
         for w in gens:
             assert contains(g, w)
         for _ in range(20):
-            product = identity(rank)
+            product = Word(rank)
             for _ in range(rng.randint(1, 5)):
                 factor = rng.choice(gens)
                 product = product * (factor if rng.random() < 0.5 else factor.inverse())
@@ -304,7 +302,7 @@ def test_rewrite_w1_squared_in_h3():
 
 def test_rewrite_identity_is_empty():
     graph, tree = hm_graph(4)
-    assert rewrite_in_basis(graph, tree, identity(2)).letters == ()
+    assert rewrite_in_basis(graph, tree, Word(2)).letters == ()
 
 
 def test_rewrite_rejects_non_members():
@@ -321,7 +319,7 @@ def test_rewrite_round_trip():
         tree = spanning_tree(graph)
         base_words = basis(graph, tree)
         # random member: a product of basis words
-        member = identity(2)
+        member = Word(2)
         for _ in range(rng.randint(0, 5)):
             factor = rng.choice(base_words)
             member = member * (factor if rng.random() < 0.5 else factor.inverse())
@@ -364,7 +362,7 @@ def test_pullback_commutative_and_correct():
 def test_pullback_trivial_intersection():
     a = from_generators(2, words(2, "a"))
     b = from_generators(2, words(2, "b"))
-    assert pullback(a, b) == trivial_graph(2)
+    assert pullback(a, b) == CoreGraph(2, 1, ())
 
 
 def test_pullback_rank_mismatch():
@@ -409,7 +407,7 @@ def test_coset_permutation_examples():
     graph, _ = hm_graph(3)
     assert coset_permutation(graph, parse_word("b", 2)).images == (1, 2, 0)
     assert coset_permutation(graph, wk_word(1)).images == (1, 0, 2)
-    assert coset_permutation(graph, identity(2)) == identity_permutation(3)
+    assert coset_permutation(graph, Word(2)) == identity_permutation(3)
 
 
 def test_coset_permutation_needs_finite_index():
@@ -533,6 +531,28 @@ def test_graph_builders_restore_collector_state():
         assert gc.isenabled()
     finally:
         (gc.enable if enabled else gc.disable)()
+
+
+def test_pullback_starts_no_garbage_collection():
+    # Pairs are queued as int keys, which the collector does not track,
+    # so even a 201 x 200 product leaves generation 0 below its threshold.
+    g1, g2 = gamma_graph(200), gamma_graph(201)
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        pullback(g1, g2)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if enabled else gc.disable)()
+    assert started == []
 
 
 def test_core_graph_validates_invariants():

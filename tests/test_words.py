@@ -8,7 +8,6 @@ from fgr import (
     checked_int64,
     commutator,
     exponent_sums,
-    identity,
     parse_word,
     reduce_word,
     render_word,
@@ -29,7 +28,7 @@ def random_reduced_word(rng, rank, max_len, min_len=1):
 
 
 def test_reduce_full_cancellation():
-    assert reduce_word(2, [1, 2, -2, -1]) == identity(2)
+    assert reduce_word(2, [1, 2, -2, -1]) == Word(2)
 
 
 def test_reduce_already_reduced():
@@ -40,7 +39,7 @@ def test_reduce_already_reduced():
 
 def test_reduce_of_word_times_inverse():
     ab = parse_word("ab", 2)
-    assert reduce_word(2, ab.letters + ab.inverse().letters) == identity(2)
+    assert reduce_word(2, ab.letters + ab.inverse().letters) == Word(2)
 
 
 def test_reduce_rejects_bad_letters():
@@ -56,7 +55,7 @@ def test_word_constructor_rejects_unreduced():
 
 
 def test_multiply_cancels():
-    assert parse_word("a", 2) * parse_word("A", 2) == identity(2)
+    assert parse_word("a", 2) * parse_word("A", 2) == Word(2)
 
 
 def test_multiply_rank_mismatch():
@@ -71,16 +70,16 @@ def test_inverse_reverses_and_flips():
 def test_power():
     ab = parse_word("ab", 2)
     assert render_word(ab**2) == "abab"
-    assert ab**0 == identity(2)
+    assert ab**0 == Word(2)
     assert ab**-2 == (ab**2).inverse()
 
 
 def test_commutator_examples():
     a, b = parse_word("a", 2), parse_word("b", 2)
     assert render_word(commutator(a, b)) == "abAB"
-    assert commutator(a, a) == identity(2)
+    assert commutator(a, a) == Word(2)
     ab = parse_word("ab", 2)
-    assert commutator(ab, ab) == identity(2)
+    assert commutator(ab, ab) == Word(2)
 
 
 def test_parse_commutator_word():
@@ -97,8 +96,8 @@ def test_parse_power_of_commutator():
 
 
 def test_parse_empty_is_identity():
-    assert parse_word("", 2) == identity(2)
-    assert parse_word("   ", 2) == identity(2)
+    assert parse_word("", 2) == Word(2)
+    assert parse_word("   ", 2) == Word(2)
 
 
 def test_parse_nested_and_whitespace():
@@ -147,7 +146,7 @@ def test_word_length_budget():
 
 
 def test_exponent_sums_examples():
-    assert exponent_sums(identity(2)) == (0, 0)
+    assert exponent_sums(Word(2)) == (0, 0)
     assert exponent_sums(parse_word("aabAB", 2)) == (1, 0)
     assert exponent_sums(parse_word("aabb", 2)) == (2, 2)
 
@@ -162,7 +161,7 @@ def test_checked_int64_bounds():
 
 def test_substitute():
     w = parse_word("a[a,b]", 2)
-    images = [parse_word("a", 2), identity(2)]
+    images = [parse_word("a", 2), Word(2)]
     assert substitute(w, images, 2) == parse_word("a", 2)
 
 
@@ -187,8 +186,8 @@ def test_multiply_inverse_is_identity():
     rng = random.Random(101)
     for _ in range(200):
         w = random_reduced_word(rng, 3, 25)
-        assert w * w.inverse() == identity(3)
-        assert w.inverse() * w == identity(3)
+        assert w * w.inverse() == Word(3)
+        assert w.inverse() * w == Word(3)
 
 
 def test_exponent_sums_is_homomorphism():

@@ -41,7 +41,6 @@ from fgr import (
     Word,
     commutator,
     evaluate_basis_word,
-    identity,
     parse_word,
     reduce_word,
     render_word,
@@ -123,7 +122,7 @@ class _LeftFoldParser:
         self.pos += 1
 
     def _expr(self, required: bool = True) -> Word:
-        word = identity(self.rank)
+        word = Word(self.rank)
         count = 0
         while True:
             ch = self._peek()
@@ -336,7 +335,7 @@ def left_fold_substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     """
     if len(images) != w.rank:
         raise ValueError(f"expected {w.rank} images, got {len(images)}")
-    out = identity(rank)
+    out = Word(rank)
     for letter in w.letters:
         image = images[abs(letter) - 1]
         if image.rank != rank:
@@ -349,7 +348,7 @@ def left_fold_evaluate_basis_word(
     basis_words: Sequence[Word], symbols: BasisWord, rank: int
 ) -> Word:
     """Substitute actual basis words for the symbols and reduce."""
-    out = identity(rank)
+    out = Word(rank)
     for symbol in symbols.letters:
         if abs(symbol) > len(basis_words):
             raise ValueError(f"basis symbol {symbol} out of range")
@@ -361,7 +360,7 @@ def left_fold_evaluate_basis_word(
 def squaring_power(w: Word, exponent: int) -> Word:
     if exponent < 0:
         return squaring_power(w.inverse(), -exponent)
-    result = identity(w.rank)
+    result = Word(w.rank)
     square = w
     k = exponent
     while k:
@@ -621,7 +620,7 @@ def test_builders_hand_over_words_the_checked_constructor_accepts(data):
     u = rechecked(reduce_word(rank, data.draw(letters)))
     v = rechecked(reduce_word(rank, data.draw(letters)))
     assert rechecked(u * v) == checked_reduce_word(rank, u.letters + v.letters)
-    assert rechecked(u.inverse()) * u == identity(rank)
+    assert rechecked(u.inverse()) * u == Word(rank)
     exponent = data.draw(st.integers(-4, 4))
     assert rechecked(u ** exponent) == squaring_power(u, exponent)
     inverses = [-l for l in reversed(u.letters + v.letters)]

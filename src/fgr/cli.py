@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from typing import Sequence
@@ -20,8 +21,8 @@ from .constructions import gamma_graph, hm_graph, lm_graph, wk_square_rewrite, w
 from .retracts import bergman_counterexample, intersection_report, run_suite, suite_names
 from .stallings import (
     CoreGraph,
+    _basis_text,
     _read_graph_json,
-    basis,
     canonical_relabeling,
     contains,
     fold,
@@ -146,9 +147,18 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> CoreGraph:
         return graph_from_json(json.load(handle))
 
 
+# A well-formed --tree flag; any other is read chunk by chunk, which
+# names the first chunk that is not from:to:label or not an int.
+_TREE_FLAG = re.compile(r"[0-9]+:[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+:[0-9]+)*")
+
+
 def _parse_tree_flag(graph: CoreGraph, text: str | None):
     if text is None:
         return spanning_tree(graph)
+    if _TREE_FLAG.fullmatch(text):
+        # Three references to one iterator take its numbers three at a time.
+        numbers = map(int, text.replace(",", ":").split(":"))
+        return spanning_tree(graph, override=zip(numbers, numbers, numbers))
     edges = []
     for chunk in text.split(","):
         parts = chunk.split(":")
@@ -195,7 +205,7 @@ def _dispatch(args: argparse.Namespace) -> object:
     if args.verb == "basis":
         graph = _load_graph(args)
         tree = _parse_tree_flag(graph, args.tree)
-        return [render_word(w) for w in basis(graph, tree)]
+        return _basis_text(graph, tree)
 
     if args.verb == "member":
         graph = _load_graph(args)

@@ -8,7 +8,8 @@ under x -> t, y -> s; the b-path v_0..v_{m-1} is its preferred spanning
 tree, giving the basis x, t_1, .., t_{m-1}, y^m with t_i = y^i x
 y^-(m-i).  Since y^m is a basis word of m letters, m is at most 10**6;
 the graph families all build through ``gamma_graph``, which checks that
-bound before it allocates anything.
+bound before it allocates anything; ``lm_graph`` checks it first itself,
+so that its error names the m it was given.
 
 ``lm_graph(m)`` is the rank-m subgroup behind the counterexample.  For
 even m it is ``gamma_graph(m - 1)``.  For odd m it is generated by x,
@@ -64,6 +65,9 @@ def lm_graph(m: int) -> CoreGraph:
     """
     if m < 3:
         raise ValueError(f"this family needs m >= 3, got {m}")
+    # Checked here, not by gamma_graph(m - 1), so that it names this m.
+    if m > _MAX_WORD_LETTERS:
+        raise ValueError(f"this family needs m <= {_MAX_WORD_LETTERS}, got {m}")
     if m % 2 == 0:
         return gamma_graph(m - 1)
     edges = [edge for edge in gamma_graph(m).edges if edge != (m - 1, 0, 2)]

@@ -34,14 +34,22 @@ little to track, and no builder touches the collector's state.
 structural equality of canonical graphs coincides with equality of
 subgroups; a graph already in canonical numbering is returned as it is.
 
+``graph_from_json`` reads the edge dicts of the JSON form straight into
+the arrays and checks them there, in one pass; only a document that
+fails a check is read again, by the checked constructor, for its error.
+
 A ``SpanningTree`` is checked against its graph once, when it is built,
 and carries its tree walk and ordered non-tree edges; the functions that
 take a graph and a tree (``basis``, ``tree_path_word``,
 ``rewrite_in_basis``, the transfer and the homology projection) only
-check that the tree was built for that graph (``_check_tree_of``).
-``basis``, ``tree_path_word`` and ``rewrite_in_basis`` build words that
-are reduced by construction and hand them over unchecked, as the
-builders of ``fgr.words`` do.
+check that the tree was built for that graph (``_check_tree_of``).  The
+default tree of ``spanning_tree`` is a tree by construction and is
+handed over unchecked; it is only walked.  ``basis``, ``tree_path_word``
+and ``rewrite_in_basis`` build words that are reduced by construction
+and hand them over unchecked, as the builders of ``fgr.words`` do.  One
+walk of the tree spells the root paths of the non-tree edges' endpoints
+either as letters, for ``basis``, or as text, for ``fgr basis``, which
+writes each basis word as three string copies (``_basis_text``).
 """
 
 from __future__ import annotations
@@ -50,9 +58,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from operator import eq, neg
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .words import MAX_RANK, Word, reduce_word
+from .words import _GLYPHS, MAX_RANK, Word, _render_letters, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -99,7 +107,6 @@ class CoreGraph:
             raise ValueError("graph is not connected to the base vertex")
         out = _empty_arrays(rank, count)
         in_ = _empty_arrays(rank, count)
-        degree = [0] * count
         for origin, terminus, label in edges:
             if not (0 <= origin < count and 0 <= terminus < count):
                 raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
@@ -112,13 +119,7 @@ class CoreGraph:
                 raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
             leaving[origin] = terminus
             entering[terminus] = origin
-            degree[origin] += 1
-            degree[terminus] += 1
-        if len(_bfs(out, in_, 0, _canonical_letters(rank))) != count:
-            raise ValueError("graph is not connected to the base vertex")
-        for vertex in range(1, count):
-            if degree[vertex] < 2:
-                raise ValueError(f"vertex {vertex} dangles (degree < 2)")
+        _check_core(rank, out, in_)
         self.rank, self.vertex_count, self.out, self.in_ = rank, count, out, in_
         self._edge_count, self._edges = len(edges), None
 
@@ -171,6 +172,9 @@ class SpanningTree:
     gives the tree paths; ``nontree_edges``, ordered by (index of origin
     in the walk, label), which index the induced free basis; and
     ``symbols``, each non-tree edge's 1-based basis symbol.
+    ``spanning_tree`` hands its default tree, a spanning tree by
+    construction, to ``_from_edges``, which skips the checks but still
+    walks the tree.
     """
 
     graph: CoreGraph
@@ -187,21 +191,39 @@ class SpanningTree:
             raise ValueError("spanning tree does not belong to this graph")
         if len(tree) != graph.vertex_count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
+        self._walk()
+
+    @classmethod
+    def _from_edges(cls, graph: CoreGraph, tree_edges: frozenset[Edge]) -> SpanningTree:
+        """A tree a builder has made of edges of ``graph``, one fewer than
+        its vertices, taken without checking that; it is still walked."""
+        tree = cls.__new__(cls)
+        object.__setattr__(tree, "graph", graph)
+        object.__setattr__(tree, "tree_edges", tree_edges)
+        tree._walk()
+        return tree
+
+    def _walk(self) -> None:
+        """Walk the tree; record the walk, the non-tree edges and symbols."""
+        graph = self.graph
         out = _empty_arrays(graph.rank, graph.vertex_count)
         in_ = _empty_arrays(graph.rank, graph.vertex_count)
-        for u, v, l in tree:
+        for u, v, l in self.tree_edges:
             out[l][u] = v
             in_[l][v] = u
         parents = _bfs(out, in_, 0, _canonical_letters(graph.rank))
         if len(parents) != graph.vertex_count:
             raise ValueError("spanning tree does not span the graph")
         # A folded graph has at most one edge per (origin, label), so
-        # reading them in walk order gives the (walk index, label) order.
+        # reading them in walk order gives the (walk index, label) order;
+        # the tree holds the graph's edge at a slot exactly when its own
+        # array has one there.
+        rows = [(out[l], graph.out[l], l) for l in range(1, graph.rank + 1)]
         nontree = [
             (u, v, l)
             for u in parents
-            for l in range(1, graph.rank + 1)
-            if (v := graph.out[l][u]) >= 0 and (u, v, l) not in tree
+            for tree, edges, l in rows
+            if tree[u] < 0 and (v := edges[u]) >= 0
         ]
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "nontree_edges", tuple(nontree))
@@ -341,6 +363,31 @@ def _empty_arrays(rank: int, count: int) -> list:
     return [None, *map(list, [[-1] * count] * rank)]
 
 
+def _degrees(rank: int, out: list, in_: list) -> list[int]:
+    """The number of edges at each vertex of per-label arrays (as in
+    :class:`CoreGraph`): 2 * rank less its empty slots, which compress
+    picks out without a Python-level pass over the full slots."""
+    size = len(out[1])
+    degree = [2 * rank] * size
+    vertices, empty = range(size), (0).__gt__
+    for array in (*out[1:], *in_[1:]):
+        for vertex in compress(vertices, map(empty, array)):
+            degree[vertex] -= 1
+    return degree
+
+
+def _check_core(rank: int, out: list, in_: list) -> None:
+    """Raise ``ValueError`` unless the folded graph on ``out``/``in_`` is
+    a core graph: connected to the base 0, no other vertex of degree < 2."""
+    if len(_bfs(out, in_, 0, _canonical_letters(rank))) != len(out[1]):
+        raise ValueError("graph is not connected to the base vertex")
+    # Every vertex of a complete cover, where no slot is empty, has degree 2 * rank.
+    if any(-1 in array for array in out[1:]):
+        for vertex in compress(range(len(out[1])), map((2).__gt__, _degrees(rank, out, in_))):
+            if vertex:
+                raise ValueError(f"vertex {vertex} dangles (degree < 2)")
+
+
 def _bfs(
     out: list, in_: list, base: int, letters: Sequence[int]
 ) -> dict[int, tuple[int, int] | None]:
@@ -403,14 +450,8 @@ def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
         return _renumbered(rank, out, in_, order)
     base = order[0]
     links = [(out[l], in_[l]) for l in range(1, rank + 1)]
-    # degree[v] counts the edges at v: 2 * rank less its empty slots, which
-    # compress picks out without a Python-level pass over the full slots.
     # Only entries on ``order`` are read.
-    degree = [2 * rank] * size
-    for pair in links:
-        for array in pair:
-            for vertex in compress(range(size), map((0).__gt__, array)):
-                degree[vertex] -= 1
+    degree = _degrees(rank, out, in_)
     hair = [v for v in order if degree[v] <= 1 and v != base]
     while hair:
         vertex = hair.pop()
@@ -617,19 +658,21 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
 
     The default tree is grown by BFS from the base exploring, at each
     vertex, labels 1..n in (label, direction) order with outgoing before
-    incoming.  ``override`` supplies an explicit tree edge set instead;
-    :class:`SpanningTree` checks that it is a spanning tree of the graph
-    and orders the non-tree edges.
+    incoming; it is a spanning tree by construction and is handed over
+    without the checks.  ``override`` supplies an explicit tree edge set
+    instead; :class:`SpanningTree` checks that it is a spanning tree of
+    the graph.  Either way the tree is walked to order the non-tree edges.
     """
     if override is not None:
-        return SpanningTree(graph, frozenset(tuple(e) for e in override))
+        return SpanningTree(graph, frozenset(map(tuple, override)))
     letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
-    tree: set[Edge] = set()
-    for vertex, step in _bfs(graph.out, graph.in_, 0, letters).items():
-        if step is not None:
-            parent, letter = step
-            tree.add((parent, vertex, letter) if letter > 0 else (vertex, parent, -letter))
-    return SpanningTree(graph, frozenset(tree))
+    steps = iter(_bfs(graph.out, graph.in_, 0, letters).items())
+    next(steps)  # the base, which has no parent
+    tree = frozenset(
+        (parent, vertex, letter) if letter > 0 else (vertex, parent, -letter)
+        for vertex, (parent, letter) in steps
+    )
+    return SpanningTree._from_edges(graph, tree)
 
 
 def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> tuple[int, ...]:
@@ -642,10 +685,10 @@ def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> tuple
     return tuple(letters)
 
 
-def _root_paths(
-    parents: dict[int, tuple[int, int] | None], wanted: Iterable[int]
-) -> dict[int, tuple[int, ...]]:
-    """The signed letters of the tree path base -> v, for each v wanted.
+def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence]) -> dict:
+    """The tree path base -> v, for each endpoint v of a non-tree edge,
+    as ``spell`` writes a list of signed letters: ``tuple`` keeps the
+    letters, ``_render_letters`` writes their glyphs.
 
     The tree walk lists every vertex after its parent, so by the time a
     wanted vertex comes up, each wanted ancestor has its path: the
@@ -653,8 +696,9 @@ def _root_paths(
     paths are kept, so memory, and time beyond one step per vertex, are
     proportional to their total length.
     """
-    wanted = set(wanted)
-    paths: dict[int, tuple[int, ...]] = {0: ()}
+    parents = tree.parents
+    wanted = {v for edge in tree.nontree_edges for v in edge[:2]}
+    paths = {0: spell([])}
     for vertex in parents:
         if vertex in wanted:
             climb = []
@@ -663,7 +707,7 @@ def _root_paths(
                 up, letter = parents[up]  # type: ignore[misc]
                 climb.append(letter)
             climb.reverse()
-            paths[vertex] = paths[up] + tuple(climb)
+            paths[vertex] = paths[up] + spell(climb)
     return paths
 
 
@@ -702,12 +746,22 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     if tree is None:
         tree = spanning_tree(graph)
     _check_tree_of(graph, tree)
-    nontree = tree.nontree_edges
-    paths = _root_paths(tree.parents, [v for edge in nontree for v in edge[:2]])
+    paths = _root_paths(tree, tuple)
     rank = graph.rank
     return [
         Word._from_letters(rank, (*paths[u], l, *map(neg, reversed(paths[v]))))
-        for u, v, l in nontree
+        for u, v, l in tree.nontree_edges
+    ]
+
+
+def _basis_text(graph: CoreGraph, tree: SpanningTree) -> list[str]:
+    """``[render_word(w) for w in basis(graph, tree)]``, spelled from the
+    text of the root paths: the inverse of path(v) is its text reversed
+    with the case swapped, so each word is three string copies."""
+    _check_tree_of(graph, tree)
+    paths = _root_paths(tree, _render_letters)
+    return [
+        paths[u] + _GLYPHS[l] + paths[v][::-1].swapcase() for u, v, l in tree.nontree_edges
     ]
 
 
@@ -876,7 +930,36 @@ def _read_graph_json(data: dict) -> tuple[int, int, tuple[Edge, ...], int]:
 
 
 def graph_from_json(data: dict) -> CoreGraph:
-    """Parse the JSON form back into a validated core graph."""
+    """Parse the JSON form back into a validated core graph.
+
+    The edge dicts are read straight into the per-label arrays, each
+    field through ``int`` as ``_read_graph_json`` reads it and checked
+    for range as it is filled; the graph is folded when no edge took a
+    slot another had filled, which a count of the empty slots tells, and
+    ``_check_core`` checks the rest.  A document that fails anywhere is
+    read again by ``_read_graph_json`` and the checked constructor, which
+    raise what they always raised: a malformed field before a bad rank,
+    and the first bad edge in sorted order.
+    """
+    try:
+        rank, count, edges = int(data["rank"]), int(data["vertices"]), data["edges"]
+        base = int(data.get("base", 0))
+        if base == 0 and 1 <= rank <= MAX_RANK and 1 <= count <= len(edges) + 1:
+            out, in_ = _empty_arrays(rank, count), _empty_arrays(rank, count)
+            for edge in edges:
+                u, v, l = int(edge["from"]), int(edge["to"]), int(edge["label"])
+                if not (0 <= u < count and 0 <= v < count and 1 <= l <= rank):
+                    break
+                out[l][u] = v
+                in_[l][v] = u
+            else:
+                # Folded exactly when no edge took a slot another one filled.
+                empty = sum(array.count(-1) for array in (*out[1:], *in_[1:]))
+                if empty == 2 * (rank * count - len(edges)):
+                    _check_core(rank, out, in_)
+                    return CoreGraph._from_arrays(rank, count, out, in_, len(edges))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass  # the checked path below raises the error
     rank, vertices, edges, base = _read_graph_json(data)
     if base != 0:
         raise ValueError("graph JSON must use base vertex 0")

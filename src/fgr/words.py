@@ -205,7 +205,12 @@ _GLYPHS = ("", *string.ascii_lowercase, *reversed(string.ascii_uppercase))
 
 def render_word(w: Word) -> str:
     """Canonical text form: one ASCII letter per reduced letter."""
-    return "".join(map(_GLYPHS.__getitem__, w.letters))
+    return _render_letters(w.letters)
+
+
+def _render_letters(letters: Iterable[int]) -> str:
+    """The glyphs of signed letters, one per letter."""
+    return "".join(map(_GLYPHS.__getitem__, letters))
 
 
 def parse_word(text: str, rank: int) -> Word:

@@ -325,3 +325,11 @@ def test_graph_families_over_the_size_bound_are_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert_one_error_line(code, out, err)
         assert "1000000" in err
+
+
+def test_lm_bound_names_the_m_given(capsys):
+    # An even m builds gamma_graph(m - 1); the bound is checked first, on m.
+    for m in ("1000000000000", "1000000000001", "1000002", "1000001"):
+        code, out, err = run_cli(capsys, "lm", "--m", m)
+        assert_one_error_line(code, out, err)
+        assert err == f"fgr: error: this family needs m <= 1000000, got {m}\n"

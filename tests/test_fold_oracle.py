@@ -21,7 +21,9 @@ the same errors.  The builders hand their arrays to ``CoreGraph``
 unchecked, so every graph they return here, and in a Hypothesis
 property over random generator sets and actions, goes through
 ``revalidated``, which checks it with ``oracle_validate`` and against
-the checked constructor.
+the checked constructor; ``revalidated`` also rebuilds the default
+spanning tree, which ``spanning_tree`` hands over unchecked, through the
+checked ``SpanningTree`` constructor.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from fgr import (
     MAX_RANK,
     CoreGraph,
     Permutation,
+    SpanningTree,
     Word,
     canonical_relabeling,
     canonicalize,
@@ -48,6 +51,7 @@ from fgr import (
     pullback,
     reduce_word,
     schreier_graph,
+    spanning_tree,
     subgroup_index,
     subgroup_rank,
     walk,
@@ -354,7 +358,8 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
 
     The graph must pass ``oracle_validate``, be in canonical numbering,
     and equal the checked constructor's graph on its edges: the same
-    ``out`` and ``in_`` arrays, the same rank and the same index.
+    ``out`` and ``in_`` arrays, the same rank and the same index.  Its
+    default spanning tree must pass the checked ``SpanningTree``.
     """
     rank, count, edges = graph.rank, graph.vertex_count, graph.edges
     oracle_validate(rank, count, edges)
@@ -363,7 +368,18 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
     assert subgroup_rank(graph) == subgroup_rank(checked)
     assert subgroup_index(graph) == subgroup_index(checked)
     assert list(canonical_relabeling(graph)) == list(range(count))
+    assert_default_tree_checks(graph)
     return graph
+
+
+def assert_default_tree_checks(graph: CoreGraph) -> None:
+    """``spanning_tree`` hands its tree over unchecked; the checked
+    constructor must accept it and walk it to the same result."""
+    tree = spanning_tree(graph)
+    checked = SpanningTree(graph, tree.tree_edges)
+    assert tree == checked
+    assert list(tree.parents.items()) == list(checked.parents.items())
+    assert (tree.nontree_edges, tree.symbols) == (checked.nontree_edges, checked.symbols)
 
 
 # --- seeded comparisons ---------------------------------------------------------

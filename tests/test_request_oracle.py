@@ -1,0 +1,313 @@
+"""The request path of the CLI against the slow code it replaced.
+
+``graph_from_json`` reads a document straight into arrays and falls
+back to ``_read_graph_json`` and the checked constructor when anything
+fails; ``oracle_graph_from_json`` is that slow path alone, which is what
+``graph_from_json`` was.  ``oracle_tree_edges`` is the chunk-by-chunk
+``--tree`` reader the CLI used for every flag before it matched
+well-formed flags with one regex.  ``fgr basis`` prints
+``_basis_text``, which spells the words from root-path text; the oracle
+is ``render_word`` over ``basis``.  Each pair must give equal results,
+or raise the same exception type with the same message.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from datetime import timedelta
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgr import (
+    CoreGraph,
+    basis,
+    from_generators,
+    reduce_word,
+    schreier_graph,
+    spanning_tree,
+    subgroup_rank,
+)
+from fgr.cli import _parse_tree_flag, main
+from fgr.constructions import gamma_graph, hm_graph, lm_graph
+from fgr.stallings import (
+    _basis_text,
+    _canonical_letters,
+    _read_graph_json,
+    graph_from_json,
+    graph_to_json,
+)
+from fgr.words import render_word
+from test_fold_oracle import (
+    EDGE_LIST_KINDS,
+    random_edge_list,
+    random_permutations,
+    random_reduced_word,
+)
+
+
+def oracle_graph_from_json(data) -> CoreGraph:
+    rank, vertices, edges, base = _read_graph_json(data)
+    if base != 0:
+        raise ValueError("graph JSON must use base vertex 0")
+    return CoreGraph(rank, vertices, edges)
+
+
+def oracle_tree_edges(text: str) -> list[tuple[int, ...]]:
+    edges = []
+    for chunk in text.split(","):
+        parts = chunk.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"tree edge {chunk!r} is not from:to:label")
+        edges.append(tuple(int(p) for p in parts))
+    return edges
+
+
+def result(build):
+    """The value ``build()`` returns, or the type and message it raises."""
+    try:
+        return build()
+    except Exception as exc:  # every exception must match, not only ValueError
+        return type(exc), str(exc)
+
+
+def same_graph(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return (
+        isinstance(got, CoreGraph)
+        and (got.rank, got.vertex_count, got.out, got.in_)
+        == (want.rank, want.vertex_count, want.out, want.in_)
+        and subgroup_rank(got) == subgroup_rank(want)
+    )
+
+
+def same_tree(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return (
+        got == want
+        and list(got.parents.items()) == list(want.parents.items())
+        and (got.nontree_edges, got.symbols) == (want.nontree_edges, want.symbols)
+    )
+
+
+# --- graph JSON -------------------------------------------------------------
+
+def _edge_dicts(edges):
+    return [{"from": u, "to": v, "label": l} for u, v, l in edges]
+
+
+# Ways to spoil one field of a document: the value put in its place.
+BAD_VALUES = ("x", "7", " 1 ", "", 1.0, 1.5, -0.5, True, False, None, [], {}, [1], 10**30, "1e3")
+
+
+def random_document(rng: random.Random) -> tuple[str, object]:
+    """(kind, JSON document): a random edge list of every kind, then
+    perhaps one field, edge or the whole document spoiled."""
+    kind, rank, count, edges = random_edge_list(rng)
+    data = {"rank": rank, "vertices": count, "base": 0, "edges": _edge_dicts(edges)}
+    if rng.random() < 0.5:
+        del data["base"]
+    spoil = rng.choice(
+        ("none", "none", "missing key", "bad value", "bad edge field", "missing edge field",
+         "edge not a dict", "base", "edges not a list", "not a dict", "rank")
+    )
+    if spoil == "missing key":
+        del data[rng.choice(("rank", "vertices", "edges"))]
+    elif spoil == "bad value":
+        data[rng.choice(("rank", "vertices", "base"))] = rng.choice(BAD_VALUES)
+    elif spoil in ("bad edge field", "missing edge field", "edge not a dict") and edges:
+        edge = data["edges"][rng.randrange(len(edges))]
+        field = rng.choice(("from", "to", "label"))
+        if spoil == "bad edge field":
+            edge[field] = rng.choice(BAD_VALUES)
+        elif spoil == "missing edge field":
+            del edge[field]
+        else:
+            data["edges"][data["edges"].index(edge)] = rng.choice(([0, 0, 1], "0:0:1", 3, None))
+    elif spoil == "base":
+        data["base"] = rng.choice((1, -1, "1", 0.0, "0", False, 10**12))
+    elif spoil == "edges not a list":
+        data["edges"] = rng.choice(({}, {"from": 0}, "edges", 5, None))
+    elif spoil == "not a dict":
+        data = rng.choice(([], [data], "graph", 3, None))
+    elif spoil == "rank":
+        data["rank"] = rng.choice((0, -1, 27, 10**9))
+    return f"{kind}, {spoil}", data
+
+
+def test_graph_from_json_matches_the_checked_path_on_random_documents():
+    rng = random.Random(10_001)
+    kinds, accepted = set(), 0
+    for _ in range(3000):
+        kind, data = random_document(rng)
+        # The document as a file holds it: JSON-encoded and read back.
+        data = json.loads(json.dumps(data))
+        want = result(lambda: oracle_graph_from_json(data))
+        assert same_graph(result(lambda: graph_from_json(data)), want), (kind, data, want)
+        kinds.add(kind.split(",")[0])
+        accepted += not isinstance(want, tuple)
+    assert kinds == set(EDGE_LIST_KINDS)
+    assert accepted > 100
+
+
+def test_graph_from_json_on_fixed_documents():
+    h3_edges = ((0, 0, 1), (0, 1, 2), (1, 2, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1))
+    h3 = {"rank": 2, "vertices": 3, "edges": _edge_dicts(h3_edges)}
+    documents = [
+        h3,
+        {**h3, "base": 0},
+        {**h3, "base": 1},
+        {**h3, "base": "x", "rank": 30},  # a malformed field wins over a bad rank
+        {**h3, "rank": "x"},
+        {**h3, "rank": 2.7},
+        {**h3, "rank": True},
+        {**h3, "vertices": 10**12},
+        {**h3, "vertices": 0},
+        {**h3, "edges": h3["edges"] + [{"from": 0, "to": 2, "label": 1}]},
+        {**h3, "edges": h3["edges"][:-1] + [[2, 1, 1]]},
+        {**h3, "edges": h3["edges"][:-1] + [{"from": "2", "to": "1", "label": "1"}]},
+        {**h3, "edges": h3["edges"][:-1] + [{"from": 2.0, "to": 1.9, "label": True}]},
+        {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1, "label": float("inf")}]},
+        {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1, "label": float("nan")}]},
+        {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1}]},
+        # Two bad edges: the first in sorted order is named.
+        {**h3, "edges": _edge_dicts(((9, 0, 1), (5, 0, 1))) + h3["edges"]},
+        {"rank": 1, "vertices": 1, "edges": []},
+        {"rank": 2, "vertices": 10**12, "edges": [{"from": 0, "to": 0, "label": 1}]},
+        {"rank": 2},
+        [h3],
+        None,
+    ]
+    for data in documents:
+        want = result(lambda: oracle_graph_from_json(data))
+        assert same_graph(result(lambda: graph_from_json(data)), want), (data, want)
+
+
+def test_graph_from_json_reads_builder_outputs_back():
+    rng = random.Random(10_002)
+    graphs = [gamma_graph(7), hm_graph(9)[0], lm_graph(9), lm_graph(10)]
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        gens = [random_reduced_word(rng, rank, 10) for _ in range(3)]
+        graphs.append(from_generators(rank, gens))
+    for graph in graphs:
+        data = json.loads(json.dumps(graph_to_json(graph)))
+        assert same_graph(graph_from_json(data), oracle_graph_from_json(data))
+
+
+# --- the --tree flag ---------------------------------------------------------
+
+MALFORMED_FLAGS = (
+    "", "0:1", "0:1:x", "-1:0:2", " 0:1:2", "0:1:2,", "1_0:1:2", ",", "0:1:2,,1:2:2",
+    "0:1:2:3", "+0:1:2", "0:1:2 ", "0:1:2,1:2", "٠:1:2", "0::2", "0:1:2;1:2:2",
+)
+
+
+def test_tree_flag_matches_the_chunk_reader():
+    graph = gamma_graph(3)
+    flags = MALFORMED_FLAGS + (
+        "0:1:2,1:2:2", "1:2:2,0:1:2", "00:01:2,1:2:02", "0:1:2,0:1:2", "0:1:2", "0:0:1,0:1:2",
+        "0:1:2,1:2:1", "7:8:2,1:2:2", "0:1:2,1:2:2,2:0:2",
+    )
+    for text in flags:
+        want = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        assert same_tree(result(lambda: _parse_tree_flag(graph, text)), want), (text, want)
+
+
+def test_tree_flag_matches_the_chunk_reader_on_random_flags():
+    rng = random.Random(10_003)
+    graph = gamma_graph(12)
+    base = [f"{i}:{i + 1}:2" for i in range(11)]
+    for _ in range(500):
+        chunks = list(base)
+        rng.shuffle(chunks)
+        text = ",".join(chunks)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("0123456789:,-+_ x") + text[i + rng.randint(0, 1):]
+        want = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        assert same_tree(result(lambda: _parse_tree_flag(graph, text)), want), (text, want)
+
+
+def test_malformed_tree_flags_print_the_same_error_line(capsys, tmp_path):
+    graph = gamma_graph(3)
+    path = tmp_path / "gamma3.json"
+    path.write_text(json.dumps(graph_to_json(graph)))
+    for text in MALFORMED_FLAGS:
+        _, message = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        assert main(["basis", "--graph", str(path), f"--tree={text}"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"fgr: error: {message}\n"), text
+
+
+# --- basis text ----------------------------------------------------------------
+
+def random_tree_edges(graph: CoreGraph, rng: random.Random) -> list[tuple[int, int, int]]:
+    """A random spanning tree: grown from the base by random frontier edges."""
+    seen, tree = {0}, []
+    frontier = [(0, letter) for letter in range(-graph.rank, graph.rank + 1) if letter]
+    while frontier:
+        vertex, letter = frontier.pop(rng.randrange(len(frontier)))
+        other = (graph.out[letter] if letter > 0 else graph.in_[-letter])[vertex]
+        if other >= 0 and other not in seen:
+            seen.add(other)
+            tree.append((vertex, other, letter) if letter > 0 else (other, vertex, -letter))
+            frontier += [(other, l) for l in range(-graph.rank, graph.rank + 1) if l]
+    return tree
+
+
+def assert_basis_text(graph: CoreGraph, rng: random.Random) -> None:
+    override = random_tree_edges(graph, rng)
+    for tree in (spanning_tree(graph), spanning_tree(graph, override=override)):
+        assert _basis_text(graph, tree) == [render_word(w) for w in basis(graph, tree)]
+
+
+def test_basis_text_matches_rendered_basis_on_the_families():
+    rng = random.Random(10_004)
+    for m in (2, 3, 4, 9, 10, 31):
+        assert_basis_text(gamma_graph(m), rng)
+        graph, tree = hm_graph(m)
+        assert _basis_text(graph, tree) == [render_word(w) for w in basis(graph, tree)]
+    for m in (3, 4, 9, 10, 31, 32):
+        assert_basis_text(lm_graph(m), rng)
+
+
+def test_basis_text_matches_rendered_basis_on_random_graphs():
+    rng = random.Random(10_005)
+    for _ in range(60):
+        rank = rng.randint(2, 3)
+        points = rng.randint(1, 30)
+        try:
+            cover = schreier_graph(rank, random_permutations(rng, rank, points), 0)
+        except ValueError:
+            continue
+        assert_basis_text(cover, rng)
+    for _ in range(60):
+        rank = rng.randint(1, 4)
+        gens = [random_reduced_word(rng, rank, 14) for _ in range(rng.randint(0, 4))]
+        assert_basis_text(from_generators(rank, gens), rng)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=timedelta(seconds=1))
+@given(st.data())
+def test_basis_text_matches_rendered_basis_property(data):
+    rank = data.draw(st.integers(1, 4))
+    word = st.lists(st.sampled_from(_canonical_letters(rank)), max_size=12)
+    gens = data.draw(st.lists(word.map(partial(reduce_word, rank)), max_size=4))
+    assert_basis_text(from_generators(rank, gens), data.draw(st.randoms(use_true_random=False)))
+
+
+def test_basis_verb_prints_the_rendered_basis(capsys, tmp_path):
+    graph = lm_graph(11)
+    path = tmp_path / "lm11.json"
+    path.write_text(json.dumps(graph_to_json(graph)))
+    override = random_tree_edges(graph, random.Random(10_006))
+    for flags in ((), ("--tree", ",".join(f"{u}:{v}:{l}" for u, v, l in override))):
+        assert main(["basis", "--graph", str(path), *flags]) == 0
+        tree = spanning_tree(graph, override=override if flags else None)
+        want = [render_word(w) for w in basis(graph, tree)]
+        assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"

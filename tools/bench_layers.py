@@ -1,0 +1,195 @@
+"""Time the layers a CLI request on a graph file goes through, over a
+size ladder, and print the timings and growth exponents as JSON.
+
+    PYTHONPATH=src python3 tools/bench_layers.py [--rungs NAME ...] [--repeats N]
+
+Stdlib only.  ``fgr`` is imported from wherever ``PYTHONPATH`` points,
+so running the script once with each checkout's ``src`` compares two
+versions on identical inputs.
+
+The ladder holds the graphs of the ``cli-queries`` workload: random
+transitive covers of rank 2 and 3 at index 100, 200 and 400, in which
+label 2 acts as the cycle v -> v+1 and every other label as a seeded
+random permutation, and the graphs of ``hm_graph(101)`` and
+``hm_graph(401)``, numbered as ``gamma_graph`` numbers them.  The
+override tree is the b-path 0 -> 1 -> .. -> N-1 in each.  The layers
+are:
+
+- ``json_load``: ``json.loads`` of the graph's JSON text;
+- ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
+- ``spanning_tree_default`` and ``spanning_tree_override``;
+- ``tree_flag``: the ``--tree`` text to a ``SpanningTree``, as the CLI
+  parses it (``fgr.cli._parse_tree_flag``);
+- ``basis_render``: ``[render_word(w) for w in basis(graph, tree)]``,
+  and ``basis_text``: ``fgr.stallings._basis_text(graph, tree)``, the
+  text path of ``fgr basis`` (absent from versions without it), both
+  with the override tree;
+- ``rewrite_in_basis``: a member word of about 2,048 letters.
+
+Each figure is the best per-call time of ``--repeats`` repeats (7 by
+default) of a loop sized to take about 20 ms.  A growth exponent is
+the least-squares slope of log time against log index over the rungs
+of one family (rank-2 covers, rank-3 covers, hm graphs).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import random
+import sys
+import time
+
+from fgr import (
+    basis,
+    graph_from_json,
+    reduce_word,
+    rewrite_in_basis,
+    spanning_tree,
+    tree_path_word,
+)
+from fgr.cli import _parse_tree_flag
+from fgr.stallings import CoreGraph
+from fgr.words import render_word
+
+try:
+    from fgr.stallings import _basis_text
+except ImportError:
+    _basis_text = None
+
+# name -> (family, rank, index); hm rungs have rank 2.
+RUNGS = {
+    "r2i100": ("rank-2 covers", 2, 100),
+    "r2i200": ("rank-2 covers", 2, 200),
+    "r2i400": ("rank-2 covers", 2, 400),
+    "r3i100": ("rank-3 covers", 3, 100),
+    "r3i200": ("rank-3 covers", 3, 200),
+    "r3i400": ("rank-3 covers", 3, 400),
+    "hm101": ("hm graphs", 2, 101),
+    "hm401": ("hm graphs", 2, 401),
+}
+WORD_LETTERS = 2048
+TARGET_LOOP_S = 0.02
+
+
+def _graph_json(name: str) -> dict:
+    """The JSON form of a rung's graph, numbered so that b acts as v -> v+1.
+
+    A cover's other labels are seeded random permutations; in an hm
+    graph a acts as v -> -v (mod m), as in ``gamma_graph``.
+    """
+    _, rank, index = RUNGS[name]
+    rng = random.Random(7000 + 10 * index + rank)
+    edges = []
+    for label in range(1, rank + 1):
+        images = [(v + 1) % index for v in range(index)]
+        if name.startswith("hm") and label == 1:
+            images = [(index - v) % index for v in range(index)]
+        elif label != 2:
+            rng.shuffle(images)
+        edges += [{"from": v, "to": w, "label": label} for v, w in enumerate(images)]
+    return {"rank": rank, "vertices": index, "base": 0, "edges": edges}
+
+
+def _member(graph: CoreGraph, tree, rng: random.Random):
+    """A member word: a random walk in the graph, closed along the tree."""
+    letters, vertex = [], 0
+    moves = [l for l in range(-graph.rank, graph.rank + 1) if l]
+    while len(letters) < WORD_LETTERS:
+        letter = rng.choice(moves)
+        if letters and letter == -letters[-1]:
+            continue
+        array = graph.out[letter] if letter > 0 else graph.in_[-letter]
+        if array[vertex] >= 0:
+            letters.append(letter)
+            vertex = array[vertex]
+    home = tree_path_word(graph, tree, vertex, 0)
+    return reduce_word(graph.rank, letters + list(home.letters))
+
+
+def _best(call, repeats: int) -> float:
+    """Best per-call seconds of ``repeats`` loops of about TARGET_LOOP_S."""
+    start = time.perf_counter()
+    call()
+    once = time.perf_counter() - start
+    loops = max(1, int(TARGET_LOOP_S / max(once, 1e-7)))
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(loops):
+            call()
+        best = min(best, (time.perf_counter() - start) / loops)
+    return best
+
+
+def measure(name: str, repeats: int) -> dict[str, float | None]:
+    """Best per-call seconds of every layer on one rung."""
+    index = RUNGS[name][2]
+    data = _graph_json(name)
+    text = json.dumps(data)
+    graph = graph_from_json(data)
+    flag = ",".join(f"{v}:{v + 1}:2" for v in range(index - 1))
+    override = [(v, v + 1, 2) for v in range(index - 1)]
+    tree = spanning_tree(graph, override=override)
+    word = _member(graph, tree, random.Random(index))
+    times = {
+        "json_load": _best(lambda: json.loads(text), repeats),
+        "graph_from_json": _best(lambda: graph_from_json(data), repeats),
+        "spanning_tree_default": _best(lambda: spanning_tree(graph), repeats),
+        "spanning_tree_override": _best(lambda: spanning_tree(graph, override=override), repeats),
+        "tree_flag": _best(lambda: _parse_tree_flag(graph, flag), repeats),
+        "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
+        "basis_text": None,
+        "rewrite_in_basis": _best(lambda: rewrite_in_basis(graph, tree, word), repeats),
+    }
+    if _basis_text is not None:
+        times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)
+    return times
+
+
+def growth_exponents(rungs: dict[str, dict[str, float | None]]) -> dict[str, dict[str, float]]:
+    """Least-squares slope of log time against log index, per family."""
+    families: dict[str, list[str]] = {}
+    for name in rungs:
+        families.setdefault(RUNGS[name][0], []).append(name)
+    slopes: dict[str, dict[str, float]] = {}
+    for family, names in families.items():
+        if len(names) < 2:
+            continue
+        xs = [math.log(RUNGS[name][2]) for name in names]
+        mean_x = sum(xs) / len(xs)
+        for layer in rungs[names[0]]:
+            times = [rungs[name][layer] for name in names]
+            if any(t is None or t <= 0 for t in times):
+                continue
+            ys = [math.log(t) for t in times]
+            mean_y = sum(ys) / len(ys)
+            slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
+                (x - mean_x) ** 2 for x in xs
+            )
+            slopes.setdefault(family, {})[layer] = round(slope, 3)
+    return slopes
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rungs", nargs="+", choices=list(RUNGS), default=list(RUNGS))
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    rungs = {name: measure(name, args.repeats) for name in args.rungs}
+    report = {
+        "python": platform.python_version(),
+        "repeats": args.repeats,
+        "unit": "s per call, best of repeats",
+        "rungs": rungs,
+        "growth_exponents": growth_exponents(rungs),
+    }
+    json.dump(report, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -207,28 +207,33 @@ def intersection_report(
     proper intersection inside a subgroup of rank <= 2 cannot be a
     retract because proper retracts have strictly smaller rank.  The
     remaining cases are undecided.
+
+    A retract of rank 1 is cyclic, R = <g>, and then H meets R in
+    <g^m> for the least m >= 1 with g^m in H, or trivially when there is
+    none; ``smallest_power_in`` finds m, so the intersection's rank and
+    generator are read off it and no product of H and R is built.
+    Retracts of higher rank are intersected by ``pullback``.
     """
-    r_graph = retract.graph if isinstance(retract, RetractPresentation) else retract
+    presented = isinstance(retract, RetractPresentation)
+    r_graph = retract.graph if presented else retract
     if subgroup.rank != r_graph.rank:
         raise ValueError(f"rank mismatch: {subgroup.rank} != {r_graph.rank}")
-    intersection = pullback(subgroup, r_graph)
     rank_h = subgroup_rank(subgroup)
-    rank_r = (
-        retract.rank if isinstance(retract, RetractPresentation) else subgroup_rank(r_graph)
-    )
-    rank_i = subgroup_rank(intersection)
+    rank_r = retract.rank if presented else subgroup_rank(r_graph)
 
     smallest = None
     if rank_r == 1:
-        if isinstance(retract, RetractPresentation):
-            generator = retract.section_images[0]
-        else:
-            generator = basis(r_graph)[0]
+        generator = retract.section_images[0] if presented else basis(r_graph)[0]
         smallest = smallest_power_in(subgroup, generator)
+        rank_i = 0 if smallest is None else 1
+    else:
+        intersection = pullback(subgroup, r_graph)
+        rank_i = subgroup_rank(intersection)
 
     visible = None
     if rank_i == 1:
-        u = basis(intersection)[0]
+        # The intersection's generator, up to an inverse that keeps visibility.
+        u = generator**smallest if rank_r == 1 else basis(intersection)[0]
         visible = is_visible_in_subgroup(subgroup, spanning_tree(subgroup), u)
 
     if rank_i == 0:

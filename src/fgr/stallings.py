@@ -32,21 +32,29 @@ key, not as a tuple, so the search leaves the cyclic garbage collector
 little to track, and no builder touches the collector's state.
 ``canonicalize`` renumbers vertices deterministically so that
 structural equality of canonical graphs coincides with equality of
-subgroups; a graph already in canonical numbering is returned as it is.
+subgroups; a graph already in canonical numbering is returned as it
+is.  Every search that needs only the order in which vertices are
+reached (the connectivity check, canonical numbering, the base
+component of a fold or a coset graph) is one flat breadth-first search,
+``_order``, that marks seen vertices in a byte array; on a complete
+cover the connectivity check follows outgoing letters only.
 
 ``graph_from_json`` reads the edge dicts of the JSON form straight into
 the arrays and checks them there, in one pass; only a document that
 fails a check is read again, by the checked constructor, for its error.
 
 A ``SpanningTree`` is checked against its graph once, when it is built,
-and carries its tree walk and ordered non-tree edges; the functions that
-take a graph and a tree (``basis``, ``tree_path_word``,
-``rewrite_in_basis``, the transfer and the homology projection) only
-check that the tree was built for that graph (``_check_tree_of``).  The
-default tree of ``spanning_tree`` is a tree by construction and is
-handed over unchecked; it is only walked.  ``basis``, ``tree_path_word``
-and ``rewrite_in_basis`` build words that are reduced by construction
-and hand them over unchecked, as the builders of ``fgr.words`` do.  One
+and one walk of the tree records its walk, its ordered non-tree edges
+and per-label symbol arrays indexed like ``out`` (each non-tree edge's
+basis symbol at its slot, 0 elsewhere), so ``rewrite_in_basis`` reads a
+crossed edge's symbol with two list reads.  The functions that take a
+graph and a tree (``basis``, ``tree_path_word``, ``rewrite_in_basis``,
+the transfer and the homology projection) only check that the tree was
+built for that graph (``_check_tree_of``).  The default tree of
+``spanning_tree`` is a tree by construction and is handed over
+unchecked; it is only walked.  ``basis``, ``tree_path_word`` and
+``rewrite_in_basis`` build words that are reduced by construction and
+hand them over unchecked, as the builders of ``fgr.words`` do.  One
 walk of the tree spells the root paths of the non-tree edges' endpoints
 either as letters, for ``basis``, or as text, for ``fgr basis``, which
 writes each basis word as three string copies (``_basis_text``).
@@ -171,7 +179,10 @@ class SpanningTree:
     order (vertex -> (parent, signed letter); the base -> None), which
     gives the tree paths; ``nontree_edges``, ordered by (index of origin
     in the walk, label), which index the induced free basis; and
-    ``symbols``, each non-tree edge's 1-based basis symbol.
+    ``symbols``, one array per label indexed like ``graph.out``:
+    ``symbols[l][u]`` is the 1-based basis symbol of the non-tree edge
+    labeled l leaving u, and 0 at tree edges and empty slots (index 0
+    is None).  One walk of the tree records all three.
     ``spanning_tree`` hands its default tree, a spanning tree by
     construction, to ``_from_edges``, which skips the checks but still
     walks the tree.
@@ -204,30 +215,45 @@ class SpanningTree:
         return tree
 
     def _walk(self) -> None:
-        """Walk the tree; record the walk, the non-tree edges and symbols."""
+        """Walk the tree from the base; record the walk, the non-tree
+        edges and their symbols in the same pass."""
         graph = self.graph
-        out = _empty_arrays(graph.rank, graph.vertex_count)
-        in_ = _empty_arrays(graph.rank, graph.vertex_count)
-        for u, v, l in self.tree_edges:
-            out[l][u] = v
-            in_[l][v] = u
-        parents = _bfs(out, in_, 0, _canonical_letters(graph.rank))
-        if len(parents) != graph.vertex_count:
+        rank, count = graph.rank, graph.vertex_count
+        # in_tree[l][u] is 1 when the edge labeled l leaving u is a tree edge.
+        in_tree = [None, *(bytearray(count) for _ in range(rank))]
+        for u, _, l in self.tree_edges:
+            in_tree[l][u] = 1
+        symbols = [None, *([0] * count for _ in range(rank))]
+        labels = range(1, rank + 1)
+        forward = [(graph.out[l], in_tree[l], symbols[l], l) for l in labels]
+        backward = [(graph.in_[l], in_tree[l], -l) for l in labels]
+        parents: dict[int, tuple[int, int] | None] = {0: None}
+        order = [0]
+        nontree: list[Edge] = []
+        # Each vertex is taken up in walk order and its labels in order,
+        # so the non-tree edges come out in (walk index of origin, label)
+        # order; the tree edges are tried in canonical letter order.
+        for u in order:
+            for edges, tree, marks, l in forward:
+                v = edges[u]
+                if v < 0:
+                    continue
+                if not tree[u]:
+                    nontree.append((u, v, l))
+                    marks[u] = len(nontree)
+                elif v not in parents:
+                    parents[v] = (u, l)
+                    order.append(v)
+            for edges, tree, letter in backward:
+                v = edges[u]
+                if v >= 0 and tree[v] and v not in parents:
+                    parents[v] = (u, letter)
+                    order.append(v)
+        if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
-        # A folded graph has at most one edge per (origin, label), so
-        # reading them in walk order gives the (walk index, label) order;
-        # the tree holds the graph's edge at a slot exactly when its own
-        # array has one there.
-        rows = [(out[l], graph.out[l], l) for l in range(1, graph.rank + 1)]
-        nontree = [
-            (u, v, l)
-            for u in parents
-            for tree, edges, l in rows
-            if tree[u] < 0 and (v := edges[u]) >= 0
-        ]
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "nontree_edges", tuple(nontree))
-        object.__setattr__(self, "symbols", {e: i for i, e in enumerate(nontree, start=1)})
+        object.__setattr__(self, "symbols", symbols)
 
 
 @dataclass(frozen=True)
@@ -379,40 +405,40 @@ def _degrees(rank: int, out: list, in_: list) -> list[int]:
 def _check_core(rank: int, out: list, in_: list) -> None:
     """Raise ``ValueError`` unless the folded graph on ``out``/``in_`` is
     a core graph: connected to the base 0, no other vertex of degree < 2."""
-    if len(_bfs(out, in_, 0, _canonical_letters(rank))) != len(out[1]):
+    complete = not any(-1 in array for array in out[1:])
+    # In a complete cover each label permutes the vertices, so the
+    # outgoing letters alone reach every vertex any letter reaches.
+    letters = range(1, rank + 1) if complete else _canonical_letters(rank)
+    if len(_order(out, in_, 0, letters)) != len(out[1]):
         raise ValueError("graph is not connected to the base vertex")
-    # Every vertex of a complete cover, where no slot is empty, has degree 2 * rank.
-    if any(-1 in array for array in out[1:]):
+    # Every vertex of a complete cover has degree 2 * rank.
+    if not complete:
         for vertex in compress(range(len(out[1])), map((2).__gt__, _degrees(rank, out, in_))):
             if vertex:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
-def _bfs(
-    out: list, in_: list, base: int, letters: Sequence[int]
-) -> dict[int, tuple[int, int] | None]:
+def _order(out: list, in_: list, base: int, letters: Iterable[int]) -> list[int]:
     """Breadth-first search from ``base`` over per-label arrays (as in
     :class:`CoreGraph`), trying the signed ``letters`` in order at each
-    vertex.
-
-    Maps every vertex reached, in discovery order, to (parent, signed
-    letter spelling parent -> vertex); the base maps to None.
-    """
-    moves = [(out[l] if l > 0 else in_[-l], l) for l in letters]
-    found: dict[int, tuple[int, int] | None] = {base: None}
+    vertex; the vertices reached, in discovery order."""
+    arrays = [out[l] if l > 0 else in_[-l] for l in letters]
+    seen = bytearray(len(out[1]) + 1)
+    # The extra last byte is seen[-1], so an empty slot reads as seen.
+    seen[base] = seen[-1] = 1
     order = [base]
     for vertex in order:
-        for array, letter in moves:
+        for array in arrays:
             other = array[vertex]
-            if other >= 0 and other not in found:
-                found[other] = (vertex, letter)
+            if not seen[other]:
+                seen[other] = 1
                 order.append(other)
-    return found
+    return order
 
 
 def canonical_relabeling(graph: CoreGraph) -> dict[int, int]:
     """Map from current vertex ids to canonical BFS ids."""
-    order = _bfs(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
+    order = _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
     return {vertex: i for i, vertex in enumerate(order)}
 
 
@@ -423,10 +449,10 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     their canonical forms are equal.  A graph whose numbering is
     already canonical (every builder returns one) is returned as is.
     """
-    order = canonical_relabeling(graph)
-    if all(vertex == i for vertex, i in order.items()):
+    order = _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
+    if all(map(eq, order, range(len(order)))):
         return graph
-    return _renumbered(graph.rank, graph.out, graph.in_, list(order))
+    return _renumbered(graph.rank, graph.out, graph.in_, order)
 
 
 def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
@@ -601,7 +627,7 @@ class _Folding:
         find = self.find
         for array in self.arrays:
             array[:] = [x if x < 0 else find(x) for x in array]
-        order = list(_bfs(self.out, self.in_, find(0), _canonical_letters(self.rank)))
+        order = _order(self.out, self.in_, find(0), _canonical_letters(self.rank))
         return _core(self.rank, self.out, self.in_, order)
 
 
@@ -665,14 +691,24 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     """
     if override is not None:
         return SpanningTree(graph, frozenset(map(tuple, override)))
-    letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
-    steps = iter(_bfs(graph.out, graph.in_, 0, letters).items())
-    next(steps)  # the base, which has no parent
-    tree = frozenset(
-        (parent, vertex, letter) if letter > 0 else (vertex, parent, -letter)
-        for vertex, (parent, letter) in steps
-    )
-    return SpanningTree._from_edges(graph, tree)
+    count = graph.vertex_count
+    moves = [
+        (graph.out[l], True, l) if s > 0 else (graph.in_[l], False, l)
+        for l in range(1, graph.rank + 1)
+        for s in (1, -1)
+    ]
+    seen = bytearray(count + 1)
+    seen[0] = seen[-1] = 1  # seen[-1]: an empty slot reads as seen
+    order = [0]
+    tree: list[Edge] = []
+    for vertex in order:
+        for array, forward, label in moves:
+            other = array[vertex]
+            if not seen[other]:
+                seen[other] = 1
+                order.append(other)
+                tree.append((vertex, other, label) if forward else (other, vertex, label))
+    return SpanningTree._from_edges(graph, frozenset(tree))
 
 
 def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> tuple[int, ...]:
@@ -775,24 +811,25 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     _check_tree_of(graph, tree)
+    out, in_, marks = graph.out, graph.in_, tree.symbols
     vertex = 0
     symbols: list[int] = []
     for letter in w.letters:
         if letter > 0:
-            target = graph.out[letter][vertex]
+            target = out[letter][vertex]
             if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            sym = tree.symbols.get((vertex, target, letter))
-            if sym is not None:
-                symbols.append(sym)
+            symbol = marks[letter][vertex]
+            if symbol:
+                symbols.append(symbol)
             vertex = target
         else:
-            source = graph.in_[-letter][vertex]
+            source = in_[-letter][vertex]
             if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
-            sym = tree.symbols.get((source, vertex, -letter))
-            if sym is not None:
-                symbols.append(-sym)
+            symbol = marks[-letter][source]
+            if symbol:
+                symbols.append(-symbol)
             vertex = source
     if vertex != 0:
         raise NotAMemberError("path does not close at the base")
@@ -881,7 +918,7 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
         inverse = in_[label]
         for p, image in enumerate(perm.images):
             inverse[image] = p
-    order = list(_bfs(out, in_, base, _canonical_letters(rank)))
+    order = _order(out, in_, base, _canonical_letters(rank))
     if len(order) != points:
         raise ValueError("action is not transitive: coset graph is not connected")
     return _core(rank, out, in_, order)

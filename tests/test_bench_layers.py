@@ -9,12 +9,14 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
 LAYERS = {
     "json_load",
     "graph_from_json",
+    "check_core",
     "spanning_tree_default",
     "spanning_tree_override",
     "tree_flag",
     "basis_render",
     "basis_text",
     "rewrite_in_basis",
+    "intersect_cyclic",
 }
 
 

@@ -379,7 +379,18 @@ def assert_default_tree_checks(graph: CoreGraph) -> None:
     checked = SpanningTree(graph, tree.tree_edges)
     assert tree == checked
     assert list(tree.parents.items()) == list(checked.parents.items())
-    assert (tree.nontree_edges, tree.symbols) == (checked.nontree_edges, checked.symbols)
+    assert tree.nontree_edges == checked.nontree_edges
+    assert tree.symbols == checked.symbols == symbol_arrays(tree)
+
+
+def symbol_arrays(tree: SpanningTree) -> list:
+    """Per-label arrays holding each non-tree edge's 1-based symbol at
+    its slot (label, origin) and 0 at every other slot."""
+    graph = tree.graph
+    arrays = [None, *([0] * graph.vertex_count for _ in range(graph.rank))]
+    for i, (u, _, l) in enumerate(tree.nontree_edges, start=1):
+        arrays[l][u] = i
+    return arrays
 
 
 # --- seeded comparisons ---------------------------------------------------------
@@ -497,6 +508,40 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
         for g2 in covers:
             if g1.rank == g2.rank:
                 assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
+
+
+def cyclically_reduced_word(rng, rank, length) -> Word:
+    """A seeded word of ``length`` letters that is cyclically reduced."""
+    while True:
+        word = [rng.choice(_canonical_letters(rank))]
+        while len(word) < length:
+            letter = rng.choice(_canonical_letters(rank))
+            if letter != -word[-1]:
+                word.append(letter)
+        if word[0] != -word[-1]:
+            return Word(rank, tuple(word))
+
+
+def test_pullback_matches_oracle_on_large_sparse_products():
+    # Cycle graphs of words of about 2,100 letters, whose products have
+    # millions of pairs but reach few of them: <u^20> and <u^22> meet in
+    # <u^220>, a cycle of 23,100 pairs; second generators c c a and
+    # c c b, which agree on a prefix off the u cycles, add product pairs
+    # that the trim removes; two random words meet trivially.
+    rng = random.Random(5100)
+    u = cyclically_reduced_word(rng, 2, 105)
+    c = cyclically_reduced_word(rng, 2, 7)
+    a, b = Word(2, (1,)), Word(2, (2,))
+    sparse = [
+        ([u**20], [u**22], 1),
+        ([u**20, c * c * a], [u**22, c * c * b], 1),
+        ([cyclically_reduced_word(rng, 2, 2100)], [cyclically_reduced_word(rng, 2, 2150)], 0),
+    ]
+    for gens1, gens2, rank_i in sparse:
+        g1, g2 = from_generators(2, gens1), from_generators(2, gens2)
+        product = revalidated(pullback(g1, g2))
+        assert product == oracle_pullback(g1, g2)
+        assert subgroup_rank(product) == rank_i
 
 
 def outcome(build) -> str:

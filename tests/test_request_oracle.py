@@ -45,6 +45,7 @@ from test_fold_oracle import (
     random_edge_list,
     random_permutations,
     random_reduced_word,
+    symbol_arrays,
 )
 
 
@@ -90,7 +91,8 @@ def same_tree(got, want) -> bool:
     return (
         got == want
         and list(got.parents.items()) == list(want.parents.items())
-        and (got.nontree_edges, got.symbols) == (want.nontree_edges, want.symbols)
+        and got.nontree_edges == want.nontree_edges
+        and got.symbols == want.symbols == symbol_arrays(want)
     )
 
 

@@ -241,7 +241,10 @@ def test_spanning_tree_checks_itself_when_built():
     tree = SpanningTree(g, frozenset({(0, 1, 2), (1, 2, 2)}))
     assert tree == spanning_tree(g, override=[(0, 1, 2), (1, 2, 2)])
     assert tree.parents == {0: None, 1: (0, 2), 2: (1, 2)}
-    assert tree.symbols == {e: i for i, e in enumerate(tree.nontree_edges, start=1)}
+    # symbols[l][u] is the 1-based symbol of the non-tree edge labeled l
+    # leaving u, 0 at tree edges and empty slots.
+    assert tree.nontree_edges == ((0, 0, 1), (1, 2, 1), (2, 1, 1), (2, 0, 2))
+    assert tree.symbols == [None, [1, 2, 3], [0, 0, 4]]
 
 
 def test_consumers_reject_a_tree_built_for_another_graph():
@@ -472,6 +475,23 @@ def test_graph_json_rejects_malformed():
         graph_from_json({"rank": 2})
     with pytest.raises(ValueError):
         graph_from_json({"rank": 2, "vertices": 1, "base": 1, "edges": []})
+
+
+def test_graph_json_connectivity_on_both_sets_of_walk_letters():
+    # A complete cover is walked along outgoing letters only; two
+    # disjoint permutation graphs in one document still fail.
+    def document(vertices, edges):
+        edge_dicts = [{"from": u, "to": v, "label": l} for u, v, l in edges]
+        return {"rank": 2, "vertices": vertices, "base": 0, "edges": edge_dicts}
+
+    swap = [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)]
+    fixed = [(v, v, 2) for v in range(4)]
+    with pytest.raises(ValueError, match="graph is not connected to the base vertex"):
+        graph_from_json(document(4, swap + fixed))
+    # An incomplete graph is walked along every letter: vertex 1 of the
+    # graph of <A b a> is reached from the base only by A.
+    graph = graph_from_json(document(2, [(1, 0, 1), (1, 1, 2)]))
+    assert graph == from_generators(2, words(2, "Aba"))
 
 
 def test_huge_declared_vertex_count_allocates_nothing():

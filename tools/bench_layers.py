@@ -17,6 +17,8 @@ are:
 
 - ``json_load``: ``json.loads`` of the graph's JSON text;
 - ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
+- ``check_core``: ``fgr.stallings._check_core`` on the graph's arrays,
+  the connectivity and degree check of ``graph_from_json``;
 - ``spanning_tree_default`` and ``spanning_tree_override``;
 - ``tree_flag``: the ``--tree`` text to a ``SpanningTree``, as the CLI
   parses it (``fgr.cli._parse_tree_flag``);
@@ -24,7 +26,10 @@ are:
   and ``basis_text``: ``fgr.stallings._basis_text(graph, tree)``, the
   text path of ``fgr basis`` (absent from versions without it), both
   with the override tree;
-- ``rewrite_in_basis``: a member word of about 2,048 letters.
+- ``rewrite_in_basis``: a member word of about 2,048 letters;
+- ``intersect_cyclic``: the library path of ``fgr intersect`` with a
+  seeded 16-letter ``--gens2`` word, ``intersection_report(graph,
+  from_generators(rank, [word]))``, whose retract is cyclic.
 
 Each figure is the best per-call time of ``--repeats`` repeats (7 by
 default) of a loop sized to take about 20 ms.  A growth exponent is
@@ -44,14 +49,16 @@ import time
 
 from fgr import (
     basis,
+    from_generators,
     graph_from_json,
+    intersection_report,
     reduce_word,
     rewrite_in_basis,
     spanning_tree,
     tree_path_word,
 )
 from fgr.cli import _parse_tree_flag
-from fgr.stallings import CoreGraph
+from fgr.stallings import CoreGraph, _check_core
 from fgr.words import render_word
 
 try:
@@ -71,6 +78,7 @@ RUNGS = {
     "hm401": ("hm graphs", 2, 401),
 }
 WORD_LETTERS = 2048
+INTERSECT_LETTERS = 16
 TARGET_LOOP_S = 0.02
 
 
@@ -109,6 +117,17 @@ def _member(graph: CoreGraph, tree, rng: random.Random):
     return reduce_word(graph.rank, letters + list(home.letters))
 
 
+def _reduced(rank: int, length: int, rng: random.Random):
+    """A seeded reduced word of ``length`` letters."""
+    letters = []
+    moves = [l for l in range(-rank, rank + 1) if l]
+    while len(letters) < length:
+        letter = rng.choice(moves)
+        if not letters or letter != -letters[-1]:
+            letters.append(letter)
+    return reduce_word(rank, letters)
+
+
 def _best(call, repeats: int) -> float:
     """Best per-call seconds of ``repeats`` loops of about TARGET_LOOP_S."""
     start = time.perf_counter()
@@ -134,15 +153,21 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     override = [(v, v + 1, 2) for v in range(index - 1)]
     tree = spanning_tree(graph, override=override)
     word = _member(graph, tree, random.Random(index))
+    rank = graph.rank
+    short = _reduced(rank, INTERSECT_LETTERS, random.Random(index + 1))
     times = {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
+        "check_core": _best(lambda: _check_core(rank, graph.out, graph.in_), repeats),
         "spanning_tree_default": _best(lambda: spanning_tree(graph), repeats),
         "spanning_tree_override": _best(lambda: spanning_tree(graph, override=override), repeats),
         "tree_flag": _best(lambda: _parse_tree_flag(graph, flag), repeats),
         "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
         "basis_text": None,
         "rewrite_in_basis": _best(lambda: rewrite_in_basis(graph, tree, word), repeats),
+        "intersect_cyclic": _best(
+            lambda: intersection_report(graph, from_generators(rank, [short])), repeats
+        ),
     }
     if _basis_text is not None:
         times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)

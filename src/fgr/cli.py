@@ -54,42 +54,28 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         return verbs.add_parser(name, help=help_text)
 
-    p = add("fold", "fold a raw graph or generator wedge into a core graph")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
+    def add_subgroup_verb(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+        p = add(name, help_text)
+        p.add_argument("--rank", type=int)
+        add_subgroup_flags(p)
+        for flag in flags:
+            p.add_argument(flag, required=flag == "--word")
+        return p
 
-    p = add("basis", "free basis induced by a spanning tree")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
-    p.add_argument("--tree", help="comma list of from:to:label tree edges")
-
-    p = add("member", "test membership of a word in a subgroup")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
-    p.add_argument("--word", required=True)
-
-    p = add("rewrite", "express a member word over the subgroup basis")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
-    p.add_argument("--tree")
-    p.add_argument("--word", required=True)
-
-    p = add("intersect", "intersection report for a subgroup and a retract")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
+    add_subgroup_verb("fold", "fold a raw graph or generator wedge into a core graph")
+    add_subgroup_verb("basis", "free basis induced by a spanning tree").add_argument(
+        "--tree", help="comma list of from:to:label tree edges"
+    )
+    add_subgroup_verb("member", "test membership of a word in a subgroup", "--word")
+    add_subgroup_verb("rewrite", "express a member word over the subgroup basis", "--tree", "--word")
+    p = add_subgroup_verb("intersect", "intersection report for a subgroup and a retract")
     add_subgroup_flags(p, suffix="2")
-
-    p = add("visible", "visibility of a word, ambient or inside a subgroup")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
-    p.add_argument("--tree")
-    p.add_argument("--word", required=True)
-
-    p = add("transfer", "transfer of a word into a finite-index subgroup")
-    p.add_argument("--rank", type=int)
-    add_subgroup_flags(p)
-    p.add_argument("--tree")
-    p.add_argument("--word", required=True)
+    add_subgroup_verb(
+        "visible", "visibility of a word, ambient or inside a subgroup", "--tree", "--word"
+    )
+    add_subgroup_verb(
+        "transfer", "transfer of a word into a finite-index subgroup", "--tree", "--word"
+    )
 
     for name in ("gamma", "hm", "lm"):
         p = add(name, f"emit the {name} graph for a given m")
@@ -192,6 +178,18 @@ def _tsv_cell(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+# The verbs that answer about one subgroup: each loads the graph, reads
+# --tree if it takes one (a default tree when the flag is absent), then
+# parses --word if it takes one, in that order.
+_GRAPH_VERBS = {
+    "basis": lambda graph, tree, word: _basis_text(graph, tree),
+    "member": lambda graph, tree, word: {"member": contains(graph, word)},
+    "rewrite": lambda graph, tree, word: list(rewrite_in_basis(graph, tree, word).letters),
+    "visible": lambda graph, tree, word: {"visible": is_visible_in_subgroup(graph, tree, word)},
+    "transfer": lambda graph, tree, word: transfer(graph, tree, word).to_json(),
+}
+
+
 def _dispatch(args: argparse.Namespace) -> object:
     if args.verb == "fold":
         if args.graph is not None:
@@ -202,43 +200,22 @@ def _dispatch(args: argparse.Namespace) -> object:
             graph = _load_graph(args)
         return graph_to_json(graph)
 
-    if args.verb == "basis":
-        graph = _load_graph(args)
-        tree = _parse_tree_flag(graph, args.tree)
-        return _basis_text(graph, tree)
-
-    if args.verb == "member":
-        graph = _load_graph(args)
-        word = parse_word(args.word, graph.rank)
-        return {"member": contains(graph, word)}
-
-    if args.verb == "rewrite":
-        graph = _load_graph(args)
-        tree = _parse_tree_flag(graph, args.tree)
-        word = parse_word(args.word, graph.rank)
-        return list(rewrite_in_basis(graph, tree, word).letters)
-
     if args.verb == "intersect":
         subgroup = _load_graph(args)
         other = _load_graph(args, suffix="2")
         return intersection_report(subgroup, other).to_json()
 
-    if args.verb == "visible":
-        if getattr(args, "gens") is None and getattr(args, "graph") is None:
-            if args.rank is None:
-                raise ValueError("ambient visibility needs --rank")
-            word = parse_word(args.word, args.rank)
-            return {"visible": is_visible(word)}
-        graph = _load_graph(args)
-        tree = _parse_tree_flag(graph, args.tree)
-        word = parse_word(args.word, graph.rank)
-        return {"visible": is_visible_in_subgroup(graph, tree, word)}
+    if args.verb == "visible" and args.gens is None and args.graph is None:
+        if args.rank is None:
+            raise ValueError("ambient visibility needs --rank")
+        return {"visible": is_visible(parse_word(args.word, args.rank))}
 
-    if args.verb == "transfer":
+    answer = _GRAPH_VERBS.get(args.verb)
+    if answer is not None:
         graph = _load_graph(args)
-        tree = _parse_tree_flag(graph, args.tree)
-        word = parse_word(args.word, graph.rank)
-        return transfer(graph, tree, word).to_json()
+        tree = _parse_tree_flag(graph, args.tree) if "tree" in args else None
+        word = parse_word(args.word, graph.rank) if "word" in args else None
+        return answer(graph, tree, word)
 
     if args.verb == "gamma":
         return graph_to_json(gamma_graph(args.m))

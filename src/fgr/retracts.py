@@ -52,7 +52,7 @@ from .stallings import (
     subgroup_rank,
     walk,
 )
-from .words import Word, exponent_sums, render_word, substitute
+from .words import Word, _cyclic_cut, exponent_sums, render_word, substitute
 
 
 @dataclass(frozen=True)
@@ -165,35 +165,28 @@ def cyclic_retract(w: Word) -> RetractPresentation:
 def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     """Least m >= 1 with w^m in the subgroup, or None if there is none.
 
-    At finite index this is the length of the coset-permutation cycle
-    through the base, found by lifting ``w`` from the base until the
-    lifts return to it.  Otherwise the intersection with the cyclic
-    subgroup on ``w`` is computed by pullback; its single basis word is
-    w^(+-m), and its length gives m.
+    Write w = p c p^-1 with c cyclically reduced.  Every power p c^m p^-1
+    is then reduced, and in a folded graph it is read from the base
+    exactly when p leads to a vertex x and c^m leads from x back to x.
+    Reading c is an injective partial map on the vertices, so the orbit
+    of x under it either breaks or returns to x within ``vertex_count``
+    steps; m is the number of steps, at finite and infinite index alike.
+    No graph is built.
     """
     if not w.letters:
         raise ValueError("the trivial word has no smallest power")
-    if subgroup_index(graph) is not None:
-        if w.rank != graph.rank:
-            raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
-        # A complete cover: every lift exists and w permutes the vertices.
-        vertex, length = walk(graph, 0, w.letters), 1
-        while vertex != 0:
-            vertex, length = walk(graph, vertex, w.letters), length + 1
-        return length
-    intersection = pullback(graph, from_generators(graph.rank, [w]))
-    rank_i = subgroup_rank(intersection)
-    if rank_i == 0:
-        return None
-    assert rank_i == 1, "intersection with a cyclic subgroup must be cyclic"
-    generator = basis(intersection)[0]
-    # Each further copy of w adds step letters: |w^m| = |w| + (m - 1) * step.
-    step = len(w * w) - len(w)
-    m = (len(generator) - len(w)) // step + 1
-    power = w ** m
-    if power == generator or power.inverse() == generator:
-        return m
-    raise AssertionError("cyclic intersection generator is not a power of the word")
+    if w.rank != graph.rank:
+        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    letters = w.letters
+    cut = _cyclic_cut(letters)
+    cycle = letters[cut : len(letters) - cut]
+    start = vertex = walk(graph, 0, letters[:cut])
+    m = 0
+    while vertex is not None:
+        vertex, m = walk(graph, vertex, cycle), m + 1
+        if vertex == start:
+            return m
+    return None
 
 
 def intersection_report(
@@ -210,24 +203,26 @@ def intersection_report(
 
     A retract of rank 1 is cyclic, R = <g>, and then H meets R in
     <g^m> for the least m >= 1 with g^m in H, or trivially when there is
-    none; ``smallest_power_in`` finds m, so the intersection's rank and
-    generator are read off it and no product of H and R is built.
-    Retracts of higher rank are intersected by ``pullback``.
+    none; ``smallest_power_in`` finds m by walking H, so the
+    intersection's rank and generator are read off it and no graph is
+    built: neither a product of H and R nor, for a presented retract,
+    the graph of R.  Retracts of higher rank are intersected by
+    ``pullback``.
     """
     presented = isinstance(retract, RetractPresentation)
-    r_graph = retract.graph if presented else retract
-    if subgroup.rank != r_graph.rank:
-        raise ValueError(f"rank mismatch: {subgroup.rank} != {r_graph.rank}")
+    r_rank = retract.ambient_rank if presented else retract.rank
+    if subgroup.rank != r_rank:
+        raise ValueError(f"rank mismatch: {subgroup.rank} != {r_rank}")
     rank_h = subgroup_rank(subgroup)
-    rank_r = retract.rank if presented else subgroup_rank(r_graph)
+    rank_r = retract.rank if presented else subgroup_rank(retract)
 
     smallest = None
     if rank_r == 1:
-        generator = retract.section_images[0] if presented else basis(r_graph)[0]
+        generator = retract.section_images[0] if presented else basis(retract)[0]
         smallest = smallest_power_in(subgroup, generator)
         rank_i = 0 if smallest is None else 1
     else:
-        intersection = pullback(subgroup, r_graph)
+        intersection = pullback(subgroup, retract.graph if presented else retract)
         rank_i = subgroup_rank(intersection)
 
     visible = None

@@ -17,6 +17,7 @@ LAYERS = {
     "basis_text",
     "rewrite_in_basis",
     "intersect_cyclic",
+    "bergman_cyclic",
 }
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgr import (
     Permutation,
@@ -208,8 +210,73 @@ def test_smallest_power_rank_mismatch_at_finite_index():
     graph, _ = hm_graph(3)
     with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
         coset_cycle_exponent(graph, Word(3, (1,)))
-    with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
-        smallest_power_in(graph, Word(3, (1,)))
+    # One message at every index: lm_graph(3) has infinite index.
+    for subgroup in (graph, lm_graph(3)):
+        with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
+            smallest_power_in(subgroup, Word(3, (1,)))
+
+
+def first_member_power(graph, w):
+    """The first j in 1..vertex_count with w^j in the subgroup, or None.
+
+    The bound is complete: the orbit ``smallest_power_in`` walks has at
+    most one step per vertex."""
+    for j in range(1, graph.vertex_count + 1):
+        if contains(graph, w**j):
+            return j
+    return None
+
+
+@st.composite
+def reduced_words(draw, rank, min_size, max_size):
+    letters = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        options = [l for l in range(-rank, rank + 1) if l and (not letters or l != -letters[-1])]
+        letters.append(draw(st.sampled_from(options)))
+    return Word(rank, tuple(letters))
+
+
+@st.composite
+def subgroups(draw, rank):
+    """Folds of 1-3 short words, or covers of transitive actions."""
+    if draw(st.booleans()):
+        gens = draw(st.lists(reduced_words(rank, 0, 6), min_size=1, max_size=3))
+        return from_generators(rank, gens)
+    points = draw(st.integers(1, 8))
+    perms = [Permutation(tuple(draw(st.permutations(range(points))))) for _ in range(rank)]
+    try:
+        return schreier_graph(rank, perms, 0)
+    except ValueError:
+        # Not transitive: let generator 1 run through the points in one cycle.
+        order = draw(st.permutations(range(points)))
+        images = [0] * points
+        for i, point in enumerate(order):
+            images[point] = order[(i + 1) % points]
+        return schreier_graph(rank, [Permutation(tuple(images))] + perms[1:], 0)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_smallest_power_is_the_first_member_power(data):
+    rank = data.draw(st.integers(1, 3))
+    graph = data.draw(subgroups(rank))
+    w = data.draw(reduced_words(rank, 1, 6))
+    if data.draw(st.integers(0, 2)) == 0:
+        conjugator = data.draw(reduced_words(rank, 1, 3))
+        w = conjugator * w * conjugator.inverse()
+    assert smallest_power_in(graph, w) == first_member_power(graph, w)
+
+
+def test_smallest_power_on_a_long_orbit():
+    graph = from_generators(2, [Word(2, (2,) + (1,) * 20000 + (-2,))])
+    w = parse_word("baB", 2)
+    assert smallest_power_in(graph, w) == 20000
+    assert contains(graph, w**20000) and not contains(graph, w**19999)
+
+
+@pytest.mark.parametrize("m", [51, 101, 201, 1601])
+def test_smallest_power_on_the_counterexample_family(m):
+    assert smallest_power_in(lm_graph(m), wk_word((m - 1) // 2)) == 2
 
 
 # --- intersection reports ---------------------------------------------------------

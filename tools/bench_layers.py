@@ -29,7 +29,10 @@ are:
 - ``rewrite_in_basis``: a member word of about 2,048 letters;
 - ``intersect_cyclic``: the library path of ``fgr intersect`` with a
   seeded 16-letter ``--gens2`` word, ``intersection_report(graph,
-  from_generators(rank, [word]))``, whose retract is cyclic.
+  from_generators(rank, [word]))``, whose retract is cyclic;
+- ``bergman_cyclic``: ``smallest_power_in(lm_graph(m), wk_word((m - 1) //
+  2))``, the cyclic step of ``bergman_counterexample``, with m the
+  rung's index rounded up to odd (both built outside the timing).
 
 Each figure is the best per-call time of ``--repeats`` repeats (7 by
 default) of a loop sized to take about 20 ms.  A growth exponent is
@@ -54,10 +57,12 @@ from fgr import (
     intersection_report,
     reduce_word,
     rewrite_in_basis,
+    smallest_power_in,
     spanning_tree,
     tree_path_word,
 )
 from fgr.cli import _parse_tree_flag
+from fgr.constructions import lm_graph, wk_word
 from fgr.stallings import CoreGraph, _check_core
 from fgr.words import render_word
 
@@ -155,6 +160,8 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     word = _member(graph, tree, random.Random(index))
     rank = graph.rank
     short = _reduced(rank, INTERSECT_LETTERS, random.Random(index + 1))
+    odd = index | 1
+    lm, wk = lm_graph(odd), wk_word((odd - 1) // 2)
     times = {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
@@ -168,6 +175,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         "intersect_cyclic": _best(
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats
         ),
+        "bergman_cyclic": _best(lambda: smallest_power_in(lm, wk), repeats),
     }
     if _basis_text is not None:
         times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)

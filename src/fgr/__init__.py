@@ -43,7 +43,6 @@ from .stallings import (
     Permutation,
     SpanningTree,
     basis,
-    canonical_relabeling,
     canonicalize,
     contains,
     coset_permutation,

@@ -23,7 +23,6 @@ from .stallings import (
     CoreGraph,
     _basis_text,
     _read_graph_json,
-    canonical_relabeling,
     contains,
     fold,
     from_generators,
@@ -222,11 +221,8 @@ def _dispatch(args: argparse.Namespace) -> object:
 
     if args.verb == "hm":
         graph, tree = hm_graph(args.m)
-        relabel = canonical_relabeling(graph)
         payload = graph_to_json(graph)
-        payload["tree"] = _render_tree(
-            (relabel[u], relabel[v], l) for (u, v, l) in tree.tree_edges
-        )
+        payload["tree"] = _render_tree(tree.tree_edges)
         return payload
 
     if args.verb == "lm":

@@ -11,11 +11,20 @@ the graph families all build through ``gamma_graph``, which checks that
 bound before it allocates anything; ``lm_graph`` checks it first itself,
 so that its error names the m it was given.
 
+The families write their per-label arrays in closed form and hand them
+to ``CoreGraph._from_arrays``, which checks nothing; no family builds an
+edge list or goes through the checked constructor.  ``gamma_graph``
+keeps the numbering v_i = i.  ``hm_graph`` and ``lm_graph`` return
+their graphs renumbered canonically, as every other builder does; the
+tree of ``hm_graph`` is every b-edge except the one entering the base,
+which is the b-path v_0 -> .. -> v_{m-1} in any numbering, so its basis
+and everything read off it do not depend on the numbering.
+
 ``lm_graph(m)`` is the rank-m subgroup behind the counterexample.  For
 even m it is ``gamma_graph(m - 1)``.  For odd m it is generated by x,
 t_1, .., t_{m-1}, and its graph has a closed form: ``gamma_graph(m)``
-without the b-edge v_{m-1} -> v_0, the one non-tree edge whose basis
-word is y^m, renumbered canonically.  A subgraph of a folded graph is
+with the two slots of the b-edge v_{m-1} -> v_0 emptied, the one
+non-tree edge whose basis word is y^m.  A subgraph of a folded graph is
 folded, every vertex keeps degree >= 2, and the b-path still spans it.
 
 ``wk_word(k)`` is x[x,y]^k, a visible word whose square always lies in
@@ -26,42 +35,47 @@ the preferred basis, used as an oracle against path rewriting.
 
 from __future__ import annotations
 
-from .stallings import BasisWord, CoreGraph, SpanningTree, canonicalize, spanning_tree
+from .stallings import BasisWord, CoreGraph, SpanningTree, canonicalize
 from .words import _MAX_WORD_LETTERS, Word, commutator
 
 
 def gamma_graph(m: int) -> CoreGraph:
-    """The degree-m cover of the rank-2 rose described above."""
+    """The degree-m cover of the rank-2 rose described above, numbered
+    v_i = i; its arrays are written in closed form."""
     if m < 2:
         raise ValueError(f"gamma graph needs m >= 2, got {m}")
     if m > _MAX_WORD_LETTERS:
         raise ValueError(f"gamma graph needs m <= {_MAX_WORD_LETTERS}, got {m}")
-    edges = []
-    for i in range(m):
-        edges.append((i, (m - i) % m, 1))
-        edges.append((i, (i + 1) % m, 2))
-    return CoreGraph(2, m, tuple(edges))
+    # a is the involution v_i <-> v_{m-i mod m}; b is v_i -> v_{i+1 mod m}.
+    a = [0, *range(m - 1, 0, -1)]
+    out = [None, a, [*range(1, m), 0]]
+    in_ = [None, a.copy(), [m - 1, *range(m - 1)]]
+    return CoreGraph._from_arrays(2, m, out, in_, 2 * m)
 
 
 def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
-    """The index-m dihedral-preimage subgroup with its preferred tree.
+    """The index-m dihedral-preimage subgroup with its preferred tree,
+    in canonical numbering.
 
-    The tree is the b-path v_0 -> .. -> v_{m-1}; its induced basis is
-    x, t_1, .., t_{m-1}, y^m in that order.
+    The tree is every b-edge except the one entering the base: the
+    b-path v_0 -> .. -> v_{m-1}, whatever the numbering; its induced
+    basis is x, t_1, .., t_{m-1}, y^m in that order.
     """
-    graph = gamma_graph(m)
-    tree = spanning_tree(graph, override=[(i, i + 1, 2) for i in range(m - 1)])
-    return graph, tree
+    graph = canonicalize(gamma_graph(m))
+    tree = frozenset((u, v, 2) for u, v in enumerate(graph.out[2]) if v)
+    return graph, SpanningTree._from_edges(graph, tree)
 
 
 def lm_graph(m: int) -> CoreGraph:
     """Rank-m subgroup whose intersection with a cyclic retract shows
-    the retract property failing; needs 3 <= m <= 10**6.
+    the retract property failing, in canonical numbering; needs 3 <= m
+    <= 10**6.
 
     For even m this is the full index-(m-1) subgroup, ``gamma_graph(m -
-    1)``.  For odd m it is the proper subgroup generated by x, t_1, ..,
-    t_{m-1} (dropping y^m): ``gamma_graph(m)`` without the b-edge
-    v_{m-1} -> v_0, renumbered canonically (see the module docstring).
+    1)`` renumbered canonically.  For odd m it is the proper subgroup
+    generated by x, t_1, .., t_{m-1} (dropping y^m): ``gamma_graph(m)``
+    with the two slots of the b-edge v_{m-1} -> v_0 emptied, renumbered
+    canonically (see the module docstring).
     """
     if m < 3:
         raise ValueError(f"this family needs m >= 3, got {m}")
@@ -69,9 +83,12 @@ def lm_graph(m: int) -> CoreGraph:
     if m > _MAX_WORD_LETTERS:
         raise ValueError(f"this family needs m <= {_MAX_WORD_LETTERS}, got {m}")
     if m % 2 == 0:
-        return gamma_graph(m - 1)
-    edges = [edge for edge in gamma_graph(m).edges if edge != (m - 1, 0, 2)]
-    return canonicalize(CoreGraph(2, m, edges))
+        return canonicalize(gamma_graph(m - 1))
+    gamma = gamma_graph(m)
+    out, in_ = gamma.out, gamma.in_
+    # Empty both slots of the b-edge v_{m-1} -> v_0, the edge of y^m.
+    out[2][m - 1] = in_[2][0] = -1
+    return canonicalize(CoreGraph._from_arrays(2, m, out, in_, 2 * m - 1))
 
 
 def wk_word(k: int) -> Word:

@@ -42,7 +42,6 @@ from .stallings import (
     Permutation,
     basis,
     canonicalize,
-    coset_permutation,
     from_generators,
     graph_to_json,
     pullback,
@@ -262,7 +261,10 @@ def bergman_counterexample(n: int, m: int, k: int) -> IntersectionReport:
     # The word's letter bound is the tighter one, so it fails first.
     w = Word(n, wk_word((m - 1) // 2).letters)
     lm = lm_graph(m)
-    subgroup = CoreGraph(n, lm.vertex_count, lm.edges)
+    count = lm.vertex_count
+    # Widened to rank n: labels 3..n carry no edge, so the numbering stays canonical.
+    out, in_ = ([*arrays, *([-1] * count for _ in range(n - 2))] for arrays in (lm.out, lm.in_))
+    subgroup = CoreGraph._from_arrays(n, count, out, in_, lm._edge_count)
     section = [w] + [Word(n, (i,)) for i in range(3, k + 2)]
     retraction = [Word(k, (1,)), Word(k)]
     retraction += [Word(k, (i - 1,)) for i in range(3, k + 2)]
@@ -464,8 +466,8 @@ def _trial_single_cycle_power(rng: random.Random) -> tuple[bool, dict | None]:
         tree = spanning_tree(graph)
         for _ in range(60):
             w = _random_visible_word(rng, rank, 40)
-            perm = coset_permutation(graph, w)
-            if len(perm.cycles()) != 1:
+            # w acts as one cycle exactly when the base's orbit is every vertex.
+            if smallest_power_in(graph, w) != graph.vertex_count:
                 continue
             power = w ** graph.vertex_count
             ok = (

@@ -52,12 +52,14 @@ graph and a tree (``basis``, ``tree_path_word``, ``rewrite_in_basis``,
 the transfer and the homology projection) only check that the tree was
 built for that graph (``_check_tree_of``).  The default tree of
 ``spanning_tree`` is a tree by construction and is handed over
-unchecked; it is only walked.  ``basis``, ``tree_path_word`` and
-``rewrite_in_basis`` build words that are reduced by construction and
-hand them over unchecked, as the builders of ``fgr.words`` do.  One
-walk of the tree spells the root paths of the non-tree edges' endpoints
-either as letters, for ``basis``, or as text, for ``fgr basis``, which
-writes each basis word as three string copies (``_basis_text``).
+unchecked; it is only walked.  ``basis`` and ``rewrite_in_basis`` build
+words that are reduced by construction and hand them over unchecked, as
+the builders of ``fgr.words`` do.  One walk of the tree spells the root
+paths of the vertices asked for (``_root_paths``): those of the non-tree
+edges' endpoints either as letters, for ``basis``, or as text, for
+``fgr basis``, which writes each basis word as three string copies
+(``_basis_text``); those of two vertices for ``tree_path_word``, which
+reduces the one path's inverse times the other.
 """
 
 from __future__ import annotations
@@ -436,12 +438,6 @@ def _order(out: list, in_: list, base: int, letters: Iterable[int]) -> list[int]
     return order
 
 
-def canonical_relabeling(graph: CoreGraph) -> dict[int, int]:
-    """Map from current vertex ids to canonical BFS ids."""
-    order = _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
-    return {vertex: i for i, vertex in enumerate(order)}
-
-
 def canonicalize(graph: CoreGraph) -> CoreGraph:
     """Renumber vertices canonically; idempotent.
 
@@ -711,19 +707,9 @@ def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> S
     return SpanningTree._from_edges(graph, frozenset(tree))
 
 
-def _root_path(parents: dict[int, tuple[int, int] | None], vertex: int) -> tuple[int, ...]:
-    """Signed letters spelling the tree path base -> vertex."""
-    letters: list[int] = []
-    while parents[vertex] is not None:
-        vertex, letter = parents[vertex]  # type: ignore[misc]
-        letters.append(letter)
-    letters.reverse()
-    return tuple(letters)
-
-
-def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence]) -> dict:
-    """The tree path base -> v, for each endpoint v of a non-tree edge,
-    as ``spell`` writes a list of signed letters: ``tuple`` keeps the
+def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence], wanted: set) -> dict:
+    """The tree path base -> v, for each vertex v in ``wanted``, as
+    ``spell`` writes a list of signed letters: ``tuple`` keeps the
     letters, ``_render_letters`` writes their glyphs.
 
     The tree walk lists every vertex after its parent, so by the time a
@@ -733,7 +719,6 @@ def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence]) -> d
     proportional to their total length.
     """
     parents = tree.parents
-    wanted = {v for edge in tree.nontree_edges for v in edge[:2]}
     paths = {0: spell([])}
     for vertex in parents:
         if vertex in wanted:
@@ -748,22 +733,12 @@ def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence]) -> d
 
 
 def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: int) -> Word:
-    """Reduced word spelled by the tree geodesic from source to target.
-
-    The two root paths agree up to the last common ancestor and differ
-    right after it (a letter leads to one vertex), so dropping their
-    common prefix leaves the geodesic, which is reduced.
-    """
+    """Reduced word spelled by the tree geodesic from source to target:
+    the free reduction of path(source)^-1 . path(target), with both root
+    paths read by ``_root_paths``."""
     _check_tree_of(graph, tree)
-    to_source = _root_path(tree.parents, source)
-    to_target = _root_path(tree.parents, target)
-    common = 0
-    for a, b in zip(to_source, to_target):
-        if a != b:
-            break
-        common += 1
-    back = tuple(map(neg, reversed(to_source[common:])))
-    return Word._from_letters(graph.rank, back + to_target[common:])
+    paths = _root_paths(tree, tuple, {source, target})
+    return reduce_word(graph.rank, [*map(neg, reversed(paths[source])), *paths[target]])
 
 
 def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
@@ -782,7 +757,7 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     if tree is None:
         tree = spanning_tree(graph)
     _check_tree_of(graph, tree)
-    paths = _root_paths(tree, tuple)
+    paths = _root_paths(tree, tuple, {v for e in tree.nontree_edges for v in e[:2]})
     rank = graph.rank
     return [
         Word._from_letters(rank, (*paths[u], l, *map(neg, reversed(paths[v]))))
@@ -795,7 +770,7 @@ def _basis_text(graph: CoreGraph, tree: SpanningTree) -> list[str]:
     text of the root paths: the inverse of path(v) is its text reversed
     with the case swapped, so each word is three string copies."""
     _check_tree_of(graph, tree)
-    paths = _root_paths(tree, _render_letters)
+    paths = _root_paths(tree, _render_letters, {v for e in tree.nontree_edges for v in e[:2]})
     return [
         paths[u] + _GLYPHS[l] + paths[v][::-1].swapcase() for u, v, l in tree.nontree_edges
     ]

@@ -23,7 +23,11 @@ property over random generator sets and actions, goes through
 ``revalidated``, which checks it with ``oracle_validate`` and against
 the checked constructor; ``revalidated`` also rebuilds the default
 spanning tree, which ``spanning_tree`` hands over unchecked, through the
-checked ``SpanningTree`` constructor.
+checked ``SpanningTree`` constructor.  The explicit families write their
+arrays in closed form and are checked the same way (``gamma_graph``,
+which keeps the numbering v_i = i, against ``oracle_validate`` and the
+checked constructor only), and are built once more with the checked
+constructor and ``CoreGraph.edges`` made to raise.
 """
 
 from __future__ import annotations
@@ -38,13 +42,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgr.retracts
 from fgr import (
     MAX_RANK,
     CoreGraph,
     Permutation,
     SpanningTree,
     Word,
-    canonical_relabeling,
+    basis,
+    bergman_counterexample,
     canonicalize,
     fold,
     from_generators,
@@ -56,8 +62,8 @@ from fgr import (
     subgroup_rank,
     walk,
 )
-from fgr.constructions import gamma_graph, lm_graph
-from fgr.stallings import Edge, _canonical_letters
+from fgr.constructions import gamma_graph, hm_graph, lm_graph
+from fgr.stallings import Edge, _canonical_letters, _order
 
 
 def _bfs_relabeling(
@@ -367,7 +373,7 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
     assert (graph.out, graph.in_) == (checked.out, checked.in_)
     assert subgroup_rank(graph) == subgroup_rank(checked)
     assert subgroup_index(graph) == subgroup_index(checked)
-    assert list(canonical_relabeling(graph)) == list(range(count))
+    assert _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank)) == list(range(count))
     assert_default_tree_checks(graph)
     return graph
 
@@ -585,6 +591,74 @@ def test_lm_graph_closed_form_matches_its_generators():
     # Odd m: gamma_graph(m) less the edge of y^m is the graph of <x, t_1..t_{m-1}>.
     for m in range(3, 42, 2):
         assert revalidated(lm_graph(m)) == revalidated(from_generators(2, lm_generators(m)))
+
+
+# --- the families, whose arrays are written in closed form ----------------------
+
+def assert_arrays_of_checked_graph(graph: CoreGraph) -> None:
+    """``graph`` passes ``oracle_validate`` and holds the arrays the
+    checked constructor builds from its edges."""
+    rank, count, edges = graph.rank, graph.vertex_count, graph.edges
+    oracle_validate(rank, count, edges)
+    checked = CoreGraph(rank, count, edges)
+    assert (graph.out, graph.in_) == (checked.out, checked.in_)
+    assert subgroup_rank(graph) == subgroup_rank(checked)
+
+
+def bergman_subgroups(monkeypatch, n: int, m: int) -> list[CoreGraph]:
+    """The rank-n subgroup that ``bergman_counterexample(n, m, k)`` hands
+    to ``intersection_report``, for each retract rank k."""
+    seen = []
+    report = fgr.retracts.intersection_report
+
+    def capture(subgroup, retract):
+        seen.append(subgroup)
+        return report(subgroup, retract)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fgr.retracts, "intersection_report", capture)
+        for k in range(1, n):
+            bergman_counterexample(n, m, k)
+    return seen
+
+
+def test_family_arrays_match_the_checked_constructor(monkeypatch):
+    for m in range(2, 61):
+        assert_arrays_of_checked_graph(gamma_graph(m))
+    for m in range(2, 42):
+        graph, tree = hm_graph(m)
+        revalidated(graph)
+        # The tree is handed over unchecked: the checked constructor must
+        # accept it and walk it to the b-path's basis x, t_1..t_{m-1}, y^m.
+        checked = SpanningTree(graph, tree.tree_edges)
+        assert (tree.parents, tree.nontree_edges) == (checked.parents, checked.nontree_edges)
+        assert tree.symbols == checked.symbols == symbol_arrays(tree)
+        t_words = [(2,) * i + (1,) + (-2,) * (m - i) for i in range(1, m)]
+        assert [w.letters for w in basis(graph, tree)] == [(1,), *t_words, (2,) * m]
+    for m in range(3, 42):
+        revalidated(lm_graph(m))
+    for n in range(2, 5):
+        for m in (3, 4, 9, 10, 21):
+            for subgroup in bergman_subgroups(monkeypatch, n, m):
+                assert subgroup.rank == n
+                revalidated(subgroup)
+                assert subgroup.out[:3] == lm_graph(m).out
+
+
+def test_families_build_without_the_checked_constructor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a family went through the checked constructor or read edges")
+
+    monkeypatch.setattr(CoreGraph, "__init__", refuse)
+    monkeypatch.setattr(CoreGraph, "edges", property(refuse))
+    for m in (2, 9, 40):
+        gamma_graph(m)
+        hm_graph(m)
+    for m in (3, 9, 10, 41):
+        lm_graph(m)
+        for n in (2, 4):
+            for k in range(1, n):
+                bergman_counterexample(n, m, k)
 
 
 def test_from_generators_when_the_base_merges_away_mid_read():

@@ -27,6 +27,7 @@ from fgr import (
     turner_power_word,
 )
 from fgr.constructions import hm_graph, lm_graph, wk_word
+from fgr.retracts import _random_transitive_graph, _random_visible_word
 
 
 def words(rank, *texts):
@@ -406,6 +407,22 @@ def test_suites_pass_small_runs():
     ):
         report = run_suite(name, 25, 7)
         assert report.passes == 25, (name, report.failures)
+
+
+def test_single_cycle_trial_agrees_with_the_cycles_of_the_permutation():
+    # The single-cycle-power suite asks whether w acts as one cycle as
+    # "the base's orbit under w is every vertex"; counting the cycles of
+    # the coset permutation is the oracle, on the suite's own samplers.
+    rng = random.Random(4613)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        rank = rng.choice((2, 3))
+        graph = _random_transitive_graph(rng, rank, 12)
+        w = _random_visible_word(rng, rank, 40)
+        one_cycle = len(coset_permutation(graph, w).cycles()) == 1
+        assert (smallest_power_in(graph, w) == graph.vertex_count) == one_cycle
+        outcomes[one_cycle] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def random_reduced_word(rng, rank, max_len):

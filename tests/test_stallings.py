@@ -1,7 +1,11 @@
 import gc
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgr import (
     CoreGraph,
@@ -22,6 +26,7 @@ from fgr import (
     homology_projection,
     parse_word,
     pullback,
+    reduce_word,
     render_word,
     rewrite_in_basis,
     schreier_graph,
@@ -360,6 +365,71 @@ def test_pullback_commutative_and_correct():
         for _ in range(20):
             w = random_reduced_word(rng, 2, 12)
             assert contains(inter, w) == (contains(a, w) and contains(b, w))
+
+
+def words_of_rank(rank, max_size=8):
+    """Reduced words of up to ``max_size`` letters over the given rank."""
+    letters = [l for l in range(-rank, rank + 1) if l]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(partial(reduce_word, rank))
+
+
+def test_pullback_membership_is_membership_in_both():
+    # w is drawn as a product of A's basis words, of B's, or at random,
+    # so that each of the four (w in A, w in B) cells is drawn.
+    cells = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 3))
+        gens = data.draw(st.lists(words_of_rank(rank), min_size=1, max_size=3))
+        # B shares some of A's generators, so that A ∩ B is often nontrivial.
+        shared = [g for g in gens if data.draw(st.booleans())]
+        a = from_generators(rank, gens)
+        b = from_generators(rank, shared + data.draw(st.lists(words_of_rank(rank), max_size=3)))
+        source = data.draw(st.sampled_from(("A", "B", "random")))
+        if source == "random":
+            w = data.draw(words_of_rank(rank, 12))
+        else:
+            factors = basis(a if source == "A" else b)
+            w = Word(rank)
+            for _ in range(data.draw(st.integers(1, 4)) if factors else 0):
+                factor = data.draw(st.sampled_from(factors))
+                w = w * (factor if data.draw(st.booleans()) else factor.inverse())
+        cell = (contains(a, w), contains(b, w))
+        cells[cell] += 1
+        assert contains(pullback(a, b), w) == (cell == (True, True))
+
+    check()
+    assert len(cells) == 4 and min(cells.values()) >= 10, cells
+
+
+def test_canonical_graph_is_unchanged_by_nielsen_moves():
+    moves = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 3))
+        gens = data.draw(st.lists(words_of_rank(rank), min_size=1, max_size=4))
+        moved = list(gens)
+        for _ in range(data.draw(st.integers(1, 6))):
+            i = data.draw(st.integers(0, len(moved) - 1))
+            j = data.draw(st.integers(0, len(moved) - 1))
+            move = data.draw(st.sampled_from(("product", "inverse", "swap")))
+            if move == "inverse":
+                moved[i] = moved[i].inverse()
+            elif i == j:
+                continue
+            elif move == "product":
+                moved[i] = moved[i] * moved[j]
+            else:
+                moved[i], moved[j] = moved[j], moved[i]
+            moves[move] += 1
+        assert from_generators(rank, moved) == from_generators(rank, gens)
+
+    check()
+    assert min(moves[move] for move in ("product", "inverse", "swap")) >= 50, moves
 
 
 def test_pullback_trivial_intersection():

@@ -72,8 +72,7 @@ def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> Abe
     symbols = rewrite_in_basis(graph, tree, w)
     counts = [0] * len(tree.nontree_edges)
     for symbol in symbols.letters:
-        i = abs(symbol) - 1
-        counts[i] = checked_int64(counts[i] + (1 if symbol > 0 else -1))
+        counts[abs(symbol) - 1] += 1 if symbol > 0 else -1
     return AbelianVector("subgroup", tuple(counts))
 
 
@@ -122,8 +121,6 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
     rows = []
     for label in range(1, graph.rank + 1):
         target = graph.out[label][0]
-        if target < 0:
-            raise InfiniteIndexError(f"base vertex has no outgoing edge labeled {label}")
         lift = (0, target, label)
         # -1 is no vertex: a lift off the tree is only crossed as f.
         top = target if lift in tree.tree_edges else -1

@@ -10,7 +10,12 @@ rank).  Everything else is reported as undecided by design.
 
 The randomized suites draw every bit of randomness from a single 64-bit
 seed through per-trial generators derived by hashing (seed, trial), so
-reports are reproducible and embed the seed.
+reports are reproducible and embed the seed.  A trial returns its
+failure record, a dict naming the counterexample, or None when the
+property holds; ``run_suite`` counts the Nones and keeps the first
+record.  A sampler that retries until a draw is accepted does so through
+``_first``, which bounds the draws and raises ``RuntimeError`` when the
+budget runs out.
 
 Coverage note: the random retract family samples sections of coordinate
 projections composed with kernel conjugations, plus cyclic retracts of
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _itertools_permutations
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .abelian import (
     abelianize_in_subgroup,
@@ -106,14 +111,7 @@ class IntersectionReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "rank_h": self.rank_h,
-            "rank_r": self.rank_r,
-            "rank_intersection": self.rank_intersection,
-            "smallest_power": self.smallest_power,
-            "intersection_visible_in_h": self.intersection_visible_in_h,
-            "verdict": self.verdict,
-        }
+        return dict(vars(self))
 
 
 def turner_power_word(exponents: Sequence[int]) -> bool:
@@ -296,12 +294,24 @@ def _random_reduced_word(rng: random.Random, rank: int, max_len: int, min_len: i
     return Word(rank, tuple(letters))
 
 
+_T = TypeVar("_T")
+
+
+def _first(attempts: int, draw: Callable[[], _T | None], message: str) -> _T:
+    """The first of at most ``attempts`` draws that is not None."""
+    for _ in range(attempts):
+        found = draw()
+        if found is not None:
+            return found
+    raise RuntimeError(message)
+
+
 def _random_visible_word(rng: random.Random, rank: int, max_len: int) -> Word:
-    for _ in range(1000):
+    def draw() -> Word | None:
         w = _random_reduced_word(rng, rank, max_len)
-        if is_visible(w):
-            return w
-    raise RuntimeError("failed to draw a visible word")
+        return w if is_visible(w) else None
+
+    return _first(1000, draw, "failed to draw a visible word")
 
 
 def _random_permutation(rng: random.Random, points: int) -> Permutation:
@@ -310,15 +320,21 @@ def _random_permutation(rng: random.Random, points: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _transitive(rank: int, perms: list[Permutation], base: int) -> CoreGraph | None:
+    """The Schreier graph of a transitive action, or None for any other."""
+    try:
+        return schreier_graph(rank, perms, base)
+    except ValueError:
+        return None
+
+
 def _random_transitive_graph(rng: random.Random, rank: int, max_index: int) -> CoreGraph:
     points = rng.randint(1, max_index)
-    for _ in range(1000):
-        perms = [_random_permutation(rng, points) for _ in range(rank)]
-        try:
-            return schreier_graph(rank, perms, 0)
-        except ValueError:
-            continue
-    raise RuntimeError("failed to draw a transitive action")
+    return _first(
+        1000,
+        lambda: _transitive(rank, [_random_permutation(rng, points) for _ in range(rank)], 0),
+        "failed to draw a transitive action",
+    )
 
 
 def _random_subgroup(rng: random.Random, rank: int, gens: int, max_len: int) -> CoreGraph:
@@ -339,6 +355,7 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     if complexity < 0:
         raise ValueError("complexity must be nonnegative")
     rng = _trial_rng(seed, 0)
+    coordinates = [Word(n, (i,)) for i in range(1, k + 1)]
     for _ in range(20):
         projected = [
             _random_reduced_word(rng, k, complexity, min_len=0)
@@ -346,7 +363,7 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
         ]
         retraction = tuple([Word(k, (i,)) for i in range(1, k + 1)] + projected)
         kernel = [
-            Word(n, (j,)) * substitute(projected[j - k - 1], _coordinate_words(n, k), n).inverse()
+            Word(n, (j,)) * substitute(projected[j - k - 1], coordinates, n).inverse()
             for j in range(k + 1, n + 1)
         ]
         section = []
@@ -365,9 +382,9 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     raise ValueError("random retract draw degenerated repeatedly")
 
 
-def _coordinate_words(n: int, k: int) -> list[Word]:
-    """Images of the k abstract generators as the first k ambient ones."""
-    return [Word(n, (i,)) for i in range(1, k + 1)]
+def _drawn_retract(rng: random.Random, n: int) -> RetractPresentation:
+    """``random_retract`` of a rank, seed and complexity drawn from ``rng``."""
+    return random_retract(n, rng.randint(1, n - 1), rng.getrandbits(63), rng.randint(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +428,16 @@ def _random_normal_graph(rng: random.Random, rank: int) -> CoreGraph:
     regular action; the stabilizer of the identity point is normal."""
     elements, identity_element, multiply = rng.choice(_SMALL_GROUPS)
     position = {g: i for i, g in enumerate(elements)}
-    for _ in range(1000):
+
+    def draw() -> CoreGraph | None:
         images = [rng.choice(elements) for _ in range(rank)]
         perms = [
             Permutation(tuple(position[multiply(g, image)] for g in elements))
             for image in images
         ]
-        try:
-            return schreier_graph(rank, perms, position[identity_element])
-        except ValueError:
-            continue
-    raise RuntimeError("failed to draw a generating tuple")
+        return _transitive(rank, perms, position[identity_element])
+
+    return _first(1000, draw, "failed to draw a generating tuple")
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +453,21 @@ class SuiteReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": list(self.failures),
-            "seed": self.seed,
-        }
+        return {**vars(self), "failures": list(self.failures)}
 
 
-def _trial_transfer_visibility(rng: random.Random) -> tuple[bool, dict | None]:
+def _graph_word(graph: CoreGraph, w: Word) -> dict:
+    return {"graph": graph_to_json(graph), "word": render_word(w)}
+
+
+def _subgroup_retract(subgroup: CoreGraph, retract: RetractPresentation) -> dict:
+    return {
+        "subgroup": graph_to_json(subgroup),
+        "retract_basis": [render_word(w) for w in retract.section_images],
+    }
+
+
+def _trial_transfer_visibility(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
     graph = _random_transitive_graph(rng, rank, 12)
     tree = spanning_tree(graph)
@@ -454,106 +475,88 @@ def _trial_transfer_visibility(rng: random.Random) -> tuple[bool, dict | None]:
     image = transfer(graph, tree, w)
     projected = apply_projection(homology_projection(graph, tree), image)
     ok = image.coordinate_gcd() == 1 and projected.entries == exponent_sums(w)
-    if ok:
-        return True, None
-    return False, {"graph": graph_to_json(graph), "word": render_word(w)}
+    return None if ok else _graph_word(graph, w)
 
 
-def _trial_single_cycle_power(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_single_cycle_power(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
-    for _ in range(200):
+
+    def draw() -> tuple[CoreGraph, Word] | None:
         graph = _random_transitive_graph(rng, rank, 12)
-        tree = spanning_tree(graph)
         for _ in range(60):
             w = _random_visible_word(rng, rank, 40)
             # w acts as one cycle exactly when the base's orbit is every vertex.
-            if smallest_power_in(graph, w) != graph.vertex_count:
-                continue
-            power = w ** graph.vertex_count
-            ok = (
-                transfer(graph, tree, w) == abelianize_in_subgroup(graph, tree, power)
-                and is_visible_in_subgroup(graph, tree, power)
-            )
-            if ok:
-                return True, None
-            return False, {"graph": graph_to_json(graph), "word": render_word(w)}
-    raise RuntimeError("failed to condition on a single-cycle action")
+            if smallest_power_in(graph, w) == graph.vertex_count:
+                return graph, w
+        return None
+
+    graph, w = _first(200, draw, "failed to condition on a single-cycle action")
+    tree = spanning_tree(graph)
+    power = w ** graph.vertex_count
+    ok = (
+        transfer(graph, tree, w) == abelianize_in_subgroup(graph, tree, power)
+        and is_visible_in_subgroup(graph, tree, power)
+    )
+    return None if ok else _graph_word(graph, w)
 
 
-def _trial_normal_power(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_normal_power(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
     graph = _random_normal_graph(rng, rank)
     tree = spanning_tree(graph)
     w = _random_visible_word(rng, rank, 40)
     m = smallest_power_in(graph, w)
     ok = m is not None and is_visible_in_subgroup(graph, tree, w ** m)
-    if ok:
-        return True, None
-    return False, {"graph": graph_to_json(graph), "word": render_word(w)}
+    return None if ok else _graph_word(graph, w)
 
 
 def _random_rank2_subgroup(rng: random.Random, rank: int, max_len: int) -> CoreGraph:
-    for _ in range(200):
+    def draw() -> CoreGraph | None:
         graph = _random_subgroup(rng, rank, 2, max_len)
-        if subgroup_rank(graph) == 2:
-            return graph
-    raise RuntimeError("failed to draw a rank-2 subgroup")
+        return graph if subgroup_rank(graph) == 2 else None
+
+    return _first(200, draw, "failed to draw a rank-2 subgroup")
 
 
-def _trial_rank2_intersection(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_rank2_intersection(rng: random.Random) -> dict | None:
     n = rng.randint(2, 4)
     subgroup = _random_rank2_subgroup(rng, n, 30)
     if rng.random() < 0.5:
-        retract = random_retract(
-            n, rng.randint(1, n - 1), rng.getrandbits(63), rng.randint(0, 2)
-        )
+        retract = _drawn_retract(rng, n)
     else:
         retract = cyclic_retract(_random_visible_word(rng, n, 20))
     report = intersection_report(subgroup, retract)
     if report.verdict == "yes":
-        return True, None
-    return False, {
-        "subgroup": graph_to_json(subgroup),
-        "retract_basis": [render_word(w) for w in retract.section_images],
-        "report": report.to_json(),
-    }
+        return None
+    return {**_subgroup_retract(subgroup, retract), "report": report.to_json()}
 
 
-def _trial_rank_bound(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_rank_bound(rng: random.Random) -> dict | None:
     n = rng.randint(2, 4)
     subgroup = _random_subgroup(rng, n, 3, 30)
-    retract = random_retract(
-        n, rng.randint(1, n - 1), rng.getrandbits(63), rng.randint(0, 2)
-    )
-    intersection = pullback(subgroup, retract.graph)
-    if subgroup_rank(intersection) <= subgroup_rank(subgroup):
-        return True, None
-    return False, {
-        "subgroup": graph_to_json(subgroup),
-        "retract_basis": [render_word(w) for w in retract.section_images],
-    }
+    retract = _drawn_retract(rng, n)
+    ok = subgroup_rank(pullback(subgroup, retract.graph)) <= subgroup_rank(subgroup)
+    return None if ok else _subgroup_retract(subgroup, retract)
 
 
-def _trial_hanna_neumann(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_hanna_neumann(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
     a = _random_subgroup(rng, rank, rng.randint(1, 3), 12)
     b = _random_subgroup(rng, rank, rng.randint(1, 3), 12)
     bound = (subgroup_rank(a) - 1) * (subgroup_rank(b) - 1)
-    if max(subgroup_rank(pullback(a, b)) - 1, 0) <= bound:
-        return True, None
-    return False, {"a": graph_to_json(a), "b": graph_to_json(b)}
+    ok = max(subgroup_rank(pullback(a, b)) - 1, 0) <= bound
+    return None if ok else {"a": graph_to_json(a), "b": graph_to_json(b)}
 
 
-def _trial_schreier_formula(rng: random.Random) -> tuple[bool, dict | None]:
+def _trial_schreier_formula(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
     graph = _random_transitive_graph(rng, rank, 12)
     index = subgroup_index(graph)
-    if index is not None and subgroup_rank(graph) == index * (rank - 1) + 1:
-        return True, None
-    return False, {"graph": graph_to_json(graph)}
+    ok = index is not None and subgroup_rank(graph) == index * (rank - 1) + 1
+    return None if ok else {"graph": graph_to_json(graph)}
 
 
-_SUITES: dict[str, Callable[[random.Random], tuple[bool, dict | None]]] = {
+_SUITES: dict[str, Callable[[random.Random], dict | None]] = {
     "transfer-visibility": _trial_transfer_visibility,
     "single-cycle-power": _trial_single_cycle_power,
     "normal-power": _trial_normal_power,
@@ -583,9 +586,9 @@ def run_suite(name: str, trials: int, seed: int) -> SuiteReport:
     passes = 0
     failures: list[dict] = []
     for index in range(trials):
-        ok, detail = trial(_trial_rng(seed, index))
-        if ok:
+        record = trial(_trial_rng(seed, index))
+        if record is None:
             passes += 1
         elif not failures:
-            failures.append({"trial": index, **(detail or {})})
+            failures.append({"trial": index, **record})
     return SuiteReport(name, trials, passes, tuple(failures), seed)

@@ -308,23 +308,6 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """All cycles (fixed points included), ordered by least element."""
-        seen = [False] * len(self.images)
-        out: list[tuple[int, ...]] = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            point = self.images[start]
-            while point != start:
-                cycle.append(point)
-                seen[point] = True
-                point = self.images[point]
-            out.append(tuple(cycle))
-        return tuple(out)
-
 
 def walk(graph: CoreGraph, vertex: int, letters: Iterable[int]) -> int | None:
     """Follow a signed letter sequence; None if the path breaks.

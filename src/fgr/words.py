@@ -13,8 +13,11 @@ nothing; ``reduce_word`` first checks the alphabet and the rank of its
 raw letters, then reduces them in one pass.  The parser reads each
 maximal run of letters and whitespace whole, with one regex match and
 one table lookup per letter, and reduces each expression once.
-Exponent arithmetic is checked against the signed 64-bit range so that
-an overflow fails loudly instead of silently promoting.
+Vector arithmetic on integers that callers hand in (``add_vectors``,
+and the projection in ``abelian``) is checked against the signed 64-bit
+range, so that an overflow fails loudly instead of silently promoting.
+Exponent sums are counts of letters, bounded by a word's length, so
+they are not checked.
 """
 
 from __future__ import annotations
@@ -177,8 +180,7 @@ def exponent_sums(w: Word) -> tuple[int, ...]:
     """
     counts = [0] * w.rank
     for letter in w.letters:
-        i = abs(letter) - 1
-        counts[i] = checked_int64(counts[i] + (1 if letter > 0 else -1))
+        counts[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(counts)
 
 

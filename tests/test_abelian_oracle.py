@@ -62,6 +62,7 @@ from fgr import (
 )
 from fgr.constructions import hm_graph, wk_word
 from fgr.stallings import Edge, _canonical_letters
+from test_stallings import cycles
 
 
 def rechecked(w):
@@ -197,7 +198,7 @@ def cycle_transfer(
     """
     perm = coset_permutation(graph, w)
     total = AbelianVector("subgroup", (0,) * len(tree.nontree_edges))
-    for cycle in perm.cycles():
+    for cycle in cycles(perm):
         vertex = min(cycle) if representative is None else representative(cycle)
         if vertex not in cycle:
             raise ValueError(f"representative {vertex} is not on the cycle {cycle}")

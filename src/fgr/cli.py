@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .abelian import transfer
 from .constructions import gamma_graph, hm_graph, lm_graph, wk_square_rewrite, wk_word
@@ -118,7 +118,11 @@ def _split_generators(text: str) -> list[str]:
     return chunks
 
 
-def _load_graph(args: argparse.Namespace, suffix: str = "") -> CoreGraph:
+def _load_graph(
+    args: argparse.Namespace, suffix: str = "", read: Callable[..., CoreGraph] = graph_from_json
+) -> CoreGraph:
+    """The subgroup given by exactly one of --gens or --graph; ``read``
+    turns the decoded JSON of a graph file into the graph."""
     gens = getattr(args, f"gens{suffix}")
     path = getattr(args, f"graph{suffix}")
     if (gens is None) == (path is None):
@@ -129,7 +133,11 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> CoreGraph:
         words = [parse_word(text, args.rank) for text in _split_generators(gens)]
         return from_generators(args.rank, words)
     with open(path, encoding="utf-8") as handle:
-        return graph_from_json(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("graph JSON nested too deeply") from None
+    return read(data)
 
 
 # A well-formed --tree flag; any other is read chunk by chunk, which
@@ -191,13 +199,8 @@ _GRAPH_VERBS = {
 
 def _dispatch(args: argparse.Namespace) -> object:
     if args.verb == "fold":
-        if args.graph is not None:
-            with open(args.graph, encoding="utf-8") as handle:
-                data = json.load(handle)
-            graph = fold(*_read_graph_json(data))
-        else:
-            graph = _load_graph(args)
-        return graph_to_json(graph)
+        # A graph file holds any labeled digraph, which is folded, not checked.
+        return graph_to_json(_load_graph(args, read=lambda data: fold(*_read_graph_json(data))))
 
     if args.verb == "intersect":
         subgroup = _load_graph(args)

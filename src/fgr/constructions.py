@@ -63,7 +63,7 @@ def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
     """
     graph = canonicalize(gamma_graph(m))
     tree = frozenset((u, v, 2) for u, v in enumerate(graph.out[2]) if v)
-    return graph, SpanningTree._from_edges(graph, tree)
+    return graph, SpanningTree(graph, tree)
 
 
 def lm_graph(m: int) -> CoreGraph:

@@ -33,33 +33,45 @@ little to track, and no builder touches the collector's state.
 ``canonicalize`` renumbers vertices deterministically so that
 structural equality of canonical graphs coincides with equality of
 subgroups; a graph already in canonical numbering is returned as it
-is.  Every search that needs only the order in which vertices are
-reached (the connectivity check, canonical numbering, the base
-component of a fold or a coset graph) is one flat breadth-first search,
-``_order``, that marks seen vertices in a byte array; on a complete
-cover the connectivity check follows outgoing letters only.
+is.  Every breadth-first search over the arrays, apart from
+``pullback``'s search of pair keys, is one flat search, ``_order``,
+that marks seen vertices in a byte array and returns the discovery
+order: the connectivity check, canonical numbering, the base component
+of a fold or a coset graph, and the two searches of a spanning tree.
+Asked for them, it also reports the step that reached each vertex (the
+vertex it was reached from and the signed letter); it does so in a
+loop of its own, so that the searches that need only the order do not
+pay for steps.  On a complete cover the connectivity check follows
+outgoing letters only.
 
 ``graph_from_json`` reads the edge dicts of the JSON form straight into
 the arrays and checks them there, in one pass; only a document that
 fails a check is read again, by the checked constructor, for its error.
 
-A ``SpanningTree`` is checked against its graph once, when it is built,
-and one walk of the tree records its walk, its ordered non-tree edges
-and per-label symbol arrays indexed like ``out`` (each non-tree edge's
-basis symbol at its slot, 0 elsewhere), so ``rewrite_in_basis`` reads a
-crossed edge's symbol with two list reads.  The functions that take a
+Every spanning tree, whether given, the default tree of
+``spanning_tree`` or the tree of ``hm_graph``, is built by the one
+checked constructor ``SpanningTree(graph, tree_edges)``.  In one pass
+over the edges it checks that each is an edge of the graph and fills
+the tree's own per-label arrays; it checks the edge count, walks those
+arrays with ``_order`` in canonical letter order, which tells whether
+the tree spans, and reads off the walk the tree's parents, its
+non-tree edges in (walk index of origin, label) order and per-label
+symbol arrays indexed like ``out`` (each non-tree edge's basis symbol
+at its slot, 0 elsewhere), so ``rewrite_in_basis`` reads a crossed
+edge's symbol with two list reads.  The default tree holds, for each
+vertex but the base, the edge by which ``_order`` over the letters 1,
+-1, 2, -2, .., n, -n first reaches it.  The functions that take a
 graph and a tree (``basis``, ``tree_path_word``, ``rewrite_in_basis``,
 the transfer and the homology projection) only check that the tree was
-built for that graph (``_check_tree_of``).  The default tree of
-``spanning_tree`` is a tree by construction and is handed over
-unchecked; it is only walked.  ``basis`` and ``rewrite_in_basis`` build
-words that are reduced by construction and hand them over unchecked, as
-the builders of ``fgr.words`` do.  One walk of the tree spells the root
-paths of the vertices asked for (``_root_paths``): those of the non-tree
-edges' endpoints either as letters, for ``basis``, or as text, for
-``fgr basis``, which writes each basis word as three string copies
-(``_basis_text``); those of two vertices for ``tree_path_word``, which
-reduces the one path's inverse times the other.
+built for that graph (``_check_tree_of``).  ``basis`` and
+``rewrite_in_basis`` build words that are reduced by construction and
+hand them over unchecked, as the builders of ``fgr.words`` do.  One
+walk of the tree spells the root paths of the vertices asked for
+(``_root_paths``): those of the non-tree edges' endpoints either as
+letters, for ``basis``, or as text, for ``fgr basis``, which writes each
+basis word as three string copies (``_basis_text``); those of two
+vertices for ``tree_path_word``, which reduces the one path's inverse
+times the other.
 """
 
 from __future__ import annotations
@@ -174,85 +186,57 @@ class CoreGraph:
 class SpanningTree:
     """A spanning tree of a core graph, checked against it once when built.
 
-    Construction raises ``ValueError`` unless ``tree_edges`` are edges of
-    ``graph`` that span it as a tree, so a function given a graph and a
-    tree only checks that the tree was built for that graph.  It records
-    ``parents``, the walk of the tree from the base in canonical letter
-    order (vertex -> (parent, signed letter); the base -> None), which
-    gives the tree paths; ``nontree_edges``, ordered by (index of origin
-    in the walk, label), which index the induced free basis; and
-    ``symbols``, one array per label indexed like ``graph.out``:
-    ``symbols[l][u]`` is the 1-based basis symbol of the non-tree edge
-    labeled l leaving u, and 0 at tree edges and empty slots (index 0
-    is None).  One walk of the tree records all three.
-    ``spanning_tree`` hands its default tree, a spanning tree by
-    construction, to ``_from_edges``, which skips the checks but still
-    walks the tree.
+    This constructor is the only one: a given tree, the default tree of
+    ``spanning_tree`` and the tree of ``hm_graph`` all go through it.
+    ``tree_edges`` may be any iterable of edges and is kept as a
+    frozenset.  Construction raises ``ValueError`` unless they are edges
+    of ``graph`` (checked first, while the tree's own per-label arrays
+    are filled), one fewer than its vertices (checked next), that span
+    it (checked by walking those arrays from the base), so a function
+    given a graph and a tree only checks that the tree was built for
+    that graph.  The walk, by ``_order`` in canonical letter order,
+    gives ``parents`` (vertex -> (parent, signed letter), the base ->
+    None, in walk order), from which the tree paths are read;
+    ``nontree_edges``, ordered by (index of origin in the walk, label),
+    which index the induced free basis; and ``symbols``, one array per
+    label indexed like ``graph.out``: ``symbols[l][u]`` is the 1-based
+    basis symbol of the non-tree edge labeled l leaving u, and 0 at tree
+    edges and empty slots (index 0 is None).
     """
 
     graph: CoreGraph
     tree_edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        graph = self.graph
         tree = frozenset(self.tree_edges)
         object.__setattr__(self, "tree_edges", tree)
-        rank, count, arrays = graph.rank, graph.vertex_count, graph.out
-        if not all(
-            1 <= l <= rank and 0 <= u < count and 0 <= v == arrays[l][u] for u, v, l in tree
-        ):
-            raise ValueError("spanning tree does not belong to this graph")
-        if len(tree) != graph.vertex_count - 1:
+        rank, count, out = self.graph.rank, self.graph.vertex_count, self.graph.out
+        # The tree's own arrays, filled as each edge is checked.
+        tree_out, tree_in = _empty_arrays(rank, count), _empty_arrays(rank, count)
+        for u, v, l in tree:
+            if not (1 <= l <= rank and 0 <= u < count and 0 <= v == out[l][u]):
+                raise ValueError("spanning tree does not belong to this graph")
+            tree_out[l][u] = v
+            tree_in[l][v] = u
+        if len(tree) != count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
-        self._walk()
-
-    @classmethod
-    def _from_edges(cls, graph: CoreGraph, tree_edges: frozenset[Edge]) -> SpanningTree:
-        """A tree a builder has made of edges of ``graph``, one fewer than
-        its vertices, taken without checking that; it is still walked."""
-        tree = cls.__new__(cls)
-        object.__setattr__(tree, "graph", graph)
-        object.__setattr__(tree, "tree_edges", tree_edges)
-        tree._walk()
-        return tree
-
-    def _walk(self) -> None:
-        """Walk the tree from the base; record the walk, the non-tree
-        edges and their symbols in the same pass."""
-        graph = self.graph
-        rank, count = graph.rank, graph.vertex_count
-        # in_tree[l][u] is 1 when the edge labeled l leaving u is a tree edge.
-        in_tree = [None, *(bytearray(count) for _ in range(rank))]
-        for u, _, l in self.tree_edges:
-            in_tree[l][u] = 1
-        symbols = [None, *([0] * count for _ in range(rank))]
-        labels = range(1, rank + 1)
-        forward = [(graph.out[l], in_tree[l], symbols[l], l) for l in labels]
-        backward = [(graph.in_[l], in_tree[l], -l) for l in labels]
-        parents: dict[int, tuple[int, int] | None] = {0: None}
-        order = [0]
-        nontree: list[Edge] = []
-        # Each vertex is taken up in walk order and its labels in order,
-        # so the non-tree edges come out in (walk index of origin, label)
-        # order; the tree edges are tried in canonical letter order.
-        for u in order:
-            for edges, tree, marks, l in forward:
-                v = edges[u]
-                if v < 0:
-                    continue
-                if not tree[u]:
-                    nontree.append((u, v, l))
-                    marks[u] = len(nontree)
-                elif v not in parents:
-                    parents[v] = (u, l)
-                    order.append(v)
-            for edges, tree, letter in backward:
-                v = edges[u]
-                if v >= 0 and tree[v] and v not in parents:
-                    parents[v] = (u, letter)
-                    order.append(v)
+        steps: list[tuple[int, int]] = []
+        order = _order(tree_out, tree_in, 0, _canonical_letters(rank), steps)
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
+        parents = dict(zip(order, [None, *steps]))
+        symbols = [None, *([0] * count for _ in range(rank))]
+        labels = [(out[l], tree_out[l], symbols[l], l) for l in range(1, rank + 1)]
+        nontree: list[Edge] = []
+        # Vertices in walk order and labels in order at each: the non-tree
+        # edges come out in (walk index of origin, label) order.
+        for u in order:
+            for leaving, tree_leaving, marks, l in labels:
+                v = leaving[u]
+                # A slot of the tree's arrays is empty or holds the graph's edge.
+                if v != tree_leaving[u]:
+                    nontree.append((u, v, l))
+                    marks[u] = len(nontree)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "nontree_edges", tuple(nontree))
         object.__setattr__(self, "symbols", symbols)
@@ -403,21 +387,37 @@ def _check_core(rank: int, out: list, in_: list) -> None:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
-def _order(out: list, in_: list, base: int, letters: Iterable[int]) -> list[int]:
+def _order(
+    out: list, in_: list, base: int, letters: Iterable[int], steps: list | None = None
+) -> list[int]:
     """Breadth-first search from ``base`` over per-label arrays (as in
     :class:`CoreGraph`), trying the signed ``letters`` in order at each
-    vertex; the vertices reached, in discovery order."""
-    arrays = [out[l] if l > 0 else in_[-l] for l in letters]
+    vertex; the vertices reached, in discovery order.  Given a list as
+    ``steps``, it also appends the step that reached each vertex after
+    the base, in the same order: (vertex it was reached from, signed
+    letter)."""
     seen = bytearray(len(out[1]) + 1)
     # The extra last byte is seen[-1], so an empty slot reads as seen.
     seen[base] = seen[-1] = 1
     order = [base]
+    if steps is None:
+        arrays = [out[l] if l > 0 else in_[-l] for l in letters]
+        for vertex in order:
+            for array in arrays:
+                other = array[vertex]
+                if not seen[other]:
+                    seen[other] = 1
+                    order.append(other)
+        return order
+    # A separate loop, so that searches without steps do not pay for them.
+    moves = [(out[l] if l > 0 else in_[-l], l) for l in letters]
     for vertex in order:
-        for array in arrays:
+        for array, letter in moves:
             other = array[vertex]
             if not seen[other]:
                 seen[other] = 1
                 order.append(other)
+                steps.append((vertex, letter))
     return order
 
 
@@ -661,33 +661,19 @@ def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
 def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> SpanningTree:
     """A spanning tree with a deterministic non-tree edge order.
 
-    The default tree is grown by BFS from the base exploring, at each
-    vertex, labels 1..n in (label, direction) order with outgoing before
-    incoming; it is a spanning tree by construction and is handed over
-    without the checks.  ``override`` supplies an explicit tree edge set
-    instead; :class:`SpanningTree` checks that it is a spanning tree of
-    the graph.  Either way the tree is walked to order the non-tree edges.
+    The default tree holds, for each vertex but the base, the edge by
+    which a breadth-first search from the base first reaches it, trying
+    the letters 1, -1, 2, -2, .., n, -n in that order at each vertex.
+    ``override`` supplies an explicit tree edge set instead.  Either way
+    :class:`SpanningTree` checks the tree against the graph and walks it.
     """
     if override is not None:
-        return SpanningTree(graph, frozenset(map(tuple, override)))
-    count = graph.vertex_count
-    moves = [
-        (graph.out[l], True, l) if s > 0 else (graph.in_[l], False, l)
-        for l in range(1, graph.rank + 1)
-        for s in (1, -1)
-    ]
-    seen = bytearray(count + 1)
-    seen[0] = seen[-1] = 1  # seen[-1]: an empty slot reads as seen
-    order = [0]
-    tree: list[Edge] = []
-    for vertex in order:
-        for array, forward, label in moves:
-            other = array[vertex]
-            if not seen[other]:
-                seen[other] = 1
-                order.append(other)
-                tree.append((vertex, other, label) if forward else (other, vertex, label))
-    return SpanningTree._from_edges(graph, frozenset(tree))
+        return SpanningTree(graph, map(tuple, override))
+    letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
+    steps: list[tuple[int, int]] = []
+    order = _order(graph.out, graph.in_, 0, letters, steps)
+    tree = ((u, v, l) if l > 0 else (v, u, -l) for v, (u, l) in zip(order[1:], steps))
+    return SpanningTree(graph, tree)
 
 
 def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence], wanted: set) -> dict:

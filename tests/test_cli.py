@@ -333,3 +333,22 @@ def test_lm_bound_names_the_m_given(capsys):
         code, out, err = run_cli(capsys, "lm", "--m", m)
         assert_one_error_line(code, out, err)
         assert err == f"fgr: error: this family needs m <= 1000000, got {m}\n"
+
+
+def test_deeply_nested_graph_json_is_an_error(capsys, tmp_path):
+    # Decoding this document exhausts the recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for verb in ("basis", "fold"):
+        code, out, err = run_cli(capsys, verb, "--graph", str(path))
+        assert_one_error_line(code, out, err)
+        assert err == "fgr: error: graph JSON nested too deeply\n"
+
+
+def test_fold_takes_exactly_one_of_gens_or_graph(capsys, tmp_path):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"rank": 2, "vertices": 1, "edges": []}))
+    for flags in (("--graph", str(path), "--rank", "2", "--gens", "a"), ()):
+        code, out, err = run_cli(capsys, "fold", *flags)
+        assert_one_error_line(code, out, err)
+        assert err == "fgr: error: give exactly one of --gens or --graph\n"

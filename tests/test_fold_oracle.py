@@ -21,13 +21,15 @@ the same errors.  The builders hand their arrays to ``CoreGraph``
 unchecked, so every graph they return here, and in a Hypothesis
 property over random generator sets and actions, goes through
 ``revalidated``, which checks it with ``oracle_validate`` and against
-the checked constructor; ``revalidated`` also rebuilds the default
-spanning tree, which ``spanning_tree`` hands over unchecked, through the
-checked ``SpanningTree`` constructor.  The explicit families write their
-arrays in closed form and are checked the same way (``gamma_graph``,
-which keeps the numbering v_i = i, against ``oracle_validate`` and the
-checked constructor only), and are built once more with the checked
-constructor and ``CoreGraph.edges`` made to raise.
+the checked constructor.  ``revalidated`` also requires the default
+spanning tree to be the one ``oracle_default_tree`` selects with
+``_dict_bfs``, every step ``_order`` reports to re-walk, and the tree
+given again by its edges to walk to the same result.  The explicit
+families write their arrays in closed form and are checked the same
+way (``gamma_graph``, which keeps the numbering v_i = i, against
+``oracle_validate`` and the checked constructor only), and are built
+once more with the checked constructor and ``CoreGraph.edges`` made to
+raise.
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
     The graph must pass ``oracle_validate``, be in canonical numbering,
     and equal the checked constructor's graph on its edges: the same
     ``out`` and ``in_`` arrays, the same rank and the same index.  Its
-    default spanning tree must pass the checked ``SpanningTree``.
+    default spanning tree must pass ``assert_default_tree_checks``.
     """
     rank, count, edges = graph.rank, graph.vertex_count, graph.edges
     oracle_validate(rank, count, edges)
@@ -378,10 +380,34 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
     return graph
 
 
+def oracle_default_tree(graph: CoreGraph) -> frozenset[Edge]:
+    """The default tree's selection rule on the (vertex, label) dicts:
+    breadth-first from the base trying 1, -1, .., n, -n at each vertex,
+    keeping the edge that first reaches each vertex."""
+    succ, pred = succ_pred(graph)
+    letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
+    found = list(_dict_bfs(succ, pred, 0, letters).items())
+    return frozenset((u, v, l) if l > 0 else (v, u, -l) for v, (u, l) in found[1:])
+
+
 def assert_default_tree_checks(graph: CoreGraph) -> None:
-    """``spanning_tree`` hands its tree over unchecked; the checked
-    constructor must accept it and walk it to the same result."""
+    """The default tree is the edge set ``oracle_default_tree`` selects.
+    Each step that ``_order`` reports, in the default tree's letter order
+    and in canonical order, leaves a vertex found earlier, and its letter
+    leads there to the vertex it reached.  The tree given again by its
+    edges walks to the same parents, non-tree edges and symbols."""
     tree = spanning_tree(graph)
+    assert tree.tree_edges == oracle_default_tree(graph)
+    rank = graph.rank
+    for letters in ([s * l for l in range(1, rank + 1) for s in (1, -1)], _canonical_letters(rank)):
+        steps: list = []
+        order = _order(graph.out, graph.in_, 0, letters, steps)
+        assert order == _order(graph.out, graph.in_, 0, letters)
+        assert len(steps) == len(order) - 1
+        index = {vertex: i for i, vertex in enumerate(order)}
+        for vertex, (u, letter) in zip(order[1:], steps):
+            assert index[u] < index[vertex]
+            assert walk(graph, u, [letter]) == vertex
     checked = SpanningTree(graph, tree.tree_edges)
     assert tree == checked
     assert list(tree.parents.items()) == list(checked.parents.items())
@@ -628,8 +654,8 @@ def test_family_arrays_match_the_checked_constructor(monkeypatch):
     for m in range(2, 42):
         graph, tree = hm_graph(m)
         revalidated(graph)
-        # The tree is handed over unchecked: the checked constructor must
-        # accept it and walk it to the b-path's basis x, t_1..t_{m-1}, y^m.
+        # The tree given again by its edges walks to the same result, and
+        # to the b-path's basis x, t_1..t_{m-1}, y^m.
         checked = SpanningTree(graph, tree.tree_edges)
         assert (tree.parents, tree.nontree_edges) == (checked.parents, checked.nontree_edges)
         assert tree.symbols == checked.symbols == symbol_arrays(tree)
@@ -643,6 +669,16 @@ def test_family_arrays_match_the_checked_constructor(monkeypatch):
                 assert subgroup.rank == n
                 revalidated(subgroup)
                 assert subgroup.out[:3] == lm_graph(m).out
+
+
+def test_default_tree_of_one_vertex_graphs():
+    for rank in range(1, 5):
+        for gens in ([], [Word(rank, (rank,))]):
+            graph = revalidated(from_generators(rank, gens))
+            assert graph.vertex_count == 1
+            tree = spanning_tree(graph)
+            assert (tree.tree_edges, tree.parents) == (frozenset(), {0: None})
+            assert tree.nontree_edges == ((0, 0, rank),) * len(gens)
 
 
 def test_families_build_without_the_checked_constructor(monkeypatch):

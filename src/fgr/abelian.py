@@ -25,7 +25,7 @@ from .stallings import (
     rewrite_in_basis,
     subgroup_index,
 )
-from .words import Word, add_vectors, checked_int64, exponent_sums
+from .words import Word, _signed_counts, add_vectors, checked_int64, exponent_sums
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,8 @@ def is_visible(w: Word) -> bool:
 
 def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
     """Exponent vector of a member word over the subgroup basis."""
-    symbols = rewrite_in_basis(graph, tree, w)
-    counts = [0] * len(tree.nontree_edges)
-    for symbol in symbols.letters:
-        counts[abs(symbol) - 1] += 1 if symbol > 0 else -1
-    return AbelianVector("subgroup", tuple(counts))
+    symbols = rewrite_in_basis(graph, tree, w).letters
+    return AbelianVector("subgroup", _signed_counts(symbols, len(tree.nontree_edges)))
 
 
 def is_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> bool:

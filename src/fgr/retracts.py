@@ -56,7 +56,7 @@ from .stallings import (
     subgroup_rank,
     walk,
 )
-from .words import Word, _cyclic_cut, exponent_sums, render_word, substitute
+from .words import _MAX_WORD_LETTERS, Word, _cyclic_cut, exponent_sums, render_word, substitute
 
 
 @dataclass(frozen=True)
@@ -349,13 +349,18 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     the rest to random words in them; the section perturbs each
     coordinate generator by a product of conjugated kernel elements, so
     the section property holds by construction (and is re-verified).
+    A complexity c that could make a section word longer than 10**6
+    letters is rejected before any draw.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"retract rank must be in 1..{n - 1}, got {k}")
     if complexity < 0:
         raise ValueError("complexity must be nonnegative")
+    # A section word has at most 1 + c(3c + 1) letters: c conjugated
+    # kernel elements of at most 3c + 1 letters each.
+    if 1 + complexity * (3 * complexity + 1) > _MAX_WORD_LETTERS:
+        raise ValueError(f"section words could pass {_MAX_WORD_LETTERS} letters: c = {complexity}")
     rng = _trial_rng(seed, 0)
-    coordinates = [Word(n, (i,)) for i in range(1, k + 1)]
     for _ in range(20):
         projected = [
             _random_reduced_word(rng, k, complexity, min_len=0)
@@ -363,7 +368,7 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
         ]
         retraction = tuple([Word(k, (i,)) for i in range(1, k + 1)] + projected)
         kernel = [
-            Word(n, (j,)) * substitute(projected[j - k - 1], coordinates, n).inverse()
+            Word(n, (j,)) * Word(n, projected[j - k - 1].letters).inverse()
             for j in range(k + 1, n + 1)
         ]
         section = []

@@ -71,7 +71,11 @@ walk of the tree spells the root paths of the vertices asked for
 letters, for ``basis``, or as text, for ``fgr basis``, which writes each
 basis word as three string copies (``_basis_text``); those of two
 vertices for ``tree_path_word``, which reduces the one path's inverse
-times the other.
+times the other, and which names a vertex outside the graph.
+``evaluate_basis_word``, the way back from ``rewrite_in_basis``, is the
+map from the basis's free group, of any rank, beyond the 26 letters of
+a ``Word`` too; it runs the loop that ``substitute`` runs
+(``fgr.words._map_letters``).
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from itertools import compress
 from operator import eq, neg
 from typing import Callable, Iterable, Sequence
 
-from .words import _GLYPHS, MAX_RANK, Word, _render_letters, reduce_word
+from .words import _GLYPHS, MAX_RANK, Word, _map_letters, _render_letters, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -706,6 +710,9 @@ def tree_path_word(graph: CoreGraph, tree: SpanningTree, source: int, target: in
     the free reduction of path(source)^-1 . path(target), with both root
     paths read by ``_root_paths``."""
     _check_tree_of(graph, tree)
+    for vertex in (source, target):
+        if vertex not in range(graph.vertex_count):
+            raise ValueError(f"vertex {vertex!r} is not in the graph")
     paths = _root_paths(tree, tuple, {source, target})
     return reduce_word(graph.rank, [*map(neg, reversed(paths[source])), *paths[target]])
 
@@ -783,16 +790,13 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
 
 
 def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: int) -> Word:
-    """Substitute actual basis words for the symbols and reduce."""
-    letters: list[int] = []
-    for symbol in symbols.letters:
-        if abs(symbol) > len(basis_words):
-            raise ValueError(f"basis symbol {symbol} out of range")
-        word = basis_words[abs(symbol) - 1]
-        if word.rank != rank:
-            raise ValueError(f"rank mismatch: {rank} != {word.rank}")
-        letters += word.letters if symbol > 0 else word.inverse().letters
-    return reduce_word(rank, letters)
+    """Substitute actual basis words for the symbols and reduce.
+
+    The basis may have any number of words, beyond ``MAX_RANK`` too:
+    symbol i maps to ``basis_words[i-1]`` through the loop that
+    ``substitute`` runs (``fgr.words._map_letters``).
+    """
+    return _map_letters(symbols.letters, basis_words, rank, f"rank mismatch: {rank} != {{}}")
 
 
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:

@@ -18,6 +18,16 @@ and the projection in ``abelian``) is checked against the signed 64-bit
 range, so that an overflow fails loudly instead of silently promoting.
 Exponent sums are counts of letters, bounded by a word's length, so
 they are not checked.
+
+Maps out of a free group run one routine per kind of target.  Both maps
+into a free group, ``substitute`` and ``stallings.evaluate_basis_word``,
+share one loop (``_map_letters``): it spells each letter's image, the
+image's inverse for an inverse letter, and reduces the result once.  It
+checks each image as a letter first uses it and does not bound the
+source alphabet, so ``evaluate_basis_word`` takes a basis of any size,
+beyond the 26 letters of a ``Word`` too.  Both maps into Z^r,
+``exponent_sums`` and ``abelian.abelianize_in_subgroup``, share one
+signed count (``_signed_counts``).
 """
 
 from __future__ import annotations
@@ -178,8 +188,16 @@ def exponent_sums(w: Word) -> tuple[int, ...]:
     Entry i-1 is the signed number of occurrences of generator i; the
     map is a homomorphism onto the rank-n integer lattice.
     """
-    counts = [0] * w.rank
-    for letter in w.letters:
+    return _signed_counts(w.letters, w.rank)
+
+
+def _signed_counts(letters: Iterable[int], size: int) -> tuple[int, ...]:
+    """Entry i-1 is the signed number of occurrences of letter i among
+    ``letters``: the map from the free group on ``size`` letters, of any
+    size, onto Z^size.  ``exponent_sums`` and
+    ``abelian.abelianize_in_subgroup`` count through it."""
+    counts = [0] * size
+    for letter in letters:
         counts[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(counts)
 
@@ -191,13 +209,28 @@ def substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     """
     if len(images) != w.rank:
         raise ValueError(f"expected {w.rank} images, got {len(images)}")
-    letters: list[int] = []
-    for letter in w.letters:
+    return _map_letters(w.letters, images, rank, "image word has the wrong rank")
+
+
+def _map_letters(letters: Iterable[int], images: Sequence[Word], rank: int, mismatch: str) -> Word:
+    """The word of ``rank`` that ``letters`` spell when letter i stands
+    for ``images[i-1]`` and -i for its inverse, reduced once.
+
+    The letters are symbols of a basis 1..len(images) of any size.
+    Each image is checked when a letter uses it, in the order of the
+    letters: a symbol beyond the images is out of range, and an image of
+    another rank raises ``mismatch`` with ``{}`` filled in by that rank.
+    ``substitute`` and ``stallings.evaluate_basis_word`` map through it.
+    """
+    spelled: list[int] = []
+    for letter in letters:
+        if abs(letter) > len(images):
+            raise ValueError(f"basis symbol {letter} out of range")
         image = images[abs(letter) - 1]
         if image.rank != rank:
-            raise ValueError("image word has the wrong rank")
-        letters += image.letters if letter > 0 else image.inverse().letters
-    return reduce_word(rank, letters)
+            raise ValueError(mismatch.format(image.rank))
+        spelled += image.letters if letter > 0 else map(neg, reversed(image.letters))
+    return reduce_word(rank, spelled)
 
 
 # _GLYPHS[l] is the text form of letter l for l in -26..26: a negative

@@ -16,6 +16,7 @@ LAYERS = {
     "basis_render",
     "basis_text",
     "rewrite_in_basis",
+    "evaluate_basis_word",
     "intersect_cyclic",
     "bergman_cyclic",
 }

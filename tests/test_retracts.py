@@ -100,6 +100,14 @@ def test_random_retract_rejects_bad_rank():
         random_retract(2, 2, seed=0)
 
 
+def test_random_retract_rejects_a_complexity_past_the_word_bound():
+    # 1 + c(3c + 1) letters: 999,365 at c = 577 and 1,002,831 at c = 578.
+    # Only rejected values are tried; a draw at c = 577 would be slow.
+    for complexity in (578, 10**9):
+        with pytest.raises(ValueError, match=f"letters: c = {complexity}$"):
+            random_retract(3, 1, seed=0, complexity=complexity)
+
+
 # --- smallest power --------------------------------------------------------------
 
 def test_smallest_power_examples():

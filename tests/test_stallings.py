@@ -353,6 +353,14 @@ def test_rewrite_round_trip():
         assert evaluate_basis_word(base_words, symbols, 2) == member
 
 
+def test_tree_path_word_names_a_vertex_outside_the_graph():
+    graph, tree = hm_graph(5)
+    assert tree_path_word(graph, tree, 0, 4) == tree_path_word(graph, tree, 4, 0).inverse()
+    for source, target, outside in ((0, 99, "99"), (-1, 0, "-1"), (0, 5, "5"), (1.5, 0, "1.5")):
+        with pytest.raises(ValueError, match=f"^vertex {outside} is not in the graph$"):
+            tree_path_word(graph, tree, source, target)
+
+
 # --- pullback ----------------------------------------------------------------
 
 def test_pullback_diagonal():

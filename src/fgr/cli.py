@@ -5,6 +5,11 @@ environment variables), writes data to stdout as JSON by default or TSV
 with ``--format tsv``, and is byte-deterministic: identical invocations
 produce identical output.  Exit codes: 0 success, 1 domain error
 (message on stderr), 2 usage error.
+
+Each verb is defined once, in ``_build_parser``: its subparser holds
+its flags and, through ``set_defaults``, its answer, the function from
+the parsed flags to the payload that ``main`` prints.  The verbs about
+one subgroup share one reader (``_on_subgroup``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from functools import cache
 from typing import Callable, Sequence
 
-from .abelian import transfer
+from .abelian import is_visible, is_visible_in_subgroup, transfer
 from .constructions import gamma_graph, hm_graph, lm_graph, wk_square_rewrite, wk_word
 from .retracts import bergman_counterexample, intersection_report, run_suite, suite_names
 from .stallings import (
@@ -31,8 +36,7 @@ from .stallings import (
     rewrite_in_basis,
     spanning_tree,
 )
-from .abelian import is_visible, is_visible_in_subgroup
-from .words import parse_word, render_word
+from .words import _parse_words, parse_word, render_word
 
 
 # Built once per process: parsing leaves no state in the parser.
@@ -50,72 +54,61 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--gens{suffix}", help="comma-separated generator word expressions")
         p.add_argument(f"--graph{suffix}", help="path to a graph JSON file")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return verbs.add_parser(name, help=help_text)
+    # A verb's subparser carries its answer; ``flags`` are required ints.
+    def add(name: str, help_text: str, answer: Callable, *flags: str) -> argparse.ArgumentParser:
+        p = verbs.add_parser(name, help=help_text)
+        p.set_defaults(answer=answer)
+        for flag in flags:
+            p.add_argument(flag, type=int, required=True)
+        return p
 
-    def add_subgroup_verb(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
-        p = add(name, help_text)
+    def add_subgroup_verb(
+        name: str, help_text: str, answer: Callable, *flags: str
+    ) -> argparse.ArgumentParser:
+        p = add(name, help_text, answer)
         p.add_argument("--rank", type=int)
         add_subgroup_flags(p)
         for flag in flags:
             p.add_argument(flag, required=flag == "--word")
         return p
 
-    add_subgroup_verb("fold", "fold a raw graph or generator wedge into a core graph")
-    add_subgroup_verb("basis", "free basis induced by a spanning tree").add_argument(
+    tree_word = ("--tree", "--word")
+    add_subgroup_verb("fold", "fold a raw graph or generator wedge into a core graph", _fold)
+    add_subgroup_verb("basis", "free basis induced by a spanning tree", _basis).add_argument(
         "--tree", help="comma list of from:to:label tree edges"
     )
-    add_subgroup_verb("member", "test membership of a word in a subgroup", "--word")
-    add_subgroup_verb("rewrite", "express a member word over the subgroup basis", "--tree", "--word")
-    p = add_subgroup_verb("intersect", "intersection report for a subgroup and a retract")
+    add_subgroup_verb("member", "test membership of a word in a subgroup", _member, "--word")
+    add_subgroup_verb(
+        "rewrite", "express a member word over the subgroup basis", _rewrite, *tree_word
+    )
+    p = add_subgroup_verb(
+        "intersect", "intersection report for a subgroup and a retract", _intersect
+    )
     add_subgroup_flags(p, suffix="2")
     add_subgroup_verb(
-        "visible", "visibility of a word, ambient or inside a subgroup", "--tree", "--word"
+        "visible", "visibility of a word, ambient or inside a subgroup", _visible, *tree_word
     )
     add_subgroup_verb(
-        "transfer", "transfer of a word into a finite-index subgroup", "--tree", "--word"
+        "transfer", "transfer of a word into a finite-index subgroup", _transfer, *tree_word
     )
 
-    for name in ("gamma", "hm", "lm"):
-        p = add(name, f"emit the {name} graph for a given m")
-        p.add_argument("--m", type=int, required=True)
-
-    p = add("wk", "emit the word x[x,y]^k")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("lemma33", "closed-form basis rewrite of wk^2 for odd m")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("bergman", "retract-intersection counterexample report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("suite", "run a randomized property suite")
+    gamma = lambda args: graph_to_json(gamma_graph(args.m))
+    add("gamma", "emit the gamma graph for a given m", gamma, "--m")
+    add("hm", "emit the hm graph for a given m", _hm, "--m")
+    lm = lambda args: graph_to_json(lm_graph(args.m))
+    add("lm", "emit the lm graph for a given m", lm, "--m")
+    add("wk", "emit the word x[x,y]^k", lambda args: render_word(wk_word(args.k)), "--k")
+    lemma33 = lambda args: list(wk_square_rewrite(args.m).letters)
+    add("lemma33", "closed-form basis rewrite of wk^2 for odd m", lemma33, "--m")
+    bergman = lambda args: bergman_counterexample(args.n, args.m, args.k).to_json()
+    add("bergman", "retract-intersection counterexample report", bergman, "--n", "--m", "--k")
+    suite = lambda args: run_suite(args.name, args.trials, args.seed).to_json()
+    p = add("suite", "run a randomized property suite", suite)
     p.add_argument("name", choices=suite_names())
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _split_generators(text: str) -> list[str]:
-    """Split a generator list on commas outside brackets and parens."""
-    chunks = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
-    return chunks
 
 
 def _load_graph(
@@ -130,8 +123,7 @@ def _load_graph(
     if gens is not None:
         if args.rank is None:
             raise ValueError("--gens needs --rank")
-        words = [parse_word(text, args.rank) for text in _split_generators(gens)]
-        return from_generators(args.rank, words)
+        return from_generators(args.rank, _parse_words(gens, args.rank))
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -161,10 +153,6 @@ def _parse_tree_flag(graph: CoreGraph, text: str | None):
     return spanning_tree(graph, override=edges)
 
 
-def _render_tree(tree_edges) -> list[str]:
-    return [f"{u}:{v}:{l}" for (u, v, l) in sorted(tree_edges)]
-
-
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -185,65 +173,49 @@ def _tsv_cell(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-# The verbs that answer about one subgroup: each loads the graph, reads
-# --tree if it takes one (a default tree when the flag is absent), then
-# parses --word if it takes one, in that order.
-_GRAPH_VERBS = {
-    "basis": lambda graph, tree, word: _basis_text(graph, tree),
-    "member": lambda graph, tree, word: {"member": contains(graph, word)},
-    "rewrite": lambda graph, tree, word: list(rewrite_in_basis(graph, tree, word).letters),
-    "visible": lambda graph, tree, word: {"visible": is_visible_in_subgroup(graph, tree, word)},
-    "transfer": lambda graph, tree, word: transfer(graph, tree, word).to_json(),
-}
+def _on_subgroup(answer: Callable) -> Callable[[argparse.Namespace], object]:
+    """The answer of a verb about one subgroup: it loads the graph, reads
+    --tree if the verb takes one (the default tree when the flag is
+    absent), then parses --word if it takes one, in that order, and
+    hands the three to ``answer`` (None for a flag the verb lacks)."""
 
-
-def _dispatch(args: argparse.Namespace) -> object:
-    if args.verb == "fold":
-        # A graph file holds any labeled digraph, which is folded, not checked.
-        return graph_to_json(_load_graph(args, read=lambda data: fold(*_read_graph_json(data))))
-
-    if args.verb == "intersect":
-        subgroup = _load_graph(args)
-        other = _load_graph(args, suffix="2")
-        return intersection_report(subgroup, other).to_json()
-
-    if args.verb == "visible" and args.gens is None and args.graph is None:
-        if args.rank is None:
-            raise ValueError("ambient visibility needs --rank")
-        return {"visible": is_visible(parse_word(args.word, args.rank))}
-
-    answer = _GRAPH_VERBS.get(args.verb)
-    if answer is not None:
+    def read(args: argparse.Namespace) -> object:
         graph = _load_graph(args)
         tree = _parse_tree_flag(graph, args.tree) if "tree" in args else None
         word = parse_word(args.word, graph.rank) if "word" in args else None
         return answer(graph, tree, word)
 
-    if args.verb == "gamma":
-        return graph_to_json(gamma_graph(args.m))
+    return read
 
-    if args.verb == "hm":
-        graph, tree = hm_graph(args.m)
-        payload = graph_to_json(graph)
-        payload["tree"] = _render_tree(tree.tree_edges)
-        return payload
 
-    if args.verb == "lm":
-        return graph_to_json(lm_graph(args.m))
+def _fold(args: argparse.Namespace) -> object:
+    # A graph file holds any labeled digraph, which is folded, not checked.
+    return graph_to_json(_load_graph(args, read=lambda data: fold(*_read_graph_json(data))))
 
-    if args.verb == "wk":
-        return render_word(wk_word(args.k))
 
-    if args.verb == "lemma33":
-        return list(wk_square_rewrite(args.m).letters)
+def _intersect(args: argparse.Namespace) -> object:
+    return intersection_report(_load_graph(args), _load_graph(args, suffix="2")).to_json()
 
-    if args.verb == "bergman":
-        return bergman_counterexample(args.n, args.m, args.k).to_json()
 
-    if args.verb == "suite":
-        return run_suite(args.name, args.trials, args.seed).to_json()
+_basis = _on_subgroup(lambda graph, tree, word: _basis_text(graph, tree))
+_member = _on_subgroup(lambda graph, tree, word: {"member": contains(graph, word)})
+_rewrite = _on_subgroup(lambda *request: list(rewrite_in_basis(*request).letters))
+_visible_in_subgroup = _on_subgroup(lambda *request: {"visible": is_visible_in_subgroup(*request)})
+_transfer = _on_subgroup(lambda *request: transfer(*request).to_json())
 
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+
+def _visible(args: argparse.Namespace) -> object:
+    if args.gens is None and args.graph is None:
+        if args.rank is None:
+            raise ValueError("ambient visibility needs --rank")
+        return {"visible": is_visible(parse_word(args.word, args.rank))}
+    return _visible_in_subgroup(args)
+
+
+def _hm(args: argparse.Namespace) -> object:
+    graph, tree = hm_graph(args.m)
+    edges = sorted(tree.tree_edges)
+    return {**graph_to_json(graph), "tree": [f"{u}:{v}:{l}" for u, v, l in edges]}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -253,7 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = _dispatch(args)
+        payload = args.answer(args)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"fgr: error: {exc}\n")
         return 1

@@ -13,6 +13,9 @@ nothing; ``reduce_word`` first checks the alphabet and the rank of its
 raw letters, then reduces them in one pass.  The parser reads each
 maximal run of letters and whitespace whole, with one regex match and
 one table lookup per letter, and reduces each expression once.
+``_parse_words`` reads a comma list of expressions with the same
+parser, checks and bounds, so a position counts from the start of the
+whole list.
 Vector arithmetic on integers that callers hand in (``add_vectors``,
 and the projection in ``abelian``) is checked against the signed 64-bit
 range, so that an overflow fails loudly instead of silently promoting.
@@ -23,7 +26,8 @@ Maps out of a free group run one routine per kind of target.  Both maps
 into a free group, ``substitute`` and ``stallings.evaluate_basis_word``,
 share one loop (``_map_letters``): it spells each letter's image, the
 image's inverse for an inverse letter, and reduces the result once.  It
-checks each image as a letter first uses it and does not bound the
+checks each image as a letter first uses it, so a spelling is re-checked
+only when it is empty (for the target rank), and it does not bound the
 source alphabet, so ``evaluate_basis_word`` takes a basis of any size,
 beyond the 26 letters of a ``Word`` too.  Both maps into Z^r,
 ``exponent_sums`` and ``abelian.abelianize_in_subgroup``, share one
@@ -230,7 +234,9 @@ def _map_letters(letters: Iterable[int], images: Sequence[Word], rank: int, mism
         if image.rank != rank:
             raise ValueError(mismatch.format(image.rank))
         spelled += image.letters if letter > 0 else map(neg, reversed(image.letters))
-    return reduce_word(rank, spelled)
+    # Every spelled letter comes from an image checked to be of ``rank``;
+    # only an empty spelling leaves the rank itself to check.
+    return Word._from_letters(rank, _free_reduction(spelled)) if spelled else reduce_word(rank, ())
 
 
 # _GLYPHS[l] is the text form of letter l for l in -26..26: a negative
@@ -260,21 +266,23 @@ def parse_word(text: str, rank: int) -> Word:
         int    := ['-'] digit { digit }
 
     Lowercase letter at alphabet position i denotes generator i,
-    uppercase its inverse; ``[u,v]`` is the commutator.  Whitespace is
-    ignored, empty input denotes the identity, and a word longer than
-    10**6 letters is a :class:`ParseError`, raised before it is built.
+    uppercase its inverse; ``[u,v]`` is the commutator.  A digit is a
+    character ``str.isdecimal`` accepts, the digits ``int`` reads.
+    Whitespace is ignored, empty input denotes the identity, and a word
+    longer than 10**6 letters is a :class:`ParseError`, raised before it
+    is built.
     A run of letters and whitespace is read whole; it raises what
     reading it letter by letter would, at the same position.
     """
-    if not 1 <= rank <= MAX_RANK:
-        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
-    parser = _Parser(text, rank)
-    try:
-        return parser.parse()
-    except RecursionError:
-        # The parser recurses once per bracket level; the interpreter's
-        # stack limit is the nesting bound.
-        raise ParseError("expression nested too deeply", parser.pos) from None
+    return _Parser(text, rank).parse(separated=False)[0]
+
+
+def _parse_words(text: str, rank: int) -> list[Word]:
+    """The words of a comma list of expressions, each read and bounded
+    as :func:`parse_word` reads one; a comma inside brackets belongs to
+    its expression, an empty item is the identity, and a
+    :class:`ParseError` position counts from the start of ``text``."""
+    return _Parser(text, rank).parse(separated=True)
 
 
 @cache
@@ -293,17 +301,29 @@ def _letter_runs(rank: int) -> tuple[re.Pattern, dict[str, int]]:
 
 class _Parser:
     def __init__(self, text: str, rank: int) -> None:
+        if not 1 <= rank <= MAX_RANK:
+            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
         self.text = text
         self.rank = rank
         self.pos = 0
         self.run_pattern, self.values = _letter_runs(rank)
 
-    def parse(self) -> Word:
-        word = self._expr(required=False)
+    def parse(self, separated: bool) -> list[Word]:
+        """The words of the text: one expression, or a comma list of
+        them if ``separated``."""
+        try:
+            words = [self._expr(required=False)]
+            while separated and self._peek() == ",":
+                self.pos += 1
+                words.append(self._expr(required=False))
+        except RecursionError:
+            # The parser recurses once per bracket level; the interpreter's
+            # stack limit is the nesting bound.
+            raise ParseError("expression nested too deeply", self.pos) from None
         self._skip_space()
         if self.pos != len(self.text):
             self._fail(f"unexpected character {self.text[self.pos]!r}")
-        return word
+        return words
 
     def _fail(self, message: str) -> None:
         raise ParseError(message, self.pos)
@@ -408,7 +428,7 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start

@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fgr
-from fgr.cli import main
+from fgr.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +250,9 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
         ("gamma", "--m", "1"),
         ("--help",),
         ("member", *H3_FLAGS, "--word", "(a[a,b])^2"),
+        ("visible", "--rank", "2", "--word", "a[a,b]"),
+        ("intersect", "--rank", "2", "--gens", "a,b", "--gens2", "ab, b^x"),
+        ("hm", "--m", "5"),
     )
     codes = []
     for argv in calls:
@@ -256,7 +262,7 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
         got = run_cli(capsys, *argv)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(got[0])
-    assert codes == [0, 2, 1, 0, 0]
+    assert codes == [0, 2, 1, 0, 0, 0, 1, 0]
 
 
 def assert_one_error_line(code, out, err):
@@ -352,3 +358,150 @@ def test_fold_takes_exactly_one_of_gens_or_graph(capsys, tmp_path):
         code, out, err = run_cli(capsys, "fold", *flags)
         assert_one_error_line(code, out, err)
         assert err == "fgr: error: give exactly one of --gens or --graph\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Past the first generator: the position counts from the flag.
+        (("member", "--gens", "ab, c", "--word", "a"), "letter 'c' beyond rank 2 at position 4"),
+        (
+            ("member", "--gens", "ab,a^", "--word", "a"),
+            "expected an integer exponent at position 5",
+        ),
+        (
+            ("intersect", "--gens", "a,b", "--gens2", "ab, b^x"),
+            "expected an integer exponent at position 6",
+        ),
+        (("fold", "--gens", "a,]"), "unexpected character ']' at position 2"),
+        # In the first generator, or across a comma, as before.
+        (("member", "--gens", "c,ab", "--word", "a"), "letter 'c' beyond rank 2 at position 0"),
+        (
+            ("intersect", "--gens", "a^,b", "--gens2", "a"),
+            "expected an integer exponent at position 2",
+        ),
+        (("fold", "--gens", "a],[b,c]"), "unexpected character ']' at position 1"),
+        (("fold", "--gens", "(a,b"), "expected ')' at position 2"),
+    ],
+)
+def test_generator_parse_errors_count_from_the_start_of_the_flag(capsys, argv, message):
+    assert run_cli(capsys, *argv, "--rank", "2") == (1, "", f"fgr: error: {message}\n")
+
+
+def test_empty_generators_are_the_identity(capsys):
+    def fold(gens):
+        return run_json(capsys, "fold", "--rank", "2", "--gens", gens)
+
+    assert fold("a,,b") == fold("a,b")
+    assert fold("a,") == fold("a")
+    assert fold("") == {"rank": 2, "vertices": 1, "base": 0, "edges": []}
+
+
+# The CLI's surface as it stood before each verb carried its answer: the
+# verbs in order with their help lines, and per parser each action's
+# option strings, dest, required, type, default, choices and help.
+# argparse's formatted help lays these out differently across Python
+# versions; the fields themselves do not change.
+VERBS = [
+    ("fold", "fold a raw graph or generator wedge into a core graph"),
+    ("basis", "free basis induced by a spanning tree"),
+    ("member", "test membership of a word in a subgroup"),
+    ("rewrite", "express a member word over the subgroup basis"),
+    ("intersect", "intersection report for a subgroup and a retract"),
+    ("visible", "visibility of a word, ambient or inside a subgroup"),
+    ("transfer", "transfer of a word into a finite-index subgroup"),
+    ("gamma", "emit the gamma graph for a given m"),
+    ("hm", "emit the hm graph for a given m"),
+    ("lm", "emit the lm graph for a given m"),
+    ("wk", "emit the word x[x,y]^k"),
+    ("lemma33", "closed-form basis rewrite of wk^2 for odd m"),
+    ("bergman", "retract-intersection counterexample report"),
+    ("suite", "run a randomized property suite"),
+]
+HELP = (("-h", "--help"), "help", False, None, argparse.SUPPRESS, None)
+HELP += ("show this help message and exit",)
+RANK = (("--rank",), "rank", False, "int", None, None, None)
+GENS_HELP = "comma-separated generator word expressions"
+GENS = (("--gens",), "gens", False, None, None, None, GENS_HELP)
+GRAPH = (("--graph",), "graph", False, None, None, None, "path to a graph JSON file")
+TREE = (("--tree",), "tree", False, None, None, None, None)
+WORD = (("--word",), "word", True, None, None, None, None)
+SUBGROUP = [HELP, RANK, GENS, GRAPH]
+SUITES = (
+    "hanna-neumann",
+    "normal-power",
+    "rank-bound-rk3",
+    "rank2-intersection",
+    "schreier-formula",
+    "single-cycle-power",
+    "transfer-visibility",
+)
+
+
+def int_flags(*names):
+    return [HELP] + [((f"--{name}",), name, True, "int", None, None, None) for name in names]
+
+
+SURFACE = {
+    "fgr": [
+        HELP,
+        (("--format",), "format", False, None, "json", ("json", "tsv"), None),
+        ((), "verb", True, None, None, tuple(name for name, _ in VERBS), None),
+    ],
+    "fold": SUBGROUP,
+    "basis": SUBGROUP + [TREE[:-1] + ("comma list of from:to:label tree edges",)],
+    "member": SUBGROUP + [WORD],
+    "rewrite": SUBGROUP + [TREE, WORD],
+    "intersect": SUBGROUP + [
+        (("--gens2",), "gens2", False, None, None, None, GENS_HELP),
+        (("--graph2",), "graph2", False, None, None, None, "path to a graph JSON file"),
+    ],
+    "visible": SUBGROUP + [TREE, WORD],
+    "transfer": SUBGROUP + [TREE, WORD],
+    "gamma": int_flags("m"),
+    "hm": int_flags("m"),
+    "lm": int_flags("m"),
+    "wk": int_flags("k"),
+    "lemma33": int_flags("m"),
+    "bergman": int_flags("n", "m", "k"),
+    "suite": [
+        HELP,
+        ((), "name", True, None, None, SUITES, None),
+        (("--trials",), "trials", False, "int", 100, None, None),
+        (("--seed",), "seed", False, "int", 0, None, None),
+    ],
+}
+
+
+def verb_parsers():
+    parser = _build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, verbs
+
+
+def surface(parser):
+    return [
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.required,
+            getattr(action.type, "__name__", action.type),
+            action.default,
+            None if action.choices is None else tuple(action.choices),
+            action.help,
+        )
+        for action in parser._actions
+    ]
+
+
+def test_cli_surface_is_unchanged():
+    parser, verbs = verb_parsers()
+    assert [(choice.dest, choice.help) for choice in verbs._choices_actions] == VERBS
+    got = {"fgr": surface(parser), **{name: surface(p) for name, p in verbs.choices.items()}}
+    assert got == SURFACE
+
+
+def test_every_verb_carries_its_answer():
+    _, verbs = verb_parsers()
+    for name, p in verbs.choices.items():
+        assert callable(p.get_default("answer")), name

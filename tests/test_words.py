@@ -13,6 +13,7 @@ from fgr import (
     render_word,
     substitute,
 )
+from fgr.words import _parse_words
 
 
 def random_reduced_word(rng, rank, max_len, min_len=1):
@@ -118,6 +119,32 @@ def test_parse_error_positions():
     assert info.value.position == 3
     with pytest.raises(ParseError):
         parse_word("a*b", 2)
+    # Superscripts are digits to str.isdigit but not to int; an
+    # Arabic-Indic three is a decimal digit, which int reads.
+    for text in ("a^\u00b2", "a^\u00b3b"):
+        with pytest.raises(ParseError, match="expected an integer exponent") as info:
+            parse_word(text, 2)
+        assert info.value.position == 2
+    assert parse_word("a^\u0663", 2) == parse_word("aaa", 2)
+
+
+def test_parse_words_reads_one_comma_list():
+    # Positions and empty items are pinned through the CLI in
+    # test_cli.py; here the items and the checks shared with parse_word.
+    assert _parse_words(" ab , [a,b]^2 ,", 2) == [
+        parse_word("ab", 2),
+        parse_word("[a,b]^2", 2),
+        Word(2),
+    ]
+    with pytest.raises(ValueError, match=r"rank must be in 1\.\.26, got 0"):
+        _parse_words("a", 0)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        _parse_words("a," + "(" * 3000 + "a" + ")" * 3000, 2)
+    # The letter bound holds per word, not for the list.
+    assert len(_parse_words("a^600000,b^600000", 2)[1]) == 600_000
+    with pytest.raises(ParseError, match="longer than 1000000 letters") as info:
+        _parse_words("a^600000,b^600000,a^1000001", 2)
+    assert info.value.position == 27
 
 
 def test_parse_deep_nesting():

@@ -468,6 +468,22 @@ def test_substitute_matches_oracle():
         )
 
 
+def test_empty_spellings_check_the_target_rank_as_the_oracles_do():
+    # A non-empty spelling implies a valid rank through its checked
+    # images; the empty one is checked for it.
+    for target in (0, 27):
+        message = f"rank must be in 1..26, got {target}"
+        images = [Word(2), parse_word("a", 2)]
+        got = outcome(substitute, Word(2), images, target)
+        assert got == outcome(left_fold_substitute, Word(2), images, target)
+        assert got[1] == message
+        for basis_words in ([], images):
+            symbols = BasisWord(())
+            got = outcome(evaluate_basis_word, basis_words, symbols, target)
+            assert got == outcome(left_fold_evaluate_basis_word, basis_words, symbols, target)
+            assert got[1] == message
+
+
 def test_evaluate_basis_word_matches_oracle():
     rng = random.Random(9500)
     for _ in range(300):

@@ -35,7 +35,6 @@ from .retracts import (
     turner_power_word,
 )
 from .stallings import (
-    BasisWord,
     CoreGraph,
     Edge,
     InfiniteIndexError,
@@ -46,7 +45,6 @@ from .stallings import (
     canonicalize,
     contains,
     coset_permutation,
-    evaluate_basis_word,
     fold,
     from_generators,
     graph_from_json,

@@ -3,7 +3,9 @@
 Visibility of a word means its exponent vector is primitive (coordinate
 gcd 1); visible words are exactly the generators of cyclic retracts.
 For a subgroup presented by a core graph with a spanning tree, members
-abelianize to exponent vectors over the induced basis.  At finite index
+abelianize to exponent vectors over the induced basis: the exponent
+sums of the member rewritten as a word over that basis, through the
+same ``exponent_sums`` that abelianizes an ambient word.  At finite index
 the transfer of a word has, at each non-tree edge, the word's exponent
 sum in the edge's label: lifting one letter from every vertex of a
 complete cover crosses each edge with that label once.  The chain-level
@@ -25,7 +27,7 @@ from .stallings import (
     rewrite_in_basis,
     subgroup_index,
 )
-from .words import Word, _signed_counts, add_vectors, checked_int64, exponent_sums
+from .words import Word, add_vectors, checked_int64, exponent_sums
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ def is_visible(w: Word) -> bool:
 
 def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
     """Exponent vector of a member word over the subgroup basis."""
-    symbols = rewrite_in_basis(graph, tree, w).letters
-    return AbelianVector("subgroup", _signed_counts(symbols, len(tree.nontree_edges)))
+    return AbelianVector("subgroup", exponent_sums(rewrite_in_basis(graph, tree, w)))
 
 
 def is_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> bool:

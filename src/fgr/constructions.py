@@ -30,12 +30,13 @@ folded, every vertex keeps degree >= 2, and the b-path still spans it.
 ``wk_word(k)`` is x[x,y]^k, a visible word whose square always lies in
 the subgroup above while the word itself lies in it only when m | 2k.
 ``wk_square_rewrite(m)`` (m odd) is the closed form of that square over
-the preferred basis, used as an oracle against path rewriting.
+the preferred basis, a ``Word`` of rank m + 1 (the basis's size), used
+as an oracle against path rewriting.
 """
 
 from __future__ import annotations
 
-from .stallings import BasisWord, CoreGraph, SpanningTree, canonicalize
+from .stallings import CoreGraph, SpanningTree, canonicalize
 from .words import _MAX_WORD_LETTERS, Word, commutator
 
 
@@ -102,10 +103,11 @@ def wk_word(k: int) -> Word:
     return a * commutator(a, b) ** k
 
 
-def wk_square_rewrite(m: int) -> BasisWord:
+def wk_square_rewrite(m: int) -> Word:
     """Closed form of wk_word(k)^2 over the preferred basis, m = 2k+1.
 
-    Symbols: 1 is x, j+1 is t_j, m+1 is y^m.  The word is
+    A word of rank m + 1 over the basis, whose letter 1 is x, j+1 is t_j
+    and m+1 is y^m:
     x^2 t_{m-1}^-1 t_{m-2} .. t_2^-1 t_1 t_{m-1} t_{m-2}^-1 .. t_2 t_1^-1,
     2m symbols, at most 10**6.
     """
@@ -116,4 +118,4 @@ def wk_square_rewrite(m: int) -> BasisWord:
     falling = range(m - 1, 0, -1)
     first = [(j + 1) if j % 2 == 1 else -(j + 1) for j in falling]
     second = [(j + 1) if j % 2 == 0 else -(j + 1) for j in falling]
-    return BasisWord((1, 1, *first, *second))
+    return Word(m + 1, (1, 1, *first, *second))

@@ -56,7 +56,9 @@ from .stallings import (
     subgroup_rank,
     walk,
 )
-from .words import _MAX_WORD_LETTERS, Word, _cyclic_cut, exponent_sums, render_word, substitute
+from .words import (
+    _MAX_WORD_LETTERS, Word, _check_rank, _cyclic_cut, exponent_sums, render_word, substitute
+)
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,10 @@ def bergman_counterexample(n: int, m: int, k: int) -> IntersectionReport:
         raise ValueError(f"the counterexample family needs m >= 3, got {m}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"retract rank must be in 1..{n - 1}, got {k}")
-    # The word's letter bound is the tighter one, so it fails first.
-    w = Word(n, wk_word((m - 1) // 2).letters)
+    # The word's letter bound is the tighter one, so it fails before the rank.
+    letters = wk_word((m - 1) // 2).letters
+    _check_rank(n)
+    w = Word(n, letters)
     lm = lm_graph(m)
     count = lm.vertex_count
     # Widened to rank n: labels 3..n carry no edge, so the numbering stays canonical.
@@ -350,7 +354,8 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     coordinate generator by a product of conjugated kernel elements, so
     the section property holds by construction (and is re-verified).
     A complexity c that could make a section word longer than 10**6
-    letters is rejected before any draw.
+    letters, and an ambient rank outside 1..26, are rejected before any
+    draw.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"retract rank must be in 1..{n - 1}, got {k}")
@@ -360,6 +365,7 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     # kernel elements of at most 3c + 1 letters each.
     if 1 + complexity * (3 * complexity + 1) > _MAX_WORD_LETTERS:
         raise ValueError(f"section words could pass {_MAX_WORD_LETTERS} letters: c = {complexity}")
+    _check_rank(n)
     rng = _trial_rng(seed, 0)
     for _ in range(20):
         projected = [

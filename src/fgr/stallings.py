@@ -72,10 +72,11 @@ letters, for ``basis``, or as text, for ``fgr basis``, which writes each
 basis word as three string copies (``_basis_text``); those of two
 vertices for ``tree_path_word``, which reduces the one path's inverse
 times the other, and which names a vertex outside the graph.
-``evaluate_basis_word``, the way back from ``rewrite_in_basis``, is the
-map from the basis's free group, of any rank, beyond the 26 letters of
-a ``Word`` too; it runs the loop that ``substitute`` runs
-(``fgr.words._map_letters``).
+``rewrite_in_basis`` returns a ``Word`` in the free group on the basis,
+whose rank is the number of non-tree edges, beyond 26 too, and 0 for
+the trivial subgroup; ``fgr.words.substitute`` of the basis words is the
+way back.  The builders check their rank against 1..26 with
+``fgr.words._check_rank``, as the parser does.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from itertools import compress
 from operator import eq, neg
 from typing import Callable, Iterable, Sequence
 
-from .words import _GLYPHS, MAX_RANK, Word, _map_letters, _render_letters, reduce_word
+from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -247,39 +248,6 @@ class SpanningTree:
 
 
 @dataclass(frozen=True)
-class BasisWord:
-    """A reduced word over a subgroup basis.
-
-    Letters are signed 1-based indices into the non-tree edge list of a
-    spanning tree; sign +1 traverses the edge along its orientation.
-    The constructor checks its letters; ``rewrite_in_basis`` makes
-    reduced ones and hands them to ``_from_letters``, which checks
-    nothing.
-    """
-
-    letters: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        previous = 0
-        for letter in self.letters:
-            if letter == 0:
-                raise ValueError("basis symbol 0 is not allowed")
-            if letter == -previous:
-                raise ValueError("basis word is not freely reduced")
-            previous = letter
-
-    @classmethod
-    def _from_letters(cls, letters: tuple[int, ...]) -> BasisWord:
-        """A basis word on letters made reduced, taken as they are."""
-        word = cls.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        return word
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
 class Permutation:
     """A permutation of ``0..len(images)-1`` given by its image tuple."""
 
@@ -343,11 +311,6 @@ def subgroup_index(graph: CoreGraph) -> int | None:
 def _canonical_letters(rank: int) -> tuple[int, ...]:
     """Outgoing labels 1..n, then incoming labels 1..n."""
     return (*range(1, rank + 1), *range(-1, -rank - 1, -1))
-
-
-def _check_rank(rank: int) -> None:
-    if not 1 <= rank <= MAX_RANK:
-        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
 def _check_tree_of(graph: CoreGraph, tree: SpanningTree) -> None:
@@ -752,12 +715,14 @@ def _basis_text(graph: CoreGraph, tree: SpanningTree) -> list[str]:
     ]
 
 
-def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord:
+def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     """Express a member word over the basis induced by ``tree``.
 
     Traces the path of ``w`` from the base and emits a signed basis
-    symbol for each non-tree edge crossed, in traversal order.  Raises
-    :class:`NotAMemberError` when the path breaks or does not close.
+    symbol for each non-tree edge crossed, in traversal order: letter i
+    of the result, a word of rank ``len(tree.nontree_edges)``, is the
+    i-th basis word.  Raises :class:`NotAMemberError` when the path
+    breaks or does not close.
     """
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
@@ -786,17 +751,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> BasisWord
         raise NotAMemberError("path does not close at the base")
     # Reduced: crossing a non-tree edge and then straight back would need
     # a reduced closed walk in the tree between them, and that is empty.
-    return BasisWord._from_letters(tuple(symbols))
-
-
-def evaluate_basis_word(basis_words: Sequence[Word], symbols: BasisWord, rank: int) -> Word:
-    """Substitute actual basis words for the symbols and reduce.
-
-    The basis may have any number of words, beyond ``MAX_RANK`` too:
-    symbol i maps to ``basis_words[i-1]`` through the loop that
-    ``substitute`` runs (``fgr.words._map_letters``).
-    """
-    return _map_letters(symbols.letters, basis_words, rank, f"rank mismatch: {rank} != {{}}")
+    return Word._from_letters(len(tree.nontree_edges), tuple(symbols))
 
 
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:

@@ -2,8 +2,17 @@
 
 A word is a freely reduced sequence of signed generator indices: letter
 ``i`` (1-based) is the i-th generator and ``-i`` its formal inverse.
-The text form writes generator i as the i-th lowercase ASCII letter and
-its inverse as the matching uppercase letter, which caps the rank at 26.
+``Word(rank, letters)`` is the one word type, for a free group of any
+rank r >= 0: an ambient word, a word over a subgroup basis of any size
+(``stallings.rewrite_in_basis``) and the closed form over the preferred
+basis (``constructions.wk_square_rewrite``) alike.  Rank 0 is the
+trivial group, whose only word is empty.  The text form writes
+generator i as the i-th lowercase ASCII letter and its inverse as the
+matching uppercase letter, so the ranks text or a graph can reach are
+1..26: ``_check_rank`` bounds them for the parser, ``render_word`` and
+the graph builders of ``stallings``, and ``retracts`` checks with it the
+ambient rank of a random retract or a counterexample before it draws
+or builds anything.
 
 All operations return freely reduced words.  The public constructor
 ``Word(rank, letters)`` checks its input.  The builders (``reduce_word``,
@@ -15,23 +24,22 @@ maximal run of letters and whitespace whole, with one regex match and
 one table lookup per letter, and reduces each expression once.
 ``_parse_words`` reads a comma list of expressions with the same
 parser, checks and bounds, so a position counts from the start of the
-whole list.
+whole list.  Brackets nest at most 200 deep (``_MAX_NESTING``), a bound
+of the text alone: the parser counts the depth, so what it accepts does
+not depend on how deep the caller's stack already is.
 Vector arithmetic on integers that callers hand in (``add_vectors``,
 and the projection in ``abelian``) is checked against the signed 64-bit
 range, so that an overflow fails loudly instead of silently promoting.
 Exponent sums are counts of letters, bounded by a word's length, so
 they are not checked.
 
-Maps out of a free group run one routine per kind of target.  Both maps
-into a free group, ``substitute`` and ``stallings.evaluate_basis_word``,
-share one loop (``_map_letters``): it spells each letter's image, the
-image's inverse for an inverse letter, and reduces the result once.  It
-checks each image as a letter first uses it, so a spelling is re-checked
-only when it is empty (for the target rank), and it does not bound the
-source alphabet, so ``evaluate_basis_word`` takes a basis of any size,
-beyond the 26 letters of a ``Word`` too.  Both maps into Z^r,
-``exponent_sums`` and ``abelian.abelianize_in_subgroup``, share one
-signed count (``_signed_counts``).
+Each map out of a free group is one routine.  ``substitute`` maps into
+a free group: it checks the target rank, then spells each letter's
+image, the image's inverse for an inverse letter, checking each image's
+rank as a letter first uses it, and reduces the result once.  It is also
+the way back from ``stallings.rewrite_in_basis``, from a basis of any
+size.  ``exponent_sums`` maps into Z^r; ``abelian.abelianize_in_subgroup``
+counts a rewritten word through it.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ MAX_RANK = 26
 
 _MAX_WORD_LETTERS = 10**6
 
+# Three parser frames per level fit 200 levels under the default
+# recursion limit from a caller 200 frames deep.
+_MAX_NESTING = 200
+
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -58,6 +70,13 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at position {position}")
         self.position = position
+
+
+def _check_rank(rank: int) -> None:
+    """Raise unless ``rank`` is in 1..26, the ranks of the text form and
+    of the graph builders."""
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
 def checked_int64(value: int) -> int:
@@ -76,7 +95,7 @@ def add_vectors(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word in the free group of the given rank.
+    """A freely reduced word in the free group of the given rank r >= 0.
 
     Instances are immutable values; group operations produce new words.
     The constructor rejects unreduced letter sequences -- use
@@ -89,8 +108,8 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {self.rank}")
+        if self.rank < 0:
+            raise ValueError(f"rank must be at least 0, got {self.rank}")
         previous = 0
         for letter in self.letters:
             if letter == 0 or abs(letter) > self.rank:
@@ -156,17 +175,16 @@ def reduce_word(rank: int, letters: Iterable[int]) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
 
     Idempotent and length-nonincreasing; raises on the first letter
-    outside the alphabet (zero or beyond the rank), then on a rank
-    outside 1..26.
+    outside the alphabet (zero or beyond the rank), then, as ``Word``
+    does, on a negative rank.
     """
     if not isinstance(letters, (list, tuple)):
         letters = list(letters)
     for letter in letters:
         if letter == 0 or abs(letter) > rank:
             raise ValueError(f"letter {letter} outside alphabet of rank {rank}")
-    if not 1 <= rank <= MAX_RANK:
-        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
-    return Word._from_letters(rank, _free_reduction(letters))
+    # A letter in the alphabet implies a valid rank; no letter leaves it to Word.
+    return Word._from_letters(rank, _free_reduction(letters)) if letters else Word(rank)
 
 
 def _free_reduction(letters: Iterable[int]) -> tuple[int, ...]:
@@ -192,16 +210,8 @@ def exponent_sums(w: Word) -> tuple[int, ...]:
     Entry i-1 is the signed number of occurrences of generator i; the
     map is a homomorphism onto the rank-n integer lattice.
     """
-    return _signed_counts(w.letters, w.rank)
-
-
-def _signed_counts(letters: Iterable[int], size: int) -> tuple[int, ...]:
-    """Entry i-1 is the signed number of occurrences of letter i among
-    ``letters``: the map from the free group on ``size`` letters, of any
-    size, onto Z^size.  ``exponent_sums`` and
-    ``abelian.abelianize_in_subgroup`` count through it."""
-    counts = [0] * size
-    for letter in letters:
+    counts = [0] * w.rank
+    for letter in w.letters:
         counts[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(counts)
 
@@ -209,34 +219,20 @@ def _signed_counts(letters: Iterable[int], size: int) -> tuple[int, ...]:
 def substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     """Apply the homomorphism generator i -> images[i-1] to ``w``.
 
-    All image words must live in the free group of the target ``rank``.
+    All image words must live in the free group of the target ``rank``,
+    which is checked first, as ``Word`` checks it.  Each image is checked
+    when a letter first uses it; the spelled letters are reduced once.
     """
     if len(images) != w.rank:
         raise ValueError(f"expected {w.rank} images, got {len(images)}")
-    return _map_letters(w.letters, images, rank, "image word has the wrong rank")
-
-
-def _map_letters(letters: Iterable[int], images: Sequence[Word], rank: int, mismatch: str) -> Word:
-    """The word of ``rank`` that ``letters`` spell when letter i stands
-    for ``images[i-1]`` and -i for its inverse, reduced once.
-
-    The letters are symbols of a basis 1..len(images) of any size.
-    Each image is checked when a letter uses it, in the order of the
-    letters: a symbol beyond the images is out of range, and an image of
-    another rank raises ``mismatch`` with ``{}`` filled in by that rank.
-    ``substitute`` and ``stallings.evaluate_basis_word`` map through it.
-    """
+    Word(rank)  # the target rank, before any image
     spelled: list[int] = []
-    for letter in letters:
-        if abs(letter) > len(images):
-            raise ValueError(f"basis symbol {letter} out of range")
+    for letter in w.letters:
         image = images[abs(letter) - 1]
         if image.rank != rank:
-            raise ValueError(mismatch.format(image.rank))
+            raise ValueError("image word has the wrong rank")
         spelled += image.letters if letter > 0 else map(neg, reversed(image.letters))
-    # Every spelled letter comes from an image checked to be of ``rank``;
-    # only an empty spelling leaves the rank itself to check.
-    return Word._from_letters(rank, _free_reduction(spelled)) if spelled else reduce_word(rank, ())
+    return Word._from_letters(rank, _free_reduction(spelled))
 
 
 # _GLYPHS[l] is the text form of letter l for l in -26..26: a negative
@@ -245,7 +241,9 @@ _GLYPHS = ("", *string.ascii_lowercase, *reversed(string.ascii_uppercase))
 
 
 def render_word(w: Word) -> str:
-    """Canonical text form: one ASCII letter per reduced letter."""
+    """Canonical text form: one ASCII letter per reduced letter; a word
+    of a rank outside 1..26 has none and raises ``ValueError``."""
+    _check_rank(w.rank)
     return _render_letters(w.letters)
 
 
@@ -301,25 +299,20 @@ def _letter_runs(rank: int) -> tuple[re.Pattern, dict[str, int]]:
 
 class _Parser:
     def __init__(self, text: str, rank: int) -> None:
-        if not 1 <= rank <= MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+        _check_rank(rank)
         self.text = text
         self.rank = rank
         self.pos = 0
+        self.depth = 0
         self.run_pattern, self.values = _letter_runs(rank)
 
     def parse(self, separated: bool) -> list[Word]:
         """The words of the text: one expression, or a comma list of
         them if ``separated``."""
-        try:
-            words = [self._expr(required=False)]
-            while separated and self._peek() == ",":
-                self.pos += 1
-                words.append(self._expr(required=False))
-        except RecursionError:
-            # The parser recurses once per bracket level; the interpreter's
-            # stack limit is the nesting bound.
-            raise ParseError("expression nested too deeply", self.pos) from None
+        words = [self._expr(required=False)]
+        while separated and self._peek() == ",":
+            self.pos += 1
+            words.append(self._expr(required=False))
         self._skip_space()
         if self.pos != len(self.text):
             self._fail(f"unexpected character {self.text[self.pos]!r}")
@@ -400,19 +393,24 @@ class _Parser:
         ch = self._peek()
         if ch is None:
             self._fail("expected a letter, '[' or '('")
-        if ch == "(":
+        if ch == "(" or ch == "[":
+            # The bracket that passes the bound is the error's position.
+            if self.depth == _MAX_NESTING:
+                self._fail("expression nested too deeply")
+            self.depth += 1
             self.pos += 1
-            word = self._expr()
-            self._expect(")")
-            return word.letters
-        if ch == "[":
-            self.pos += 1
-            left = self._expr()
-            self._expect(",")
-            right = self._expr()
-            self._expect("]")
-            self._check_length(2 * (len(left) + len(right)))
-            return commutator(left, right).letters
+            if ch == "(":
+                letters = self._expr().letters
+                self._expect(")")
+            else:
+                left = self._expr()
+                self._expect(",")
+                right = self._expr()
+                self._expect("]")
+                self._check_length(2 * (len(left) + len(right)))
+                letters = commutator(left, right).letters
+            self.depth -= 1
+            return letters
         if ch.isascii() and ch.isalpha():
             index = (ord(ch.lower()) - ord("a")) + 1
             if index > self.rank:

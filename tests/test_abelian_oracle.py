@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from fgr import (
     AbelianVector,
-    BasisWord,
     CoreGraph,
     InfiniteIndexError,
     NotAMemberError,
@@ -47,7 +46,6 @@ from fgr import (
     basis,
     checked_int64,
     coset_permutation,
-    evaluate_basis_word,
     from_generators,
     homology_projection,
     parse_word,
@@ -56,6 +54,7 @@ from fgr import (
     schreier_graph,
     spanning_tree,
     subgroup_index,
+    substitute,
     transfer,
     tree_path_word,
     walk,
@@ -66,14 +65,11 @@ from test_stallings import cycles
 
 
 def rechecked(w):
-    """``w``, a ``Word`` or ``BasisWord`` a builder handed over unchecked,
-    once checked: the checked constructor accepts its letters, a tuple of
-    ints, and builds an equal word."""
+    """``w``, a ``Word`` a builder handed over unchecked, once checked:
+    the checked constructor accepts its letters, a tuple of ints, and
+    builds an equal word."""
     assert type(w.letters) is tuple and all(type(l) is int for l in w.letters)
-    if type(w) is BasisWord:
-        assert BasisWord(w.letters) == w
-    else:
-        assert type(w) is Word and Word(w.rank, w.letters) == w
+    assert type(w) is Word and Word(w.rank, w.letters) == w
     return w
 
 
@@ -382,13 +378,13 @@ def assert_words_agree(graph, tree, words):
             reducing_tree_path_word(graph, tree, source, target)
         )
     for i, w in enumerate(base_words, start=1):
-        assert rechecked(rewrite_in_basis(graph, tree, w)) == BasisWord((i,))
+        assert rechecked(rewrite_in_basis(graph, tree, w)) == Word(len(base_words), (i,))
     for w in words:
         end = walk(graph, 0, w.letters)
         if end is not None:
             member = w * rechecked(tree_path_word(graph, tree, end, 0))
             symbols = rechecked(rewrite_in_basis(graph, tree, member))
-            assert evaluate_basis_word(base_words, symbols, graph.rank) == member
+            assert substitute(symbols, base_words, graph.rank) == member
 
 
 def assert_agree(graph, tree, words):

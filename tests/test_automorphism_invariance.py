@@ -1,5 +1,5 @@
 """Invariance under automorphisms of F_n, and maps from a basis of rank
-above ``MAX_RANK``.
+above ``MAX_RANK``, the largest rank of the text form.
 
 An automorphism alpha of F_n is drawn as a product of Nielsen moves
 (invert x_i, swap x_i and x_j, x_i -> x_i x_j), and alpha^-1 as the
@@ -17,7 +17,8 @@ rank-2 retract <``wk_word((m-1)//2)``, x_3> (``undecided``), and
 ``lm_graph(m)`` with the cyclic retract <wk> (``no``).
 
 H_41 has rank 42, so its basis is the source of a map beyond the 26
-letters a ``Word`` may have: ``evaluate_basis_word`` must take it.
+letters of the text form: a ``Word`` of rank 42 over it, which
+``rewrite_in_basis`` returns, is mapped back by ``substitute``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import random
 from collections import Counter
 
 from fgr import (
-    BasisWord,
     RetractPresentation,
     Word,
     basis,
     cyclic_retract,
-    evaluate_basis_word,
     from_generators,
     intersection_report,
     pullback,
@@ -146,12 +145,12 @@ def test_basis_of_rank_42_is_the_source_of_a_map():
     words = basis(graph, tree)
     assert len(words) == 42
     for i, word in enumerate(words, start=1):
-        assert evaluate_basis_word(words, BasisWord((i,)), 3) == word
+        assert substitute(Word(42, (i,)), words, 3) == word
     rng = random.Random(4142)
     member = Word(3)
     for _ in range(60):
         factor = rng.choice(words)
         member = member * (factor if rng.random() < 0.5 else factor.inverse())
     symbols = rewrite_in_basis(graph, tree, member)
-    assert max(map(abs, symbols.letters)) > 26
-    assert evaluate_basis_word(words, symbols, 3) == member
+    assert symbols.rank == 42 and max(map(abs, symbols.letters)) > 26
+    assert substitute(symbols, words, 3) == member

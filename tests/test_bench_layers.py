@@ -16,7 +16,7 @@ LAYERS = {
     "basis_render",
     "basis_text",
     "rewrite_in_basis",
-    "evaluate_basis_word",
+    "substitute",
     "intersect_cyclic",
     "bergman_cyclic",
 }

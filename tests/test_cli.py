@@ -333,6 +333,18 @@ def test_graph_families_over_the_size_bound_are_errors(capsys):
         assert "1000000" in err
 
 
+def test_ranks_past_the_text_form_are_errors(capsys):
+    # The rank bound of the text form, checked before anything is built.
+    for argv, rank in (
+        (("bergman", "--n", "27", "--m", "3", "--k", "1"), "27"),
+        (("bergman", "--n", "1000000000", "--m", "3", "--k", "1"), "1000000000"),
+        (("visible", "--rank", "27", "--word", "a"), "27"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"fgr: error: rank must be in 1..26, got {rank}\n"
+
+
 def test_lm_bound_names_the_m_given(capsys):
     # An even m builds gamma_graph(m - 1); the bound is checked first, on m.
     for m in ("1000000000000", "1000000000001", "1000002", "1000001"):

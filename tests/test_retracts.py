@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgr.retracts
 from fgr import (
     Permutation,
     RetractPresentation,
@@ -98,6 +99,16 @@ def test_random_retract_is_reproducible():
 def test_random_retract_rejects_bad_rank():
     with pytest.raises(ValueError):
         random_retract(2, 2, seed=0)
+
+
+def test_random_retract_checks_the_ambient_rank_before_drawing(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a word")
+
+    monkeypatch.setattr(fgr.retracts, "_random_reduced_word", draw)
+    for n in (27, 10**12):
+        with pytest.raises(ValueError, match=f"^rank must be in 1\\.\\.26, got {n}$"):
+            random_retract(n, 1, seed=0)
 
 
 def test_random_retract_rejects_a_complexity_past_the_word_bound():
@@ -381,6 +392,13 @@ def test_bergman_parameter_validation():
         bergman_counterexample(2, 2, 1)
     with pytest.raises(ValueError):
         bergman_counterexample(2, 3, 2)
+    # The rank is checked after m, k and the word's letter bound.
+    with pytest.raises(ValueError, match=r"^rank must be in 1\.\.26, got 27$"):
+        bergman_counterexample(27, 3, 1)
+    with pytest.raises(ValueError, match="^wk word longer than"):
+        bergman_counterexample(27, 10**7, 1)
+    with pytest.raises(ValueError, match="^retract rank must be in"):
+        bergman_counterexample(10**9, 3, 10**9)
 
 
 # --- suites ------------------------------------------------------------------

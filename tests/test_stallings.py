@@ -18,7 +18,6 @@ from fgr import (
     canonicalize,
     contains,
     coset_permutation,
-    evaluate_basis_word,
     fold,
     from_generators,
     graph_from_json,
@@ -33,6 +32,7 @@ from fgr import (
     spanning_tree,
     subgroup_index,
     subgroup_rank,
+    substitute,
     transfer,
     tree_path_word,
     walk,
@@ -322,13 +322,16 @@ def test_basis_generates_the_same_subgroup():
 
 def test_rewrite_w1_squared_in_h3():
     graph, tree = hm_graph(3)
-    symbols = rewrite_in_basis(graph, tree, wk_word(1) ** 2)
-    assert symbols.letters == (1, 1, -3, 2, 3, -2)
+    # A word over the basis x, t_1, t_2, y^3, so of rank 4.
+    assert rewrite_in_basis(graph, tree, wk_word(1) ** 2) == Word(4, (1, 1, -3, 2, 3, -2))
 
 
 def test_rewrite_identity_is_empty():
     graph, tree = hm_graph(4)
-    assert rewrite_in_basis(graph, tree, Word(2)).letters == ()
+    assert rewrite_in_basis(graph, tree, Word(2)) == Word(5)
+    # The trivial subgroup has the empty basis: its words have rank 0.
+    trivial = from_generators(2, [])
+    assert rewrite_in_basis(trivial, spanning_tree(trivial), Word(2)) == Word(0)
 
 
 def test_rewrite_rejects_non_members():
@@ -350,7 +353,7 @@ def test_rewrite_round_trip():
             factor = rng.choice(base_words)
             member = member * (factor if rng.random() < 0.5 else factor.inverse())
         symbols = rewrite_in_basis(graph, tree, member)
-        assert evaluate_basis_word(base_words, symbols, 2) == member
+        assert substitute(symbols, base_words, 2) == member
 
 
 def test_tree_path_word_names_a_vertex_outside_the_graph():

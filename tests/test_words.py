@@ -153,6 +153,24 @@ def test_parse_deep_nesting():
         parse_word("(" * 3000 + "a" + ")" * 3000, 2)
 
 
+def from_deep_stack(frames, call):
+    """``call()`` made from ``frames`` frames deeper than this one."""
+    return call() if frames == 0 else from_deep_stack(frames - 1, call)
+
+
+def test_nesting_bound_is_a_property_of_the_text():
+    # 200 levels parse and the bracket of level 201 fails, at the same
+    # position from a caller 200 frames deep as at module level.
+    bound = 200
+    deepest = "(" * (bound - 1) + "[a,b]" + ")" * (bound - 1)
+    past = " " + "(" * (bound + 1) + "a" + ")" * (bound + 1)
+    for frames in (0, 200):
+        assert from_deep_stack(frames, lambda: parse_word(deepest, 2)) == parse_word("abAB", 2)
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            from_deep_stack(frames, lambda: parse_word(past, 2))
+        assert info.value.position == bound + 1
+
+
 def test_word_length_budget():
     assert len(parse_word("(abA)^400000", 2)) == 400_002
     for text, position in (("(ab)^10000000000", 16), ("a^1000001", 9)):
@@ -196,8 +214,16 @@ def test_rank_boundaries():
     assert parse_word("z", 26) == Word(26, (26,))
     with pytest.raises(ValueError):
         parse_word("a", 27)
-    with pytest.raises(ValueError):
-        Word(0)
+    # A word has any rank r >= 0; rank 0 is the trivial group.
+    assert Word(0).letters == () and exponent_sums(Word(0)) == ()
+    with pytest.raises(ValueError, match="rank must be at least 0, got -1"):
+        Word(-1)
+    with pytest.raises(ValueError, match="letter 1 outside alphabet of rank 0"):
+        Word(0, (1,))
+    # Text has 26 letters, so a word of rank 27 has no text form.
+    assert Word(27, (27,)) * Word(27, (-27,)) == Word(27)
+    with pytest.raises(ValueError, match=r"rank must be in 1\.\.26, got 27"):
+        render_word(Word(27, (27,)))
 
 
 def test_reduce_idempotent_and_nonincreasing():

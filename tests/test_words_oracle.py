@@ -2,10 +2,11 @@
 read one letter per term, and the builders that checked every word they
 made, kept as the reference the single-pass builders are checked against.
 
-``_LeftFoldParser`` with ``left_fold_parse_word``, ``left_fold_substitute``
-and ``left_fold_evaluate_basis_word`` are the old parser, ``substitute``
-and ``evaluate_basis_word`` as they were: each multiplied its parts into
-a running word one at a time.  ``squaring_power`` is the old
+``_LeftFoldParser`` with ``left_fold_parse_word`` and
+``left_fold_substitute`` are the old parser and ``substitute`` as they
+were: each multiplied its parts into a running word one at a time.
+``left_fold_substitute`` is also the oracle for evaluating a word over
+a subgroup basis, whose rank may pass 26.  ``squaring_power`` is the old
 ``Word.__pow__``, which multiplied repeated squares.  ``_LetterParser``
 with ``letter_parse_word`` is the parser that replaced the left fold: it
 read every letter as a term of its own and checked the letter budget
@@ -36,11 +37,9 @@ from hypothesis import strategies as st
 import fgr.words
 from fgr import (
     MAX_RANK,
-    BasisWord,
     ParseError,
     Word,
     commutator,
-    evaluate_basis_word,
     parse_word,
     reduce_word,
     render_word,
@@ -344,19 +343,6 @@ def left_fold_substitute(w: Word, images: Sequence[Word], rank: int) -> Word:
     return out
 
 
-def left_fold_evaluate_basis_word(
-    basis_words: Sequence[Word], symbols: BasisWord, rank: int
-) -> Word:
-    """Substitute actual basis words for the symbols and reduce."""
-    out = Word(rank)
-    for symbol in symbols.letters:
-        if abs(symbol) > len(basis_words):
-            raise ValueError(f"basis symbol {symbol} out of range")
-        word = basis_words[abs(symbol) - 1]
-        out = out * (word if symbol > 0 else word.inverse())
-    return out
-
-
 def squaring_power(w: Word, exponent: int) -> Word:
     if exponent < 0:
         return squaring_power(w.inverse(), -exponent)
@@ -468,40 +454,44 @@ def test_substitute_matches_oracle():
         )
 
 
-def test_empty_spellings_check_the_target_rank_as_the_oracles_do():
-    # A non-empty spelling implies a valid rank through its checked
-    # images; the empty one is checked for it.
-    for target in (0, 27):
-        message = f"rank must be in 1..26, got {target}"
-        images = [Word(2), parse_word("a", 2)]
-        got = outcome(substitute, Word(2), images, target)
-        assert got == outcome(left_fold_substitute, Word(2), images, target)
-        assert got[1] == message
-        for basis_words in ([], images):
-            symbols = BasisWord(())
-            got = outcome(evaluate_basis_word, basis_words, symbols, target)
-            assert got == outcome(left_fold_evaluate_basis_word, basis_words, symbols, target)
-            assert got[1] == message
-
-
 def test_evaluate_basis_word_matches_oracle():
+    # A word over a subgroup basis is evaluated by substituting the basis
+    # words for its symbols: 300 draws over bases of 0..5 words, then 100
+    # over bases of 27..60 words, past the 26 letters of the text form.
     rng = random.Random(9500)
-    for _ in range(300):
+    for low, high in [(0, 5)] * 300 + [(27, 60)] * 100:
         rank = rng.randint(1, 4)
-        basis_words = [random_reduced_word(rng, rank, 8) for _ in range(rng.randint(0, 5))]
+        basis_words = [random_reduced_word(rng, rank, 8) for _ in range(rng.randint(low, high))]
         if basis_words and rng.random() < 0.1:
             basis_words[rng.randrange(len(basis_words))] = random_reduced_word(
                 rng, rank % 4 + 1, 3
             )
-        letters = []
-        for _ in range(rng.randint(0, 10)):
-            symbol = rng.choice((1, -1)) * rng.randint(1, len(basis_words) + 1)
-            if not letters or symbol != -letters[-1]:
-                letters.append(symbol)
-        symbols = BasisWord(tuple(letters))
-        assert outcome(evaluate_basis_word, basis_words, symbols, rank) == outcome(
-            left_fold_evaluate_basis_word, basis_words, symbols, rank
+        # One draw in ten has a symbol past the basis, so one image too few.
+        source = len(basis_words) + (rng.random() < 0.1)
+        symbols = random_reduced_word(rng, source, 10) if source else Word(0)
+        assert outcome(substitute, symbols, basis_words, rank) == outcome(
+            left_fold_substitute, symbols, basis_words, rank
         )
+
+
+def test_empty_spellings_check_the_target_rank_as_the_oracles_do():
+    # The target rank is checked before any image, for an empty spelling
+    # and a non-empty one alike; every rank r >= 0 is one.
+    images = [Word(2), parse_word("a", 2)]
+    empty, spelled = Word(2), parse_word("ab", 2)
+    negative = (ValueError, "rank must be at least 0, got -1", None)
+    mismatch = (ValueError, "image word has the wrong rank", None)
+    cases = (
+        (-1, empty, negative),
+        (-1, spelled, negative),
+        (0, empty, Word(0)),
+        (0, spelled, mismatch),
+        (27, empty, Word(27)),
+        (27, spelled, mismatch),
+    )
+    for target, w, expected in cases:
+        assert outcome(substitute, w, images, target) == expected
+        assert outcome(left_fold_substitute, w, images, target) == expected
 
 
 def test_power_matches_oracle():

@@ -27,14 +27,14 @@ are:
   text path of ``fgr basis`` (absent from versions without it), both
   with the override tree;
 - ``rewrite_in_basis``: a member word of about 2,048 letters;
-- ``evaluate_basis_word``: that word's symbols mapped back over the
-  basis, the second half of the round trip ``evaluate_basis_word(basis(
-  graph, tree), rewrite_in_basis(graph, tree, word), rank)``, whose
-  basis and symbols are built outside the timing and whose result is
-  checked to be the word.  The basis has rank 101 to 801 on the covers,
-  past the 26 letters of a ``Word``.  Its words follow the b-path tree,
-  so the letters spelled before the one reduction grow in proportion to
-  the index, and a loop linear in them has a growth exponent near 1;
+- ``substitute``: that word's symbols mapped back over the basis, the
+  second half of the round trip ``substitute(rewrite_in_basis(graph,
+  tree, word), basis(graph, tree), rank)``, whose basis and symbols are
+  built outside the timing and whose result is checked to be the word.
+  The basis has rank 101 to 801 on the covers, past the 26 letters of
+  the text form.  Its words follow the b-path tree, so the letters
+  spelled before the one reduction grow in proportion to the index, and
+  a loop linear in them has a growth exponent near 1;
 - ``intersect_cyclic``: the library path of ``fgr intersect`` with a
   seeded 16-letter ``--gens2`` word, ``intersection_report(graph,
   from_generators(rank, [word]))``, whose retract is cyclic;
@@ -60,7 +60,6 @@ import time
 
 from fgr import (
     basis,
-    evaluate_basis_word,
     from_generators,
     graph_from_json,
     intersection_report,
@@ -68,6 +67,7 @@ from fgr import (
     rewrite_in_basis,
     smallest_power_in,
     spanning_tree,
+    substitute,
     tree_path_word,
 )
 from fgr.cli import _parse_tree_flag
@@ -169,7 +169,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     word = _member(graph, tree, random.Random(index))
     rank = graph.rank
     words, symbols = basis(graph, tree), rewrite_in_basis(graph, tree, word)
-    if evaluate_basis_word(words, symbols, rank) != word:
+    if substitute(symbols, words, rank) != word:
         raise AssertionError(f"{name}: the basis round trip does not return the word")
     short = _reduced(rank, INTERSECT_LETTERS, random.Random(index + 1))
     odd = index | 1
@@ -184,7 +184,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
         "basis_text": None,
         "rewrite_in_basis": _best(lambda: rewrite_in_basis(graph, tree, word), repeats),
-        "evaluate_basis_word": _best(lambda: evaluate_basis_word(words, symbols, rank), repeats),
+        "substitute": _best(lambda: substitute(symbols, words, rank), repeats),
         "intersect_cyclic": _best(
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats
         ),

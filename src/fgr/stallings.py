@@ -26,10 +26,19 @@ component, trim and renumber.  A graph without an empty slot is a
 complete cover and has nothing to trim; when its vertices are already
 in canonical order its arrays are kept as they are.  ``pullback`` tries
 the letters in canonical order, so it discovers the product's vertices
-already in canonical order and needs no second search; at finite index
-its arrays become the result's.  It queues each product pair as one int
-key, not as a tuple, so the search leaves the cyclic garbage collector
-little to track, and no builder touches the collector's state.
+already in canonical order and needs no second search.  It queues each
+product pair (a, b) as one int key, (a << s) | b with 2 ** s > V2, not
+as a tuple, so the search leaves the cyclic garbage collector little to
+track, and no builder touches the collector's state.  The first graph's
+arrays are shifted before the search, its empty slots to -1 << s, so a
+move is one OR and a sign test (the second graph's -1 ORs to -1).  The
+pairs are numbered in one of two tables read the same way: a flat list
+indexed by key when both graphs are complete covers and the keys stay
+below ``_DENSE_PAIRS``, and otherwise a dict of the pairs the search
+reaches, so that a large, sparse pair space costs only what is reached.
+A product of complete covers is itself a complete cover, numbered
+canonically by the search, so its arrays become the result's with no
+trim.
 ``canonicalize`` renumbers vertices deterministically so that
 structural equality of canonical graphs coincides with equality of
 subgroups; a graph already in canonical numbering is returned as it
@@ -84,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
-from operator import eq, neg
+from operator import eq, index, neg
 from typing import Callable, Iterable, Sequence
 
 from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, reduce_word
@@ -588,7 +597,7 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
     (folding is confluent) and is returned in canonical numbering with
     the base at 0.
     """
-    edge_set = {(int(u), int(v), int(l)) for (u, v, l) in edges}
+    edge_set = {(index(u), index(v), index(l)) for (u, v, l) in edges}
     for u, v, l in edge_set:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge endpoint out of range: {(u, v, l)}")
@@ -754,6 +763,20 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     return Word._from_letters(len(tree.nontree_edges), tuple(symbols))
 
 
+# The most slots of a flat pair table (8 MB), used only for a product
+# of two complete covers; past it, and for every other product, a dict.
+_DENSE_PAIRS = 1 << 20
+
+
+class _PairIds(dict):
+    """Pair numbers by key, reading -1 for a pair not reached yet."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
@@ -762,39 +785,56 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     core-trimmed and canonical.  A trivial intersection yields the
     one-vertex graph.  The product of folded graphs is folded, so it is
     only trimmed and renumbered.  A pair (a, b) is keyed by the int
-    a * V2 + b, and the letters are tried in canonical order, so pairs
-    are numbered in the product's canonical BFS order as they are found.
-    Pairs wait to be explored as their int keys, decoded by ``divmod``,
-    so the search allocates no object per pair that the cyclic garbage
-    collector would track.
+    (a << s) | b, with s the bit length of V2, and the letters are tried
+    in canonical order, so pairs are numbered in the product's canonical
+    BFS order as they are found.  The first graph's arrays are shifted
+    once, before the search, and its empty slots become -1 << s; the
+    second graph's -1 ORs to -1.  So a move is one OR, and a negative key
+    means no edge.  Pairs wait to be explored as their int keys, so the
+    search allocates no object per pair that the cyclic garbage
+    collector would track.  When both graphs are complete covers and
+    V1 << s is at most ``_DENSE_PAIRS``, the pair numbers sit in a flat
+    list indexed by key; otherwise in a dict of the pairs reached, so a
+    large, sparse pair space costs only what is reached.  A product of
+    complete covers is a complete cover already numbered canonically, so
+    its arrays are the result's, with no trim.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
-    rank, width = g1.rank, g2.vertex_count
+    rank, shift = g1.rank, g2.vertex_count.bit_length()
+    size, mask = g1.vertex_count << shift, (1 << shift) - 1
+    cover = subgroup_index(g1) is not None and subgroup_index(g2) is not None
+    ids = [-1] * size if cover and size <= _DENSE_PAIRS else _PairIds()
     # rows[k][i] is the endpoint of the k-th letter from pair i: pairs
     # are explored in the order they are numbered, one entry each.
     rows: list[list[int]] = [[] for _ in range(2 * rank)]
-    firsts, seconds = g1.out[1:] + g1.in_[1:], g2.out[1:] + g2.in_[1:]
-    moves = [(a, b, row.append) for a, b, row in zip(firsts, seconds, rows)]
-    ids = {0: 0}
-    keys = [0]
-    count = 1
+    # Read through this list, a vertex a becomes a << shift, and an empty
+    # slot (-1, the last index) -1 << shift, which ORs to a negative key.
+    scaled = [*range(0, size, 1 << shift), -1 << shift]
+    firsts = [list(map(scaled.__getitem__, a)) for a in g1.out[1:] + g1.in_[1:]]
+    moves = [(a, b, row.append) for a, b, row in zip(firsts, g2.out[1:] + g2.in_[1:], rows)]
+    # The base pair, key 0, is pair 0.
+    ids[0], keys, count = 0, [0], 1
     for key in keys:
-        p, q = divmod(key, width)
+        p, q = key >> shift, key & mask
         for first, second, append in moves:
-            a, b = first[p], second[q]
-            if a < 0 or b < 0:
+            # Negative exactly when either slot is empty (-1 in the second).
+            pair = first[p] | second[q]
+            if pair < 0:
                 append(-1)
                 continue
-            pair = a * width + b
-            there = ids.setdefault(pair, count)
-            if there == count:
+            there = ids[pair]
+            if there < 0:
+                there = ids[pair] = count
                 keys.append(pair)
                 count += 1
             append(there)
     # The trim and renumbering peak higher; they no longer need the keys.
     del ids, keys
-    return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
+    out, in_ = [None, *rows[:rank]], [None, *rows[rank:]]
+    if cover:
+        return CoreGraph._from_arrays(rank, count, out, in_, rank * count)
+    return _core(rank, out, in_, range(count))
 
 
 def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGraph:
@@ -856,13 +896,18 @@ def graph_to_json(graph: CoreGraph) -> dict:
 
 
 def _read_graph_json(data: dict) -> tuple[int, int, tuple[Edge, ...], int]:
-    """The (rank, vertices, edges, base) fields of the JSON form."""
+    """The (rank, vertices, edges, base) fields of the JSON form.
+
+    Each field must be an integer: it is read by ``operator.index``, so
+    a JSON float or string is malformed, and ``true``/``false`` read as
+    1/0.
+    """
     try:
-        rank = int(data["rank"])
-        vertices = int(data["vertices"])
-        base = int(data.get("base", 0))
+        rank = index(data["rank"])
+        vertices = index(data["vertices"])
+        base = index(data.get("base", 0))
         edges = tuple(
-            (int(e["from"]), int(e["to"]), int(e["label"])) for e in data["edges"]
+            (index(e["from"]), index(e["to"]), index(e["label"])) for e in data["edges"]
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
@@ -873,7 +918,8 @@ def graph_from_json(data: dict) -> CoreGraph:
     """Parse the JSON form back into a validated core graph.
 
     The edge dicts are read straight into the per-label arrays, each
-    field through ``int`` as ``_read_graph_json`` reads it and checked
+    field through ``operator.index`` as ``_read_graph_json`` reads it
+    (an integer, or a bool as 1/0; anything else is malformed) and checked
     for range as it is filled; the graph is folded when no edge took a
     slot another had filled, which a count of the empty slots tells, and
     ``_check_core`` checks the rest.  A document that fails anywhere is
@@ -882,12 +928,12 @@ def graph_from_json(data: dict) -> CoreGraph:
     and the first bad edge in sorted order.
     """
     try:
-        rank, count, edges = int(data["rank"]), int(data["vertices"]), data["edges"]
-        base = int(data.get("base", 0))
+        rank, count, edges = index(data["rank"]), index(data["vertices"]), data["edges"]
+        base = index(data.get("base", 0))
         if base == 0 and 1 <= rank <= MAX_RANK and 1 <= count <= len(edges) + 1:
             out, in_ = _empty_arrays(rank, count), _empty_arrays(rank, count)
             for edge in edges:
-                u, v, l = int(edge["from"]), int(edge["to"]), int(edge["label"])
+                u, v, l = index(edge["from"]), index(edge["to"]), index(edge["label"])
                 if not (0 <= u < count and 0 <= v < count and 1 <= l <= rank):
                     break
                 out[l][u] = v
@@ -898,7 +944,7 @@ def graph_from_json(data: dict) -> CoreGraph:
                 if empty == 2 * (rank * count - len(edges)):
                     _check_core(rank, out, in_)
                     return CoreGraph._from_arrays(rank, count, out, in_, len(edges))
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError):
         pass  # the checked path below raises the error
     rank, vertices, edges, base = _read_graph_json(data)
     if base != 0:

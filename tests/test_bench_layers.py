@@ -19,6 +19,9 @@ LAYERS = {
     "substitute",
     "intersect_cyclic",
     "bergman_cyclic",
+    "bergman_rank2",
+    "pullback_orbit",
+    "pullback_diagonal",
 }
 
 

@@ -281,6 +281,29 @@ def test_fold_graph_without_edges_is_an_error(capsys, tmp_path):
     assert "malformed graph JSON" in err
 
 
+@pytest.mark.parametrize("verb", ["basis", "fold"])
+def test_graph_fields_must_be_integers(capsys, tmp_path, verb):
+    loop = {"rank": 1, "vertices": 1, "edges": [{"from": 0, "to": 0, "label": 1}]}
+    path = tmp_path / "loop.json"
+    # JSON true and false read as 1 and 0.
+    path.write_text('{"rank": true, "vertices": 1, "edges": [{"from": false, "to": 0, "label": 1}]}')
+    assert run_cli(capsys, verb, "--graph", str(path))[0] == 0
+    bad = [
+        {**loop, "rank": 1.7},
+        {**loop, "vertices": 1.0},
+        {**loop, "edges": [{"from": 0, "to": 0.9, "label": 1}]},
+        {**loop, "edges": [{"from": 0, "to": "0", "label": 1}]},
+        {**loop, "edges": [{"from": 0, "to": 0, "label": float("nan")}]},
+        {**loop, "edges": [{"from": 0, "to": 0, "label": float("inf")}]},
+    ]
+    for raw in bad:
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, verb, "--graph", str(path))
+        assert_one_error_line(code, out, err)
+        assert "malformed graph JSON" in err
+        assert "cannot be interpreted as an integer" in err
+
+
 def test_graph_with_huge_vertex_count(capsys, tmp_path):
     raw = {"rank": 2, "vertices": 10**12, "edges": [{"from": 0, "to": 0, "label": 1}]}
     path = tmp_path / "huge.json"

@@ -65,7 +65,7 @@ from fgr import (
     walk,
 )
 from fgr.constructions import gamma_graph, hm_graph, lm_graph
-from fgr.stallings import Edge, _canonical_letters, _order
+from fgr.stallings import _DENSE_PAIRS, Edge, _canonical_letters, _order
 
 
 def _bfs_relabeling(
@@ -512,8 +512,26 @@ def test_pullback_matches_oracle_on_random_subgroups(seed):
         assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
 
 
+def each_pair_table(monkeypatch):
+    """Set ``pullback``'s bound on flat pair tables to 0, so every
+    product numbers its pairs in a dict, then back to its default; yield
+    the bound and a list that grows by one for every pair dict made."""
+    for dense_pairs in (0, _DENSE_PAIRS):
+        dicts: list[None] = []
+
+        class Counted(fgr.stallings._PairIds):
+            __slots__ = ()
+
+            def __init__(self) -> None:
+                dicts.append(None)
+
+        monkeypatch.setattr(fgr.stallings, "_DENSE_PAIRS", dense_pairs)
+        monkeypatch.setattr(fgr.stallings, "_PairIds", Counted)
+        yield dense_pairs, dicts
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
+def test_pullback_and_schreier_match_oracle_on_random_covers(seed, monkeypatch):
     rng = random.Random(4000 + seed)
     covers = []
     while len(covers) < 12:
@@ -535,11 +553,15 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed):
         del edges[rng.randrange(len(edges))]
         cut = revalidated(fold(rank, points, edges))
         assert subgroup_index(cut) == oracle_subgroup_index(cut) is None
-        covers.append(graph)
-    for g1 in covers:
-        for g2 in covers:
-            if g1.rank == g2.rank:
-                assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
+        covers.append((graph, cut))
+    pairs = [(g1, g2) for g1, _ in covers for g2, _ in covers if g1.rank == g2.rank]
+    # A cover times a cut cover is a product under the bound that is not
+    # of two covers, so it takes the dict under either setting.
+    mixed = [pair for graph, cut in covers for pair in ((graph, cut), (cut, graph))]
+    for dense_pairs, dicts in each_pair_table(monkeypatch):
+        for g1, g2 in pairs + mixed:
+            assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
+        assert len(dicts) == len(mixed) + (0 if dense_pairs else len(pairs))
 
 
 def cyclically_reduced_word(rng, rank, length) -> Word:
@@ -807,12 +829,15 @@ def gamma_orbit_size(m: int) -> int:
     return len(seen)
 
 
-def test_gamma_pullbacks_match_oracle_and_orbit_size():
-    for m in range(2, 61):
-        g1, g2 = gamma_graph(m), gamma_graph(m + 1)
-        product = revalidated(pullback(g1, g2))
-        assert product == oracle_pullback(g1, g2)
-        assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)
+def test_gamma_pullbacks_match_oracle_and_orbit_size(monkeypatch):
+    for dense_pairs, dicts in each_pair_table(monkeypatch):
+        for m in range(2, 61):
+            g1, g2 = gamma_graph(m), gamma_graph(m + 1)
+            product = revalidated(pullback(g1, g2))
+            assert product == oracle_pullback(g1, g2)
+            assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)
+        # Products of covers this small take the flat table.
+        assert len(dicts) == (0 if dense_pairs else 59)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=1))

@@ -1,5 +1,6 @@
-"""Time the layers a CLI request on a graph file goes through, over a
-size ladder, and print the timings and growth exponents as JSON.
+"""Time the layers a CLI request on a graph file goes through, and the
+products and retract checks of the paper's families, over a size
+ladder, and print the timings and growth exponents as JSON.
 
     PYTHONPATH=src python3 tools/bench_layers.py [--rungs NAME ...] [--repeats N]
 
@@ -40,7 +41,16 @@ are:
   from_generators(rank, [word]))``, whose retract is cyclic;
 - ``bergman_cyclic``: ``smallest_power_in(lm_graph(m), wk_word((m - 1) //
   2))``, the cyclic step of ``bergman_counterexample``, with m the
-  rung's index rounded up to odd (both built outside the timing).
+  rung's index rounded up to odd (both built outside the timing);
+- ``bergman_rank2``: ``bergman_counterexample(3, m, 2)`` with the same
+  m, whose rank-2 retract is intersected by a ``pullback`` that reaches
+  about 4m of its pairs, so it numbers them in a dict;
+- ``pullback_orbit``: ``pullback(gamma_graph(i), gamma_graph(i + 1))``
+  for the rung's index i, a product of two complete covers that reaches
+  all of its i(i + 1) pairs, so it numbers them in a flat table;
+- ``pullback_diagonal``: the product of the rung's cover with itself,
+  which reaches i of its i^2 pairs, the flat table's worst case (all
+  three graphs built outside the timing).
 
 Each figure is the best per-call time of ``--repeats`` repeats (7 by
 default) of a loop sized to take about 20 ms.  A growth exponent is
@@ -60,9 +70,11 @@ import time
 
 from fgr import (
     basis,
+    bergman_counterexample,
     from_generators,
     graph_from_json,
     intersection_report,
+    pullback,
     reduce_word,
     rewrite_in_basis,
     smallest_power_in,
@@ -71,7 +83,7 @@ from fgr import (
     tree_path_word,
 )
 from fgr.cli import _parse_tree_flag
-from fgr.constructions import lm_graph, wk_word
+from fgr.constructions import gamma_graph, lm_graph, wk_word
 from fgr.stallings import CoreGraph, _check_core
 from fgr.words import render_word
 
@@ -174,6 +186,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     short = _reduced(rank, INTERSECT_LETTERS, random.Random(index + 1))
     odd = index | 1
     lm, wk = lm_graph(odd), wk_word((odd - 1) // 2)
+    orbit = gamma_graph(index), gamma_graph(index + 1)
     times = {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
@@ -189,6 +202,9 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats
         ),
         "bergman_cyclic": _best(lambda: smallest_power_in(lm, wk), repeats),
+        "bergman_rank2": _best(lambda: bergman_counterexample(3, odd, 2), repeats),
+        "pullback_orbit": _best(lambda: pullback(*orbit), repeats),
+        "pullback_diagonal": _best(lambda: pullback(graph, graph), repeats),
     }
     if _basis_text is not None:
         times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)

@@ -32,7 +32,6 @@ from .retracts import (
     run_suite,
     smallest_power_in,
     suite_names,
-    turner_power_word,
 )
 from .stallings import (
     CoreGraph,
@@ -62,8 +61,6 @@ from .words import (
     MAX_RANK,
     ParseError,
     Word,
-    add_vectors,
-    checked_int64,
     commutator,
     exponent_sums,
     parse_word,

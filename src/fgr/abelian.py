@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul
 from typing import Sequence
 
 from .stallings import (
@@ -27,7 +28,7 @@ from .stallings import (
     rewrite_in_basis,
     subgroup_index,
 )
-from .words import Word, add_vectors, checked_int64, exponent_sums
+from .words import Word, exponent_sums
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,15 @@ class AbelianVector:
             return NotImplemented
         if self.basis != other.basis:
             raise ValueError("cannot add vectors over different bases")
-        return AbelianVector(self.basis, add_vectors(self.entries, other.entries))
+        if len(self.entries) != len(other.entries):
+            raise ValueError(
+                f"vector length mismatch: {len(self.entries)} != {len(other.entries)}"
+            )
+        return AbelianVector(self.basis, tuple(map(add, self.entries, other.entries)))
 
     def coordinate_gcd(self) -> int:
         """gcd of the absolute entries; 0 for the zero vector."""
-        return gcd(*(abs(e) for e in self.entries)) if self.entries else 0
+        return gcd(*self.entries)
 
     def to_json(self) -> dict:
         return {"basis": self.basis, "entries": list(self.entries)}
@@ -66,7 +71,7 @@ def is_visible(w: Word) -> bool:
     The zero vector has gcd 0, so the identity (and anything in the
     commutator subgroup) is never visible.
     """
-    return AbelianVector("ambient", exponent_sums(w)).coordinate_gcd() == 1
+    return gcd(*exponent_sums(w)) == 1
 
 
 def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
@@ -132,15 +137,10 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
 
 
 def apply_projection(matrix: Sequence[Sequence[int]], vector: AbelianVector) -> AbelianVector:
-    """Multiply the projection matrix by a subgroup-basis vector."""
+    """Multiply the projection matrix by a subgroup-basis vector, exactly."""
     if vector.basis != "subgroup":
         raise ValueError("projection applies to subgroup-basis vectors")
-    entries = []
-    for row in matrix:
-        if len(row) != len(vector.entries):
-            raise ValueError("matrix width does not match the vector")
-        total = 0
-        for coefficient, entry in zip(row, vector.entries):
-            total = checked_int64(total + checked_int64(coefficient * entry))
-        entries.append(total)
-    return AbelianVector("ambient", tuple(entries))
+    entries = vector.entries
+    if any(len(row) != len(entries) for row in matrix):
+        raise ValueError("matrix width does not match the vector")
+    return AbelianVector("ambient", tuple(sum(map(mul, row, entries)) for row in matrix))

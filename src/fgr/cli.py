@@ -26,6 +26,7 @@ from .constructions import gamma_graph, hm_graph, lm_graph, wk_square_rewrite, w
 from .retracts import bergman_counterexample, intersection_report, run_suite, suite_names
 from .stallings import (
     CoreGraph,
+    SpanningTree,
     _basis_text,
     _read_graph_json,
     contains,
@@ -143,14 +144,14 @@ def _parse_tree_flag(graph: CoreGraph, text: str | None):
     if _TREE_FLAG.fullmatch(text):
         # Three references to one iterator take its numbers three at a time.
         numbers = map(int, text.replace(",", ":").split(":"))
-        return spanning_tree(graph, override=zip(numbers, numbers, numbers))
+        return SpanningTree(graph, zip(numbers, numbers, numbers))
     edges = []
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise ValueError(f"tree edge {chunk!r} is not from:to:label")
         edges.append(tuple(int(p) for p in parts))
-    return spanning_tree(graph, override=edges)
+    return SpanningTree(graph, edges)
 
 
 def _emit(payload, fmt: str) -> None:

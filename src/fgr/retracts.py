@@ -30,8 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _itertools_permutations
-from math import gcd
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .abelian import (
     abelianize_in_subgroup,
@@ -114,14 +113,6 @@ class IntersectionReport:
 
     def to_json(self) -> dict:
         return dict(vars(self))
-
-
-def turner_power_word(exponents: Sequence[int]) -> bool:
-    """Test-element criterion for x_1^k_1 .. x_n^k_n: every exponent
-    nonzero and the gcd of their absolute values different from 1."""
-    if any(k == 0 for k in exponents):
-        return False
-    return gcd(*(abs(k) for k in exponents)) != 1
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -353,6 +344,8 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
     the rest to random words in them; the section perturbs each
     coordinate generator by a product of conjugated kernel elements, so
     the section property holds by construction (and is re-verified).
+    The retraction undoes the section, so the section is injective and
+    its image, the retract, has rank k: one draw always serves.
     A complexity c that could make a section word longer than 10**6
     letters, and an ambient rank outside 1..26, are rejected before any
     draw.
@@ -367,30 +360,25 @@ def random_retract(n: int, k: int, seed: int, complexity: int = 2) -> RetractPre
         raise ValueError(f"section words could pass {_MAX_WORD_LETTERS} letters: c = {complexity}")
     _check_rank(n)
     rng = _trial_rng(seed, 0)
-    for _ in range(20):
-        projected = [
-            _random_reduced_word(rng, k, complexity, min_len=0)
-            for _ in range(k + 1, n + 1)
-        ]
-        retraction = tuple([Word(k, (i,)) for i in range(1, k + 1)] + projected)
-        kernel = [
-            Word(n, (j,)) * Word(n, projected[j - k - 1].letters).inverse()
-            for j in range(k + 1, n + 1)
-        ]
-        section = []
-        for i in range(1, k + 1):
-            twist = Word(n)
-            for _ in range(rng.randint(0, complexity)):
-                element = rng.choice(kernel)
-                if rng.random() < 0.5:
-                    element = element.inverse()
-                conjugator = _random_reduced_word(rng, n, complexity, min_len=0)
-                twist = twist * conjugator * element * conjugator.inverse()
-            section.append(Word(n, (i,)) * twist)
-        presented = RetractPresentation(n, tuple(section), retraction)
-        if subgroup_rank(presented.graph) == k:
-            return presented
-    raise ValueError("random retract draw degenerated repeatedly")
+    projected = [
+        _random_reduced_word(rng, k, complexity, min_len=0) for _ in range(k + 1, n + 1)
+    ]
+    retraction = tuple([Word(k, (i,)) for i in range(1, k + 1)] + projected)
+    kernel = [
+        Word(n, (j,)) * Word(n, projected[j - k - 1].letters).inverse()
+        for j in range(k + 1, n + 1)
+    ]
+    section = []
+    for i in range(1, k + 1):
+        twist = Word(n)
+        for _ in range(rng.randint(0, complexity)):
+            element = rng.choice(kernel)
+            if rng.random() < 0.5:
+                element = element.inverse()
+            conjugator = _random_reduced_word(rng, n, complexity, min_len=0)
+            twist = twist * conjugator * element * conjugator.inverse()
+        section.append(Word(n, (i,)) * twist)
+    return RetractPresentation(n, tuple(section), retraction)
 
 
 def _drawn_retract(rng: random.Random, n: int) -> RetractPresentation:

@@ -634,17 +634,16 @@ def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
     return folding.core()
 
 
-def spanning_tree(graph: CoreGraph, override: Iterable[Edge] | None = None) -> SpanningTree:
-    """A spanning tree with a deterministic non-tree edge order.
+def spanning_tree(graph: CoreGraph) -> SpanningTree:
+    """The default spanning tree, with a deterministic non-tree edge order.
 
-    The default tree holds, for each vertex but the base, the edge by
-    which a breadth-first search from the base first reaches it, trying
-    the letters 1, -1, 2, -2, .., n, -n in that order at each vertex.
-    ``override`` supplies an explicit tree edge set instead.  Either way
-    :class:`SpanningTree` checks the tree against the graph and walks it.
+    It holds, for each vertex but the base, the edge by which a
+    breadth-first search from the base first reaches it, trying the
+    letters 1, -1, 2, -2, .., n, -n in that order at each vertex.  A
+    given tree is built as ``SpanningTree(graph, tree_edges)``; either
+    way :class:`SpanningTree` checks the tree against the graph and
+    walks it.
     """
-    if override is not None:
-        return SpanningTree(graph, map(tuple, override))
     letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
     steps: list[tuple[int, int]] = []
     order = _order(graph.out, graph.in_, 0, letters, steps)

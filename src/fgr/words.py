@@ -27,11 +27,8 @@ parser, checks and bounds, so a position counts from the start of the
 whole list.  Brackets nest at most 200 deep (``_MAX_NESTING``), a bound
 of the text alone: the parser counts the depth, so what it accepts does
 not depend on how deep the caller's stack already is.
-Vector arithmetic on integers that callers hand in (``add_vectors``,
-and the projection in ``abelian``) is checked against the signed 64-bit
-range, so that an overflow fails loudly instead of silently promoting.
-Exponent sums are counts of letters, bounded by a word's length, so
-they are not checked.
+Integer arithmetic is exact: exponent sums, and the vector sums and
+projections of ``abelian``, are Python ints of any size.
 
 Each map out of a free group is one routine.  ``substitute`` maps into
 a free group: it checks the target rank, then spells each letter's
@@ -50,7 +47,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 MAX_RANK = 26
 
@@ -59,9 +56,6 @@ _MAX_WORD_LETTERS = 10**6
 # Three parser frames per level fit 200 levels under the default
 # recursion limit from a caller 200 frames deep.
 _MAX_NESTING = 200
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 class ParseError(ValueError):
@@ -77,20 +71,6 @@ def _check_rank(rank: int) -> None:
     of the graph builders."""
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
-
-
-def checked_int64(value: int) -> int:
-    """Return ``value`` unchanged, raising if it left the int64 range."""
-    if value < _INT64_MIN or value > _INT64_MAX:
-        raise OverflowError("integer arithmetic left the signed 64-bit range")
-    return value
-
-
-def add_vectors(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise checked sum of two equal-length integer vectors."""
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} != {len(v)}")
-    return tuple(checked_int64(a + b) for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -318,7 +298,7 @@ class _Parser:
             self._fail(f"unexpected character {self.text[self.pos]!r}")
         return words
 
-    def _fail(self, message: str) -> None:
+    def _fail(self, message: str) -> NoReturn:
         raise ParseError(message, self.pos)
 
     def _skip_space(self) -> None:
@@ -390,9 +370,8 @@ class _Parser:
         return atom
 
     def _atom(self) -> tuple[int, ...]:
-        ch = self._peek()
-        if ch is None:
-            self._fail("expected a letter, '[' or '('")
+        # ``_expr`` reads a term only after ``_peek`` found no end there.
+        ch = self.text[self.pos]
         if ch == "(" or ch == "[":
             # The bracket that passes the bound is the error's position.
             if self.depth == _MAX_NESTING:
@@ -418,7 +397,6 @@ class _Parser:
             self.pos += 1
             return (index if ch.islower() else -index,)
         self._fail(f"unexpected character {ch!r}")
-        raise AssertionError("unreachable")
 
     def _integer(self) -> int:
         self._skip_space()

@@ -246,5 +246,25 @@ def test_abelian_vector_arithmetic():
     assert u.to_json() == {"basis": "subgroup", "entries": [2, -4]}
     with pytest.raises(ValueError):
         u + AbelianVector("ambient", (1, 1))
+    with pytest.raises(ValueError, match="vector length mismatch: 2 != 3"):
+        u + AbelianVector("subgroup", (1, 1, 1))
+    with pytest.raises(TypeError):
+        u + (1, 1)
     with pytest.raises(ValueError):
         AbelianVector("other", (1,))
+
+
+def test_apply_projection_checks_basis_and_width():
+    matrix = ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="applies to subgroup-basis vectors"):
+        apply_projection(matrix, AbelianVector("ambient", (1, 1)))
+    with pytest.raises(ValueError, match="matrix width does not match the vector"):
+        apply_projection(matrix, AbelianVector("subgroup", (1, 1, 1)))
+
+
+def test_apply_projection_is_exact_past_64_bits():
+    big = 2**63
+    vector = AbelianVector("subgroup", (big, big - 1, -big))
+    matrix = ((1, 1, 0), (3, 0, 1), (-1, 0, 0))
+    projected = apply_projection(matrix, vector)
+    assert projected == AbelianVector("ambient", (2**64 - 1, 2**64, -(2**63)))

@@ -44,7 +44,6 @@ from fgr import (
     Word,
     abelianize_in_subgroup,
     basis,
-    checked_int64,
     coset_permutation,
     from_generators,
     homology_projection,
@@ -274,14 +273,14 @@ def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
             if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (vertex, target, letter)
-            counts[edge] = checked_int64(counts.get(edge, 0) + 1)
+            counts[edge] = counts.get(edge, 0) + 1
             vertex = target
         else:
             source = graph.in_[-letter][vertex]
             if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (source, vertex, -letter)
-            counts[edge] = checked_int64(counts.get(edge, 0) - 1)
+            counts[edge] = counts.get(edge, 0) - 1
             vertex = source
     if vertex != 0:
         raise NotAMemberError("path does not close at the base")
@@ -317,7 +316,7 @@ def outcome(function, *args):
 
 def new_tree(graph, edges):
     """``oracle_tree`` computed by a ``SpanningTree``."""
-    tree = spanning_tree(graph, override=edges)
+    tree = SpanningTree(graph, edges)
     return list(tree.parents.items()), tree.nontree_edges
 
 
@@ -346,7 +345,7 @@ def random_cover(rng, rank, max_index):
 
 
 def random_tree(rng, graph):
-    """A uniformly shuffled Kruskal spanning tree, as an override."""
+    """A uniformly shuffled Kruskal spanning tree."""
     edges = list(graph.edges)
     rng.shuffle(edges)
     parent = list(range(graph.vertex_count))
@@ -362,7 +361,7 @@ def random_tree(rng, graph):
         if ru != rv:
             parent[ru] = rv
             chosen.append((u, v, l))
-    return spanning_tree(graph, override=chosen)
+    return SpanningTree(graph, chosen)
 
 
 def assert_words_agree(graph, tree, words):

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 from fgr import (
     Permutation,
+    SpanningTree,
     basis,
     bergman_counterexample,
     canonicalize,
@@ -16,7 +17,6 @@ from fgr import (
     rewrite_in_basis,
     run_suite,
     schreier_graph,
-    spanning_tree,
 )
 from fgr.abelian import abelianize_in_subgroup
 from fgr.constructions import gamma_graph, hm_graph, wk_square_rewrite, wk_word
@@ -43,7 +43,7 @@ def criterion(number, description, limit_seconds):
 def test_criterion_01_simple_counterexample_exact():
     with criterion(1, "rank-3 subgroup vs cyclic retract, exact data", 1):
         K = from_generators(2, [parse_word(t, 2) for t in ("a", "baBB", "bbaB")])
-        tree = spanning_tree(K, override=[(0, 1, 2), (1, 2, 2)])
+        tree = SpanningTree(K, [(0, 1, 2), (1, 2, 2)])
         w1 = wk_word(1)
         symbols = rewrite_in_basis(K, tree, w1**2)
         assert symbols.letters == (1, 1, -3, 2, 3, -2)

@@ -180,6 +180,23 @@ def test_tsv_format(capsys):
     assert out == "member\ttrue\n"
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("basis", *H3_FLAGS, "--tree", "0:1:2,1:2:2"), "a\nbaBB\nbbaB\nbbb\n"),
+        (
+            ("rewrite", *H3_FLAGS, "--tree", "0:1:2,1:2:2", "--word", "(a[a,b])^2"),
+            "1\n1\n-3\n2\n3\n-2\n",
+        ),
+        (("lemma33", "--m", "3"), "1\n1\n-3\n2\n3\n-2\n"),
+        (("wk", "--k", "1"), "aabAB\n"),
+    ],
+)
+def test_tsv_format_of_list_and_scalar_payloads(capsys, argv, out):
+    # A list payload prints one item a line, a scalar one line; strings bare.
+    assert run_cli(capsys, "--format", "tsv", *argv) == (0, out, "")
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     first = run_cli(capsys, "suite", "hanna-neumann", "--trials", "25", "--seed", "9")
     second = run_cli(capsys, "suite", "hanna-neumann", "--trials", "25", "--seed", "9")
@@ -206,6 +223,17 @@ def test_missing_subgroup_flags_is_an_error(capsys):
     code, _, err = run_cli(capsys, "member", "--word", "a")
     assert code == 1
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("member", "--gens", "a", "--word", "a"), "--gens needs --rank"),
+        (("visible", "--word", "a"), "ambient visibility needs --rank"),
+    ],
+)
+def test_word_flags_without_a_rank_are_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"fgr: error: {message}\n")
 
 
 def test_usage_error_exits_two(capsys):
@@ -540,3 +568,30 @@ def test_every_verb_carries_its_answer():
     _, verbs = verb_parsers()
     for name, p in verbs.choices.items():
         assert callable(p.get_default("answer")), name
+
+
+def test_words_outside_the_subgroup_are_errors(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(run_json(capsys, "fold", "--rank", "2", "--gens", "a")))
+    for argv in (
+        ("rewrite", "--rank", "2", "--gens", "a", "--word", "ab"),
+        ("rewrite", "--rank", "2", "--gens", "a", "--word", "aB"),
+        ("visible", "--graph", str(path), "--word", "b"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == "fgr: error: word leaves the graph at vertex 0\n"
+
+
+def test_fold_graph_with_a_bad_label_or_base_is_an_error(capsys, tmp_path):
+    path = tmp_path / "raw.json"
+    for raw, message in (
+        ({"rank": 2, "vertices": 2, "edges": [{"from": 0, "to": 1, "label": 3}]},
+         "edge label out of range: (0, 1, 3)"),
+        ({"rank": 2, "vertices": 2, "base": 5, "edges": [{"from": 0, "to": 1, "label": 1}]},
+         "base vertex out of range"),
+    ):
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "fold", "--graph", str(path))
+        assert_one_error_line(code, out, err)
+        assert err == f"fgr: error: {message}\n"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from fgr import (
     CoreGraph,
+    SpanningTree,
     basis,
     from_generators,
     reduce_word,
@@ -216,7 +217,7 @@ def test_tree_flag_matches_the_chunk_reader():
         "0:1:2,1:2:1", "7:8:2,1:2:2", "0:1:2,1:2:2,2:0:2",
     )
     for text in flags:
-        want = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        want = result(lambda: SpanningTree(graph, oracle_tree_edges(text)))
         assert same_tree(result(lambda: _parse_tree_flag(graph, text)), want), (text, want)
 
 
@@ -231,7 +232,7 @@ def test_tree_flag_matches_the_chunk_reader_on_random_flags():
         for _ in range(rng.randint(0, 3)):
             i = rng.randrange(len(text) + 1)
             text = text[:i] + rng.choice("0123456789:,-+_ x") + text[i + rng.randint(0, 1):]
-        want = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        want = result(lambda: SpanningTree(graph, oracle_tree_edges(text)))
         assert same_tree(result(lambda: _parse_tree_flag(graph, text)), want), (text, want)
 
 
@@ -240,7 +241,7 @@ def test_malformed_tree_flags_print_the_same_error_line(capsys, tmp_path):
     path = tmp_path / "gamma3.json"
     path.write_text(json.dumps(graph_to_json(graph)))
     for text in MALFORMED_FLAGS:
-        _, message = result(lambda: spanning_tree(graph, override=oracle_tree_edges(text)))
+        _, message = result(lambda: SpanningTree(graph, oracle_tree_edges(text)))
         assert main(["basis", "--graph", str(path), f"--tree={text}"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"fgr: error: {message}\n"), text
@@ -263,8 +264,8 @@ def random_tree_edges(graph: CoreGraph, rng: random.Random) -> list[tuple[int, i
 
 
 def assert_basis_text(graph: CoreGraph, rng: random.Random) -> None:
-    override = random_tree_edges(graph, rng)
-    for tree in (spanning_tree(graph), spanning_tree(graph, override=override)):
+    edges = random_tree_edges(graph, rng)
+    for tree in (spanning_tree(graph), SpanningTree(graph, edges)):
         assert _basis_text(graph, tree) == [render_word(w) for w in basis(graph, tree)]
 
 
@@ -307,9 +308,9 @@ def test_basis_verb_prints_the_rendered_basis(capsys, tmp_path):
     graph = lm_graph(11)
     path = tmp_path / "lm11.json"
     path.write_text(json.dumps(graph_to_json(graph)))
-    override = random_tree_edges(graph, random.Random(10_006))
-    for flags in ((), ("--tree", ",".join(f"{u}:{v}:{l}" for u, v, l in override))):
+    edges = random_tree_edges(graph, random.Random(10_006))
+    for flags in ((), ("--tree", ",".join(f"{u}:{v}:{l}" for u, v, l in edges))):
         assert main(["basis", "--graph", str(path), *flags]) == 0
-        tree = spanning_tree(graph, override=override if flags else None)
+        tree = SpanningTree(graph, edges) if flags else spanning_tree(graph)
         want = [render_word(w) for w in basis(graph, tree)]
         assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"

@@ -25,7 +25,6 @@ from fgr import (
     subgroup_index,
     subgroup_rank,
     substitute,
-    turner_power_word,
 )
 from fgr.constructions import hm_graph, lm_graph, wk_word
 from fgr.retracts import _random_transitive_graph, _random_visible_word
@@ -56,15 +55,6 @@ def test_cyclic_retract_with_negative_exponents():
     assert presented.rank == 1
 
 
-# --- turner power-word criterion ----------------------------------------------
-
-def test_turner_power_word():
-    assert turner_power_word((2, 2))
-    assert not turner_power_word((1, 1))
-    assert not turner_power_word((2, 0))
-    assert turner_power_word((-2, 4, 6))
-
-
 # --- section/retraction presentations ----------------------------------------
 
 def test_retract_presentation_validates_section():
@@ -72,6 +62,19 @@ def test_retract_presentation_validates_section():
         RetractPresentation(
             2, (parse_word("ab", 2),), (Word(1, (1,)), Word(1, (1,)))
         )
+
+
+def test_retract_presentation_checks_its_shape():
+    a, b = Word(2, (1,)), Word(2, (2,))
+    one = Word(1, (1,))
+    for section, retraction, message in (
+        ((), (one, one), "needs at least one section image"),
+        ((a,), (one,), "one retraction image per ambient generator"),
+        ((Word(3, (1,)),), (one, Word(1)), "section images must live in the ambient group"),
+        ((a, b), (one, one), "retraction images must live in the rank-k group"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RetractPresentation(2, section, retraction)
 
 
 def test_random_retract_zero_complexity_is_coordinate_factor():
@@ -88,6 +91,14 @@ def test_random_retract_has_exact_rank():
         presented = random_retract(n, k, seed=seed, complexity=seed % 4)
         assert presented.rank == k
         assert subgroup_rank(presented.graph) == k
+    # The retraction undoes the section, so the section is injective and
+    # the retract's graph has rank k on every draw: none is redone.
+    for n in range(2, 6):
+        for k in range(1, n):
+            for complexity in range(4):
+                for seed in range(8):
+                    presented = random_retract(n, k, seed=seed, complexity=complexity)
+                    assert subgroup_rank(presented.graph) == k, (n, k, complexity, seed)
 
 
 def test_random_retract_is_reproducible():
@@ -117,6 +128,11 @@ def test_random_retract_rejects_a_complexity_past_the_word_bound():
     for complexity in (578, 10**9):
         with pytest.raises(ValueError, match=f"letters: c = {complexity}$"):
             random_retract(3, 1, seed=0, complexity=complexity)
+
+
+def test_random_retract_rejects_a_negative_complexity():
+    with pytest.raises(ValueError, match="complexity must be nonnegative"):
+        random_retract(3, 1, seed=0, complexity=-1)
 
 
 # --- smallest power --------------------------------------------------------------

@@ -162,6 +162,13 @@ def test_fold_one_step():
     assert folded == fold(2, 3, [(0, 2, 1), (0, 1, 1), (1, 2, 2)])
 
 
+def test_fold_checks_labels_and_base():
+    with pytest.raises(ValueError, match=r"edge label out of range: \(0, 1, 3\)"):
+        fold(2, 2, [(0, 1, 3)])
+    with pytest.raises(ValueError, match="base vertex out of range"):
+        fold(2, 2, [(0, 1, 1)], base=2)
+
+
 def test_fold_confluence_under_shuffling():
     rng = random.Random(11)
     gens = words(2, "abab", "bbaB", "aabb", "abA")
@@ -226,7 +233,7 @@ def test_spanning_tree_of_rose():
 
 def test_spanning_tree_override_preferred_tree():
     g = gamma_graph(3)
-    tree = spanning_tree(g, override=[(0, 1, 2), (1, 2, 2)])
+    tree = SpanningTree(g, [(0, 1, 2), (1, 2, 2)])
     assert tree.tree_edges == frozenset({(0, 1, 2), (1, 2, 2)})
     assert tree.nontree_edges == ((0, 0, 1), (1, 2, 1), (2, 1, 1), (2, 0, 2))
 
@@ -239,11 +246,11 @@ def test_default_tree_on_gamma3_consists_of_b_edges():
 def test_spanning_tree_override_validation():
     g = gamma_graph(3)
     with pytest.raises(ValueError):
-        spanning_tree(g, override=[(0, 1, 2)])
+        SpanningTree(g, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        spanning_tree(g, override=[(0, 1, 2), (0, 0, 1)])
+        SpanningTree(g, [(0, 1, 2), (0, 0, 1)])
     with pytest.raises(ValueError):
-        spanning_tree(g, override=[(0, 1, 2), (9, 9, 2)])
+        SpanningTree(g, [(0, 1, 2), (9, 9, 2)])
 
 
 def test_tree_that_does_not_span_is_rejected():
@@ -262,7 +269,7 @@ def test_spanning_tree_checks_itself_when_built():
         with pytest.raises(ValueError, match=message):
             SpanningTree(g, frozenset(edges))
     tree = SpanningTree(g, frozenset({(0, 1, 2), (1, 2, 2)}))
-    assert tree == spanning_tree(g, override=[(0, 1, 2), (1, 2, 2)])
+    assert tree == SpanningTree(g, [(0, 1, 2), (1, 2, 2)])
     assert tree.parents == {0: None, 1: (0, 2), 2: (1, 2)}
     # symbols[l][u] is the 1-based symbol of the non-tree edge labeled l
     # leaving u, 0 at tree edges and empty slots.
@@ -338,6 +345,14 @@ def test_rewrite_rejects_non_members():
     graph, tree = hm_graph(3)
     with pytest.raises(NotAMemberError):
         rewrite_in_basis(graph, tree, parse_word("b", 2))
+    cyclic = from_generators(2, words(2, "a"))
+    tree = spanning_tree(cyclic)
+    # A forward letter and an inverse letter with no edge at the base.
+    for text in ("ab", "aB"):
+        with pytest.raises(NotAMemberError, match="word leaves the graph at vertex 0"):
+            rewrite_in_basis(cyclic, tree, parse_word(text, 2))
+    with pytest.raises(ValueError, match="rank mismatch: 3 != 2"):
+        rewrite_in_basis(cyclic, tree, Word(3))
 
 
 def test_rewrite_round_trip():
@@ -503,6 +518,16 @@ def test_schreier_graph_regular_klein_four():
 def test_schreier_graph_rejects_intransitive_action():
     with pytest.raises(ValueError):
         schreier_graph(2, [identity_permutation(2), identity_permutation(2)], 0)
+
+
+def test_schreier_graph_checks_its_arguments():
+    swap, fixed = Permutation((1, 0)), identity_permutation(1)
+    with pytest.raises(ValueError, match="expected 2 permutations, got 1"):
+        schreier_graph(2, [swap], 0)
+    with pytest.raises(ValueError, match="permutations act on different point counts"):
+        schreier_graph(2, [swap, fixed], 0)
+    with pytest.raises(ValueError, match="base point out of range"):
+        schreier_graph(2, [swap, swap], 2)
 
 
 def test_coset_permutation_examples():
@@ -683,3 +708,12 @@ def test_core_graph_validates_invariants():
         CoreGraph(2, 2, ((0, 1, 1),))
     with pytest.raises(ValueError):  # label out of range
         CoreGraph(2, 1, ((0, 0, 3),))
+
+
+def test_core_graph_equality_hash_and_repr():
+    graph = from_generators(2, words(2, "a"))
+    twin = CoreGraph(2, 1, ((0, 0, 1),))
+    assert graph == twin and hash(graph) == hash(twin)
+    assert len({graph, twin, from_generators(2, words(2, "b"))}) == 2
+    assert graph.__eq__("graph") is NotImplemented and graph != "graph"
+    assert repr(graph) == "CoreGraph(rank=2, vertex_count=1, edges=((0, 0, 1),))"

@@ -5,7 +5,6 @@ import pytest
 from fgr import (
     ParseError,
     Word,
-    checked_int64,
     commutator,
     exponent_sums,
     parse_word,
@@ -196,14 +195,6 @@ def test_exponent_sums_examples():
     assert exponent_sums(parse_word("aabb", 2)) == (2, 2)
 
 
-def test_checked_int64_bounds():
-    assert checked_int64(2**63 - 1) == 2**63 - 1
-    with pytest.raises(OverflowError):
-        checked_int64(2**63)
-    with pytest.raises(OverflowError):
-        checked_int64(-(2**63) - 1)
-
-
 def test_substitute():
     w = parse_word("a[a,b]", 2)
     images = [parse_word("a", 2), Word(2)]
@@ -266,3 +257,12 @@ def test_render_parse_round_trip():
         for _ in range(100):
             w = random_reduced_word(rng, rank, 30, min_len=0)
             assert parse_word(render_word(w), rank) == w
+
+
+def test_word_truth_text_and_product_with_a_non_word():
+    w = parse_word("aB", 2)
+    assert w and not Word(2)
+    assert str(w) == "aB"
+    assert w.__mul__("b") is NotImplemented
+    with pytest.raises(TypeError):
+        w * "b"

@@ -20,7 +20,9 @@ are:
 - ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
 - ``check_core``: ``fgr.stallings._check_core`` on the graph's arrays,
   the connectivity and degree check of ``graph_from_json``;
-- ``spanning_tree_default`` and ``spanning_tree_override``;
+- ``spanning_tree_default``: ``spanning_tree(graph)``, and
+  ``spanning_tree_override``: the override tree built by
+  ``SpanningTree(graph, edges)``;
 - ``tree_flag``: the ``--tree`` text to a ``SpanningTree``, as the CLI
   parses it (``fgr.cli._parse_tree_flag``);
 - ``basis_render``: ``[render_word(w) for w in basis(graph, tree)]``,
@@ -84,7 +86,7 @@ from fgr import (
 )
 from fgr.cli import _parse_tree_flag
 from fgr.constructions import gamma_graph, lm_graph, wk_word
-from fgr.stallings import CoreGraph, _check_core
+from fgr.stallings import CoreGraph, SpanningTree, _check_core
 from fgr.words import render_word
 
 try:
@@ -177,7 +179,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     graph = graph_from_json(data)
     flag = ",".join(f"{v}:{v + 1}:2" for v in range(index - 1))
     override = [(v, v + 1, 2) for v in range(index - 1)]
-    tree = spanning_tree(graph, override=override)
+    tree = SpanningTree(graph, override)
     word = _member(graph, tree, random.Random(index))
     rank = graph.rank
     words, symbols = basis(graph, tree), rewrite_in_basis(graph, tree, word)
@@ -192,7 +194,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
         "check_core": _best(lambda: _check_core(rank, graph.out, graph.in_), repeats),
         "spanning_tree_default": _best(lambda: spanning_tree(graph), repeats),
-        "spanning_tree_override": _best(lambda: spanning_tree(graph, override=override), repeats),
+        "spanning_tree_override": _best(lambda: SpanningTree(graph, override), repeats),
         "tree_flag": _best(lambda: _parse_tree_flag(graph, flag), repeats),
         "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
         "basis_text": None,

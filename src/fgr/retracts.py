@@ -15,7 +15,11 @@ failure record, a dict naming the counterexample, or None when the
 property holds; ``run_suite`` counts the Nones and keeps the first
 record.  A sampler that retries until a draw is accepted does so through
 ``_first``, which bounds the draws and raises ``RuntimeError`` when the
-budget runs out.
+budget runs out.  ``_random_reduced_word`` draws a length uniformly from
+its range and then each letter with one ``rng.choice`` from a per-rank
+table, built on first use, of the letters that may follow the previous
+one, in the order -rank..-1, 1..rank; a seed thus draws the same words
+as filtering the alphabet afresh for every letter would.
 
 Coverage note: the random retract family samples sections of coordinate
 projections composed with kernel conjugations, plus cyclic retracts of
@@ -28,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations as _itertools_permutations
 from typing import Callable, TypeVar
 
@@ -161,7 +165,8 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     Reading c is an injective partial map on the vertices, so the orbit
     of x under it either breaks or returns to x within ``vertex_count``
     steps; m is the number of steps, at finite and infinite index alike.
-    No graph is built.
+    No graph is built: the arrays that c's letters step through are
+    listed once, and one loop steps the orbit round by round.
     """
     if not w.letters:
         raise ValueError("the trivial word has no smallest power")
@@ -169,14 +174,19 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     letters = w.letters
     cut = _cyclic_cut(letters)
-    cycle = letters[cut : len(letters) - cut]
     start = vertex = walk(graph, 0, letters[:cut])
+    if start is None:
+        return None
+    out, in_ = graph.out, graph.in_
+    steps = [out[l] if l > 0 else in_[-l] for l in letters[cut : len(letters) - cut]]
     m = 0
-    while vertex is not None:
-        vertex, m = walk(graph, vertex, cycle), m + 1
-        if vertex == start:
-            return m
-    return None
+    while not m or vertex != start:
+        for step in steps:
+            vertex = step[vertex]
+            if vertex < 0:
+                return None
+        m += 1
+    return m
 
 
 def intersection_report(
@@ -276,17 +286,26 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+@cache
+def _letter_options(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The letters that may follow each letter of a reduced word.
+
+    Entry l, read with Python's negative indexing for l < 0, lists
+    -rank..-1, 1..rank without -l; entry 0, for the first letter, lists
+    them all.
+    """
+    alphabet = [l for l in range(-rank, rank + 1) if l]
+    previous = (*range(rank + 1), *range(-rank, 0))  # index 2 * rank + 1 + l for l < 0
+    return tuple(tuple(l for l in alphabet if l != -p) for p in previous)
+
+
 def _random_reduced_word(rng: random.Random, rank: int, max_len: int, min_len: int = 1) -> Word:
-    length = rng.randint(min_len, max_len)
-    letters: list[int] = []
-    for _ in range(length):
-        options = [
-            l
-            for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
+    """A reduced word of a length uniform in min_len..max_len, each letter
+    uniform among those that keep it reduced."""
+    table, choice = _letter_options(rank), rng.choice
+    letter = 0
+    letters = [letter := choice(table[letter]) for _ in range(rng.randint(min_len, max_len))]
+    return Word._from_letters(rank, tuple(letters))
 
 
 _T = TypeVar("_T")

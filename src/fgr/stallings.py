@@ -258,13 +258,21 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of ``0..len(images)-1`` given by its image tuple."""
+    """A permutation of ``0..len(images)-1`` given by its image tuple.
+
+    Each image is read by ``operator.index``, as graph JSON fields are:
+    a float or a string is a ``ValueError``, and a bool reads as 1/0.
+    """
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+        try:
+            images = tuple(map(index, self.images))
+        except TypeError as exc:
+            raise ValueError(f"permutation images must be integers: {exc}") from exc
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection")
 
     def degree(self) -> int:

@@ -562,6 +562,20 @@ def test_permutation_cycles():
         Permutation((0, 0, 1))
 
 
+def test_permutation_images_must_be_integers():
+    # Read by operator.index, as graph JSON fields are: a float or a
+    # string is malformed, not a bijection that breaks the coset graph.
+    for images in ((1.0, 0.0), ("1", "0"), (1, 0.0)):
+        with pytest.raises(ValueError, match="permutation images must be integers"):
+            Permutation(images)
+    # A bool reads as 1/0, so the coset graph's JSON holds integers.
+    perm = Permutation((True, False))
+    assert perm.images == (1, 0) and all(type(i) is int for i in perm.images)
+    edges = graph_to_json(schreier_graph(1, [perm], 0))["edges"]
+    assert edges == [{"from": 0, "to": 1, "label": 1}, {"from": 1, "to": 0, "label": 1}]
+    assert all(type(value) is int for edge in edges for value in edge.values())
+
+
 # --- canonical forms ----------------------------------------------------------
 
 def test_canonicalize_idempotent():

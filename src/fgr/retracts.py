@@ -4,9 +4,11 @@ A retract is presented by a section/retraction pair that is verified
 symbolically at construction.  Intersection verdicts are only asserted
 where the rank structure makes them decidable: rank <= 1 intersections
 via the visibility criterion for cyclic retracts applied inside the
-subgroup, and full-rank intersections in subgroups of rank <= 2 via
-canonical graph equality (a proper retract always has strictly smaller
-rank).  Everything else is reported as undecided by design.
+subgroup, the whole subgroup via canonical graph equality, and any
+other intersection of at least the subgroup's rank, which cannot be a
+retract: a retract has at most the subgroup's rank, and one of equal
+rank is the subgroup itself, because free groups of finite rank are
+Hopfian.  Everything else is reported as undecided by design.
 
 The randomized suites draw every bit of randomness from a single 64-bit
 seed through per-trial generators derived by hashing (seed, trial), so
@@ -197,9 +199,11 @@ def intersection_report(
     Verdicts: trivial intersections and full intersections (equal to the
     subgroup) are always retracts; a cyclic intersection is a retract of
     the subgroup exactly when its generator is visible there; any other
-    proper intersection inside a subgroup of rank <= 2 cannot be a
-    retract because proper retracts have strictly smaller rank.  The
-    remaining cases are undecided.
+    proper intersection whose rank is at least the subgroup's cannot be
+    a retract, because a retract of a free group of finite rank has at
+    most its rank, and one of equal rank is the whole group (free groups
+    of finite rank are Hopfian).  The remaining cases, proper
+    intersections of rank 2 .. rk H - 1, are undecided.
 
     A retract of rank 1 is cyclic, R = <g>, and then H meets R in
     <g^m> for the least m >= 1 with g^m in H, or trivially when there is
@@ -237,7 +241,7 @@ def intersection_report(
         verdict = "yes" if visible else "no"
     elif intersection == canonicalize(subgroup):
         verdict = "yes"
-    elif rank_h <= 2:
+    elif rank_i >= rank_h:
         verdict = "no"
     else:
         verdict = "undecided"

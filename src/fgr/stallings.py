@@ -21,15 +21,19 @@ merge is done once instead of re-scanning every edge per pass.
 ``pullback`` computes the fiber product realizing subgroup intersection;
 ``schreier_graph`` builds the coset graph of a permutation action.
 Neither folds: a product of folded graphs is already folded and a
-permutation graph is a complete cover, so both only restrict to the base
-component, trim and renumber.  A graph without an empty slot is a
-complete cover and has nothing to trim; when its vertices are already
-in canonical order its arrays are kept as they are.  ``pullback`` tries
-the letters in canonical order, so it discovers the product's vertices
-already in canonical order and needs no second search.  It queues each
-product pair (a, b) as one int key, (a << s) | b with 2 ** s > V2, not
-as a tuple, so the search leaves the cyclic garbage collector little to
-track, and no builder touches the collector's state.  The first graph's
+permutation graph is a complete cover.  Only two builders trim hair
+(``_core``) before they renumber: ``fold``, whose input may dangle, and
+``pullback`` of two graphs that are not both complete covers, whose
+product may.  The others cannot leave hair, so they only renumber.  In
+``from_generators`` every vertex but the base lies inside a reduced
+closed walk from the base, which enters and leaves it through two
+different slots; a coset graph is a complete cover, where every vertex
+has degree 2 * rank.  ``pullback`` tries the letters in canonical
+order, so it discovers the product's vertices already in canonical
+order and needs no second search.  It queues each product pair (a, b)
+as one int key, (a << s) | b with 2 ** s > V2, not as a tuple, so the
+search leaves the cyclic garbage collector little to track, and no
+builder touches the collector's state.  The first graph's
 arrays are shifted before the search, its empty slots to -1 << s, so a
 move is one OR and a sign test (the second graph's -1 ORs to -1).  The
 pairs are numbered in one of two tables read the same way: a flat list
@@ -38,7 +42,9 @@ below ``_DENSE_PAIRS``, and otherwise a dict of the pairs the search
 reaches, so that a large, sparse pair space costs only what is reached.
 A product of complete covers is itself a complete cover, numbered
 canonically by the search, so its arrays become the result's with no
-trim.
+trim or renumbering.  Any other product has an empty slot: with none it
+would be a finite cover, so the intersection would have finite index
+inside a factor of infinite index.
 ``canonicalize`` renumbers vertices deterministically so that
 structural equality of canonical graphs coincides with equality of
 subgroups; a graph already in canonical numbering is returned as it
@@ -419,24 +425,18 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
 
 
 def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
-    """Core graph of the base component of a folded graph.
+    """Core graph of the base component of a folded graph that may have hair.
 
     ``out``/``in_`` describe the folded graph as in :class:`CoreGraph`
     and are consumed; ``order`` lists the base component in canonical
-    BFS order, base first.  When no slot is empty the graph is a
-    complete cover, where no vertex dangles: it is only renumbered, and
-    its arrays are taken as they are when ``order`` is already
-    ``0..size-1``.  Otherwise non-base vertices of degree <= 1 are
-    trimmed from a worklist, then the rest is renumbered in that order.
-    The component's BFS order restricted to the kept vertices is the
-    core's BFS order: a trimmed tree hangs from one kept vertex and is
-    only entered through it, so it never discovers a kept vertex.
+    BFS order, base first.  Non-base vertices of degree <= 1 are trimmed
+    from a worklist, then the rest is renumbered in that order.  The
+    component's BFS order restricted to the kept vertices is the core's
+    BFS order: a trimmed tree hangs from one kept vertex and is only
+    entered through it, so it never discovers a kept vertex.  Only
+    ``fold`` and a ``pullback`` that is not of two complete covers can
+    leave hair, so they are its only callers.
     """
-    size = len(out[1])
-    if not any(-1 in array for array in out[1:]):
-        if len(order) == size and all(map(eq, order, range(size))):
-            return CoreGraph._from_arrays(rank, size, out, in_, rank * size)
-        return _renumbered(rank, out, in_, order)
     base = order[0]
     links = [(out[l], in_[l]) for l in range(1, rank + 1)]
     # Only entries on ``order`` are read.
@@ -487,6 +487,9 @@ class _Folding:
     algorithm for Stallings' folding process", 2006), the smaller class
     handing its edges to the larger and queueing any clash, until none
     is pending.  Every array is sized by the vertices added.
+    ``resolved`` hands over the settled arrays and the base component's
+    canonical order: ``fold`` trims them with ``_core``, and
+    ``from_generators``, which cannot leave hair, only renumbers them.
     """
 
     def __init__(self, rank: int, vertex_count: int) -> None:
@@ -585,13 +588,14 @@ class _Folding:
                     self.add_edge(v, u, -letter)
         self.settle()
 
-    def core(self) -> CoreGraph:
-        """The core graph of the settled graph, based at vertex 0."""
-        find = self.find
+    def resolved(self) -> tuple[list, list, list[int]]:
+        """The settled ``out`` and ``in_``, every entry resolved to its
+        class root, and the base component in canonical BFS order, base
+        first."""
+        out, in_, find = self.out, self.in_, self.find
         for array in self.arrays:
             array[:] = [x if x < 0 else find(x) for x in array]
-        order = _order(self.out, self.in_, find(0), _canonical_letters(self.rank))
-        return _core(self.rank, self.out, self.in_, order)
+        return out, in_, _order(out, in_, find(0), _canonical_letters(self.rank))
 
 
 def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> CoreGraph:
@@ -621,7 +625,7 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
     for u, v, l in edge_set:
         folding.add_edge(ids[u], ids[v], l)
     folding.settle()
-    return folding.core()
+    return _core(rank, *folding.resolved())
 
 
 def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
@@ -639,7 +643,7 @@ def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
     for g in generators:
         if g.letters:
             folding.read_loop(g.letters)
-    return folding.core()
+    return _renumbered(rank, *folding.resolved())
 
 
 def spanning_tree(graph: CoreGraph) -> SpanningTree:
@@ -804,7 +808,9 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     list indexed by key; otherwise in a dict of the pairs reached, so a
     large, sparse pair space costs only what is reached.  A product of
     complete covers is a complete cover already numbered canonically, so
-    its arrays are the result's, with no trim.
+    its arrays are the result's, with no trim.  Any other product has an
+    empty slot, since the intersection has infinite index, and goes
+    through ``_core``'s trim.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
@@ -850,8 +856,8 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
     ``perms[i]`` is the action of generator i+1 on the points; the
     resulting graph is a complete covering with the given base point,
     renumbered canonically.  Raises when the action is not transitive.
-    A complete covering is folded and has no hair, so it is only
-    renumbered.
+    A complete covering is folded and every vertex has degree 2 * rank,
+    so it is only renumbered, never trimmed.
     """
     if len(perms) != rank:
         raise ValueError(f"expected {rank} permutations, got {len(perms)}")
@@ -871,7 +877,7 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
     order = _order(out, in_, base, _canonical_letters(rank))
     if len(order) != points:
         raise ValueError("action is not transitive: coset graph is not connected")
-    return _core(rank, out, in_, order)
+    return _renumbered(rank, out, in_, order)
 
 
 def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:

@@ -22,18 +22,7 @@ from fgr import (
     transfer,
 )
 from fgr.constructions import hm_graph, wk_word
-
-
-def random_reduced_word(rng, rank, max_len):
-    length = rng.randint(1, max_len)
-    letters = []
-    for _ in range(length):
-        options = [
-            l for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
+from fgr.retracts import _random_reduced_word as random_reduced_word
 
 
 def random_visible_word(rng, rank, max_len):

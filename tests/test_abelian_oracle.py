@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from datetime import timedelta
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import pytest
@@ -59,6 +60,7 @@ from fgr import (
     walk,
 )
 from fgr.constructions import hm_graph, wk_word
+from fgr.retracts import _random_reduced_word
 from fgr.stallings import Edge, _canonical_letters
 from test_stallings import cycles
 
@@ -320,14 +322,8 @@ def new_tree(graph, edges):
     return list(tree.parents.items()), tree.nontree_edges
 
 
-def random_reduced_word(rng, rank, max_len):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        options = [
-            l for l in range(-rank, rank + 1) if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
+# The suites' sampler, drawing the empty word too.
+random_reduced_word = partial(_random_reduced_word, min_len=0)
 
 
 def random_cover(rng, rank, max_index):

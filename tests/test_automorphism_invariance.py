@@ -43,8 +43,8 @@ from fgr import (
     substitute,
 )
 from fgr.constructions import lm_graph, wk_word
+from fgr.retracts import _random_reduced_word as random_reduced_word
 from fgr.retracts import _random_visible_word
-from test_stallings import random_reduced_word
 
 
 def generators(n):

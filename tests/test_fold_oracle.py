@@ -65,6 +65,7 @@ from fgr import (
     walk,
 )
 from fgr.constructions import gamma_graph, hm_graph, lm_graph
+from fgr.retracts import _random_reduced_word
 from fgr.stallings import _DENSE_PAIRS, Edge, _canonical_letters, _order
 
 
@@ -427,15 +428,8 @@ def symbol_arrays(tree: SpanningTree) -> list:
 
 # --- seeded comparisons ---------------------------------------------------------
 
-def random_reduced_word(rng, rank, max_len):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        options = [
-            l for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
+# The suites' sampler, drawing the empty word too.
+random_reduced_word = partial(_random_reduced_word, min_len=0)
 
 
 def shuffled_wedge(rng, rank, generators):

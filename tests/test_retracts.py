@@ -27,6 +27,7 @@ from fgr import (
     substitute,
 )
 from fgr.constructions import hm_graph, lm_graph, wk_word
+from fgr.retracts import _random_reduced_word as random_reduced_word
 from fgr.retracts import _random_transitive_graph, _random_visible_word
 from test_stallings import cycles
 
@@ -362,6 +363,16 @@ def test_intersection_report_rank2_proper_same_rank():
     assert report.verdict == "no"
 
 
+def test_intersection_report_proper_of_full_rank_in_rank3():
+    # <a, b, cc> has the rank of F_3 but is proper, so it is no retract
+    h = from_generators(3, words(3, "a", "b", "c"))
+    r = from_generators(3, words(3, "a", "b", "cc"))
+    report = intersection_report(h, r)
+    assert report.rank_h == 3
+    assert report.rank_intersection == 3
+    assert report.verdict == "no"
+
+
 def test_intersection_report_undecided():
     # even-length-words subgroup (rank 3) meets <aa, bb> in all of <aa, bb>
     h = from_generators(2, words(2, "aa", "ab", "ba"))
@@ -466,18 +477,6 @@ def test_single_cycle_trial_agrees_with_the_cycles_of_the_permutation():
         assert (smallest_power_in(graph, w) == graph.vertex_count) == one_cycle
         outcomes[one_cycle] += 1
     assert min(outcomes.values()) >= 20, outcomes
-
-
-def random_reduced_word(rng, rank, max_len):
-    length = rng.randint(1, max_len)
-    letters = []
-    for _ in range(length):
-        options = [
-            l for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
 
 
 def test_intersection_with_random_retract_stays_in_both():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgr.stallings
 from fgr import (
     CoreGraph,
     InfiniteIndexError,
@@ -38,22 +39,13 @@ from fgr import (
     walk,
 )
 from fgr.constructions import gamma_graph, hm_graph, wk_word
+from fgr.retracts import _random_reduced_word as random_reduced_word
+from fgr.retracts import _random_transitive_graph
+from fgr.stallings import _core, _degrees, _Folding
 
 
 def words(rank, *texts):
     return [parse_word(t, rank) for t in texts]
-
-
-def random_reduced_word(rng, rank, max_len):
-    length = rng.randint(1, max_len)
-    letters = []
-    for _ in range(length):
-        options = [
-            l for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
 
 
 def identity_permutation(n):
@@ -189,6 +181,64 @@ def test_fold_confluence_under_shuffling():
         shuffled = edges[:]
         rng.shuffle(shuffled)
         assert fold(2, next_vertex, shuffled) == reference
+
+
+def all_reduced_words(rank, max_len):
+    found = [()]
+    for w in found:
+        if len(w) < max_len:
+            found += [(*w, l) for l in range(-rank, rank + 1) if l and (not w or l != -w[-1])]
+    return [Word(rank, w) for w in found]
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 3), (3, 2)])
+def test_from_generators_leaves_no_hair(rank, max_len):
+    # A fold of reduced loops read from the base: every other vertex lies
+    # inside one of them, so none dangles and _core's trim changes nothing.
+    ws = all_reduced_words(rank, max_len)
+    for u in ws:
+        for v in ws:
+            folding = _Folding(rank, 1)
+            for w in (u, v):
+                if w.letters:
+                    folding.read_loop(w.letters)
+            out, in_, order = folding.resolved()
+            degree = _degrees(rank, out, in_)
+            assert all(degree[vertex] >= 2 for vertex in order[1:])
+            trimmed = _core(rank, out, in_, order)
+            g = from_generators(rank, [u, v])
+            assert (g, g.in_, g._edge_count) == (trimmed, trimmed.in_, trimmed._edge_count)
+
+
+def test_pullback_trims_only_products_with_an_empty_slot(monkeypatch):
+    # A product with no empty slot is a finite cover, so H ∩ K would have
+    # finite index inside a factor of infinite index: only products of two
+    # complete covers have none, and those skip _core.
+    untrimmed = []
+    trim = fgr.stallings._core
+
+    def spy(rank, out, in_, order):
+        untrimmed.append(all(-1 not in array for array in out[1:]))
+        return trim(rank, out, in_, order)
+
+    monkeypatch.setattr(fgr.stallings, "_core", spy)
+    rng = random.Random(23)
+    covers = 0
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        graphs = [
+            _random_transitive_graph(rng, rank, 6)
+            if rng.random() < 0.5
+            else from_generators(rank, [random_reduced_word(rng, rank, 6) for _ in range(2)])
+            for _ in range(2)
+        ]
+        both = all(subgroup_index(g) is not None for g in graphs)
+        covers += both
+        calls = len(untrimmed)
+        pullback(*graphs)
+        assert len(untrimmed) == calls + (not both)
+    assert not any(untrimmed)
+    assert min(covers, len(untrimmed)) >= 100, (covers, len(untrimmed))
 
 
 # --- membership ------------------------------------------------------------

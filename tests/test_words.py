@@ -12,19 +12,8 @@ from fgr import (
     render_word,
     substitute,
 )
+from fgr.retracts import _random_reduced_word as random_reduced_word
 from fgr.words import _parse_words
-
-
-def random_reduced_word(rng, rank, max_len, min_len=1):
-    length = rng.randint(min_len, max_len)
-    letters = []
-    for _ in range(length):
-        options = [
-            l for l in range(-rank, rank + 1)
-            if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
 
 
 def test_reduce_full_cancellation():

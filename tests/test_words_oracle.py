@@ -28,6 +28,7 @@ import string
 import sys
 from contextlib import contextmanager
 from datetime import timedelta
+from functools import partial
 from typing import Iterable, Sequence
 
 import pytest
@@ -45,6 +46,7 @@ from fgr import (
     render_word,
     substitute,
 )
+from fgr.retracts import _random_reduced_word
 from fgr.words import _cyclic_cut
 
 _MAX_WORD_LETTERS = fgr.words._MAX_WORD_LETTERS
@@ -367,14 +369,8 @@ def outcome(function, *args):
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
-def random_reduced_word(rng, rank, max_len):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        options = [
-            l for l in range(-rank, rank + 1) if l != 0 and (not letters or l != -letters[-1])
-        ]
-        letters.append(rng.choice(options))
-    return Word(rank, tuple(letters))
+# The suites' sampler, drawing the empty word too.
+random_reduced_word = partial(_random_reduced_word, min_len=0)
 
 
 def random_expression(rng, rank, depth):

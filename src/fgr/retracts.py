@@ -8,7 +8,10 @@ subgroup, the whole subgroup via canonical graph equality, and any
 other intersection of at least the subgroup's rank, which cannot be a
 retract: a retract has at most the subgroup's rank, and one of equal
 rank is the subgroup itself, because free groups of finite rank are
-Hopfian.  Everything else is reported as undecided by design.
+Hopfian.  A retract given by its presentation also decides yes when
+rho = section o retraction maps each basis word of the subgroup back
+into the subgroup: rho is then a retraction of the subgroup onto the
+intersection.  Everything else is reported as undecided by design.
 
 The randomized suites draw every bit of randomness from a single 64-bit
 seed through per-trial generators derived by hashing (seed, trial), so
@@ -21,7 +24,9 @@ budget runs out.  ``_random_reduced_word`` draws a length uniformly from
 its range and then each letter with one ``rng.choice`` from a per-rank
 table, built on first use, of the letters that may follow the previous
 one, in the order -rank..-1, 1..rank; a seed thus draws the same words
-as filtering the alphabet afresh for every letter would.
+as filtering the alphabet afresh for every letter would.  The normal
+subgroups are kernels of maps onto small groups, read off their regular
+actions, which one table built on first use holds as permutations.
 
 Coverage note: the random retract family samples sections of coordinate
 projections composed with kernel conjugations, plus cyclic retracts of
@@ -52,6 +57,7 @@ from .stallings import (
     Permutation,
     basis,
     canonicalize,
+    contains,
     from_generators,
     graph_to_json,
     pullback,
@@ -191,6 +197,13 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     return m
 
 
+def _projected(retract: RetractPresentation, w: Word) -> Word:
+    """rho(w) for rho = section o retraction, the retraction of the ambient
+    group onto the retract: two substitutions."""
+    abstract = substitute(w, retract.retraction_images, retract.rank)
+    return substitute(abstract, retract.section_images, retract.ambient_rank)
+
+
 def intersection_report(
     subgroup: CoreGraph, retract: "RetractPresentation | CoreGraph"
 ) -> IntersectionReport:
@@ -202,8 +215,14 @@ def intersection_report(
     proper intersection whose rank is at least the subgroup's cannot be
     a retract, because a retract of a free group of finite rank has at
     most its rank, and one of equal rank is the whole group (free groups
-    of finite rank are Hopfian).  The remaining cases, proper
-    intersections of rank 2 .. rk H - 1, are undecided.
+    of finite rank are Hopfian).  A retract given as a
+    ``RetractPresentation`` carries the retraction
+    rho = section o retraction of the ambient group onto it; when rho
+    maps every basis word of the subgroup into the subgroup, rho
+    restricted to the subgroup maps it into the intersection and fixes
+    the intersection, so it is a retraction onto it and the verdict is
+    yes.  The remaining cases, proper intersections of rank
+    2 .. rk H - 1 that this test does not decide, are undecided.
 
     A retract of rank 1 is cyclic, R = <g>, and then H meets R in
     <g^m> for the least m >= 1 with g^m in H, or trivially when there is
@@ -243,6 +262,8 @@ def intersection_report(
         verdict = "yes"
     elif rank_i >= rank_h:
         verdict = "no"
+    elif presented and all(contains(subgroup, _projected(retract, h)) for h in basis(subgroup)):
+        verdict = "yes"
     else:
         verdict = "undecided"
     return IntersectionReport(rank_h, rank_r, rank_i, smallest, visible, verdict)
@@ -412,54 +433,44 @@ def _drawn_retract(rng: random.Random, n: int) -> RetractPresentation:
 # ---------------------------------------------------------------------------
 # Finite groups for normal-subgroup sampling (regular actions)
 
-def _cyclic_group(q: int):
-    elements = list(range(q))
-    return elements, 0, lambda a, b: (a + b) % q
+@cache
+def _regular_actions() -> tuple[tuple[Permutation, ...], ...]:
+    """The small groups as permutations of themselves, built on first use.
 
-
-def _dihedral_group(q: int):
-    elements = [(r, a) for r in (0, 1) for a in range(q)]
-
-    def multiply(x, y):
-        r1, a1 = x
-        r2, a2 = y
-        return (r1 ^ r2, (a2 + a1 * (-1 if r2 else 1)) % q)
-
-    return elements, (0, 0), multiply
-
-
-def _symmetric_group(q: int):
-    elements = [tuple(p) for p in _itertools_permutations(range(q))]
-
-    def multiply(x, y):
-        return tuple(y[i] for i in x)
-
-    identity_element = tuple(range(q))
-    return elements, identity_element, multiply
-
-
-_SMALL_GROUPS = (
-    [_cyclic_group(q) for q in range(1, 13)]
-    + [_dihedral_group(q) for q in range(3, 7)]
-    + [_symmetric_group(3)]
-)
+    Each group is listed as maps of a set onto itself, the identity
+    first: Z/q (q = 1..12) as z -> z + a and D_q (q = 3..6) as
+    z -> +-z + a on Z/q, and S_3 as the permutations of 0..2.  An
+    element h acts by g -> g then h, and the tuple of a group holds the
+    ``Permutation`` of each element in the listed order, so element 0,
+    the identity, is the base point.
+    """
+    groups = [
+        *([tuple((z + a) % q for z in range(q)) for a in range(q)] for q in range(1, 13)),
+        *(
+            [tuple((s * z + a) % q for z in range(q)) for s in (1, -1) for a in range(q)]
+            for q in range(3, 7)
+        ),
+        list(_itertools_permutations(range(3))),
+    ]
+    actions = []
+    for elements in groups:
+        position = {g: i for i, g in enumerate(elements)}
+        actions.append(tuple(
+            Permutation(tuple(position[tuple(h[z] for z in g)] for g in elements))
+            for h in elements
+        ))
+    return tuple(actions)
 
 
 def _random_normal_graph(rng: random.Random, rank: int) -> CoreGraph:
     """Kernel of a random surjection onto a small group, via the
     regular action; the stabilizer of the identity point is normal."""
-    elements, identity_element, multiply = rng.choice(_SMALL_GROUPS)
-    position = {g: i for i, g in enumerate(elements)}
-
-    def draw() -> CoreGraph | None:
-        images = [rng.choice(elements) for _ in range(rank)]
-        perms = [
-            Permutation(tuple(position[multiply(g, image)] for g in elements))
-            for image in images
-        ]
-        return _transitive(rank, perms, position[identity_element])
-
-    return _first(1000, draw, "failed to draw a generating tuple")
+    action = rng.choice(_regular_actions())
+    return _first(
+        1000,
+        lambda: _transitive(rank, [rng.choice(action) for _ in range(rank)], 0),
+        "failed to draw a generating tuple",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Vertices are ``0..vertex_count-1`` with the base fixed at 0; an edge
 ``out[l][v]`` and ``in_[l][v]`` (-1 where there is no edge), plus its
 edge count; every walk, search and builder reads the arrays, and the
 sorted ``edges`` tuple is a view derived from them when first asked
-for.  ``CoreGraph(rank, vertex_count, edges)`` checks its input; the
-builders below make arrays that are valid by construction and pass
-them to a private constructor that checks nothing.
+for.  ``CoreGraph(rank, vertex_count, edges)`` checks its input and is
+the one way in for edges from outside; the builders below make arrays
+that are valid by construction and pass them to a private constructor
+that checks nothing.
 
 ``from_generators`` reads each generator into the graph folded so far:
 it follows the word forward from the base as far as edges exist and
@@ -59,9 +60,14 @@ loop of its own, so that the searches that need only the order do not
 pay for steps.  On a complete cover the connectivity check follows
 outgoing letters only.
 
-``graph_from_json`` reads the edge dicts of the JSON form straight into
-the arrays and checks them there, in one pass; only a document that
-fails a check is read again, by the checked constructor, for its error.
+The checked constructor fills the arrays in one pass over the edges in
+the order given, checking each edge's range and slots as it fills them,
+and ``_check_core`` then checks connectivity and degrees.  Valid edges
+are never sorted.  Edges that fail a check or raise a ``TypeError``
+are filled again in sorted order, which fails as well and names the
+first bad edge in that order.  ``graph_from_json`` is only a reader:
+``_read_graph_json`` takes the fields out of the document, the base
+must be 0, and the constructor does the rest.
 
 Every spanning tree, whether given, the default tree of
 ``spanning_tree`` or the tree of ``hm_graph``, is built by the one
@@ -102,7 +108,7 @@ from itertools import compress
 from operator import eq, index, neg
 from typing import Callable, Iterable, Sequence
 
-from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, reduce_word
+from .words import _GLYPHS, Word, _check_rank, _render_letters, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -128,6 +134,11 @@ class CoreGraph:
 
     ``CoreGraph(rank, vertex_count, edges)`` checks its input and raises
     ``ValueError`` unless the edges form a folded core graph based at 0.
+    It fills the arrays in the given order, checking as it goes, so
+    valid edges are not sorted and need not be comparable with each
+    other.  Edges that fail a check or raise a ``TypeError`` are filled
+    again in sorted order, for the error that names the first bad edge
+    in that order.
     The builders of this module make arrays that are valid by
     construction and hand them to ``_from_arrays``, which checks nothing.
     """
@@ -138,31 +149,15 @@ class CoreGraph:
     base = 0
 
     def __init__(self, rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
-        edges = tuple(sorted(edges))
-        count = vertex_count
-        _check_rank(rank)
-        if count < 1:
-            raise ValueError("graph needs at least the base vertex")
-        # Checked before anything is sized by vertex_count, so a declared
-        # count cannot ask for unbounded memory.
-        if count > len(edges) + 1:
-            raise ValueError("graph is not connected to the base vertex")
-        out = _empty_arrays(rank, count)
-        in_ = _empty_arrays(rank, count)
-        for origin, terminus, label in edges:
-            if not (0 <= origin < count and 0 <= terminus < count):
-                raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
-            if not 1 <= label <= rank:
-                raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
-            leaving, entering = out[label], in_[label]
-            if leaving[origin] >= 0:
-                raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
-            if entering[terminus] >= 0:
-                raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
-            leaving[origin] = terminus
-            entering[terminus] = origin
+        edges = tuple(edges)
+        try:
+            out, in_ = _filled_arrays(rank, vertex_count, edges)
+        except (TypeError, ValueError):
+            # Filled again in sorted order, which fails as well, so that the
+            # error names the first bad edge in that order.
+            out, in_ = _filled_arrays(rank, vertex_count, sorted(edges))
         _check_core(rank, out, in_)
-        self.rank, self.vertex_count, self.out, self.in_ = rank, count, out, in_
+        self.rank, self.vertex_count, self.out, self.in_ = rank, vertex_count, out, in_
         self._edge_count, self._edges = len(edges), None
 
     @classmethod
@@ -346,6 +341,34 @@ def _empty_arrays(rank: int, count: int) -> list:
     """Per-label arrays over ``count`` vertices with no edges: index 0
     is None, index l in 1..rank a list of -1s."""
     return [None, *map(list, [[-1] * count] * rank)]
+
+
+def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> tuple[list, list]:
+    """The per-label arrays (as in :class:`CoreGraph`) of ``edges`` over
+    ``count`` vertices, filled in the given order; raises ``ValueError``
+    at the first check that fails: the rank, the count, then each edge's
+    endpoints, label and slots."""
+    _check_rank(rank)
+    if count < 1:
+        raise ValueError("graph needs at least the base vertex")
+    # Checked before anything is sized by count, so a declared count
+    # cannot ask for unbounded memory.
+    if count > len(edges) + 1:
+        raise ValueError("graph is not connected to the base vertex")
+    out, in_ = _empty_arrays(rank, count), _empty_arrays(rank, count)
+    for origin, terminus, label in edges:
+        if not (0 <= origin < count and 0 <= terminus < count):
+            raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
+        if not 1 <= label <= rank:
+            raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
+        leaving, entering = out[label], in_[label]
+        if leaving[origin] >= 0:
+            raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
+        if entering[terminus] >= 0:
+            raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
+        leaving[origin] = terminus
+        entering[terminus] = origin
+    return out, in_
 
 
 def _degrees(rank: int, out: list, in_: list) -> list[int]:
@@ -908,7 +931,7 @@ def graph_to_json(graph: CoreGraph) -> dict:
     }
 
 
-def _read_graph_json(data: dict) -> tuple[int, int, tuple[Edge, ...], int]:
+def _read_graph_json(data: dict) -> tuple[int, int, list[Edge], int]:
     """The (rank, vertices, edges, base) fields of the JSON form.
 
     Each field must be an integer: it is read by ``operator.index``, so
@@ -919,46 +942,16 @@ def _read_graph_json(data: dict) -> tuple[int, int, tuple[Edge, ...], int]:
         rank = index(data["rank"])
         vertices = index(data["vertices"])
         base = index(data.get("base", 0))
-        edges = tuple(
-            (index(e["from"]), index(e["to"]), index(e["label"])) for e in data["edges"]
-        )
+        edges = [(index(e["from"]), index(e["to"]), index(e["label"])) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return rank, vertices, edges, base
 
 
 def graph_from_json(data: dict) -> CoreGraph:
-    """Parse the JSON form back into a validated core graph.
-
-    The edge dicts are read straight into the per-label arrays, each
-    field through ``operator.index`` as ``_read_graph_json`` reads it
-    (an integer, or a bool as 1/0; anything else is malformed) and checked
-    for range as it is filled; the graph is folded when no edge took a
-    slot another had filled, which a count of the empty slots tells, and
-    ``_check_core`` checks the rest.  A document that fails anywhere is
-    read again by ``_read_graph_json`` and the checked constructor, which
-    raise what they always raised: a malformed field before a bad rank,
-    and the first bad edge in sorted order.
-    """
-    try:
-        rank, count, edges = index(data["rank"]), index(data["vertices"]), data["edges"]
-        base = index(data.get("base", 0))
-        if base == 0 and 1 <= rank <= MAX_RANK and 1 <= count <= len(edges) + 1:
-            out, in_ = _empty_arrays(rank, count), _empty_arrays(rank, count)
-            for edge in edges:
-                u, v, l = index(edge["from"]), index(edge["to"]), index(edge["label"])
-                if not (0 <= u < count and 0 <= v < count and 1 <= l <= rank):
-                    break
-                out[l][u] = v
-                in_[l][v] = u
-            else:
-                # Folded exactly when no edge took a slot another one filled.
-                empty = sum(array.count(-1) for array in (*out[1:], *in_[1:]))
-                if empty == 2 * (rank * count - len(edges)):
-                    _check_core(rank, out, in_)
-                    return CoreGraph._from_arrays(rank, count, out, in_, len(edges))
-    except (KeyError, TypeError, ValueError):
-        pass  # the checked path below raises the error
+    """Parse the JSON form back into a validated core graph: the fields
+    as ``_read_graph_json`` reads them, base 0, and the edges as the
+    checked constructor ``CoreGraph(rank, vertices, edges)`` takes them."""
     rank, vertices, edges, base = _read_graph_json(data)
     if base != 0:
         raise ValueError("graph JSON must use base vertex 0")

@@ -1,14 +1,17 @@
 """The request path of the CLI against the slow code it replaced.
 
-``graph_from_json`` reads a document straight into arrays and falls
-back to ``_read_graph_json`` and the checked constructor when anything
-fails; ``oracle_graph_from_json`` is that slow path alone, which is what
-``graph_from_json`` was.  ``oracle_tree_edges`` is the chunk-by-chunk
-``--tree`` reader the CLI used for every flag before it matched
-well-formed flags with one regex.  ``fgr basis`` prints
-``_basis_text``, which spells the words from root-path text; the oracle
-is ``render_word`` over ``basis``.  Each pair must give equal results,
-or raise the same exception type with the same message.
+``CoreGraph(rank, vertex_count, edges)`` fills its arrays in one pass
+over the edges in the order given and fills them again in sorted order
+only when that pass fails; ``oracle_core_graph`` is the constructor it
+replaced, which sorted every edge list first.  ``graph_from_json`` is
+``_read_graph_json``, a base check and the constructor;
+``oracle_graph_from_json`` is the same reader over the oracle
+constructor.  ``oracle_tree_edges`` is the chunk-by-chunk ``--tree``
+reader the CLI used for every flag before it matched well-formed flags
+with one regex.  ``fgr basis`` prints ``_basis_text``, which spells the
+words from root-path text; the oracle is ``render_word`` over
+``basis``.  Each pair must give equal results, or raise the same
+exception type with the same message.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ from fgr.constructions import gamma_graph, hm_graph, lm_graph
 from fgr.stallings import (
     _basis_text,
     _canonical_letters,
+    _check_core,
+    _empty_arrays,
     _read_graph_json,
     graph_from_json,
     graph_to_json,
 )
-from fgr.words import render_word
+from fgr.words import _check_rank, render_word
 from test_fold_oracle import (
     EDGE_LIST_KINDS,
     random_edge_list,
@@ -50,11 +55,39 @@ from test_fold_oracle import (
 )
 
 
+def oracle_core_graph(rank, vertex_count, edges) -> CoreGraph:
+    """The checked constructor that sorted every edge list first, so
+    that an error named the first bad edge in sorted order."""
+    edges = tuple(sorted(edges))
+    count = vertex_count
+    _check_rank(rank)
+    if count < 1:
+        raise ValueError("graph needs at least the base vertex")
+    if count > len(edges) + 1:
+        raise ValueError("graph is not connected to the base vertex")
+    out = _empty_arrays(rank, count)
+    in_ = _empty_arrays(rank, count)
+    for origin, terminus, label in edges:
+        if not (0 <= origin < count and 0 <= terminus < count):
+            raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
+        if not 1 <= label <= rank:
+            raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
+        leaving, entering = out[label], in_[label]
+        if leaving[origin] >= 0:
+            raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
+        if entering[terminus] >= 0:
+            raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
+        leaving[origin] = terminus
+        entering[terminus] = origin
+    _check_core(rank, out, in_)
+    return CoreGraph._from_arrays(rank, count, out, in_, len(edges))
+
+
 def oracle_graph_from_json(data) -> CoreGraph:
     rank, vertices, edges, base = _read_graph_json(data)
     if base != 0:
         raise ValueError("graph JSON must use base vertex 0")
-    return CoreGraph(rank, vertices, edges)
+    return oracle_core_graph(rank, vertices, edges)
 
 
 def oracle_tree_edges(text: str) -> list[tuple[int, ...]]:
@@ -95,6 +128,95 @@ def same_tree(got, want) -> bool:
         and got.nontree_edges == want.nontree_edges
         and got.symbols == want.symbols == symbol_arrays(want)
     )
+
+
+# --- the checked constructor ---------------------------------------------------
+
+def test_constructor_raises_what_the_sorted_oracle_raises():
+    h3 = [(0, 0, 1), (0, 1, 2), (1, 2, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1)]
+    named = [
+        # The given order meets the float first; the sorted order, the endpoint.
+        ((2, 2, [(0.5, 1, 1), (0, 5, 1)]), ValueError, "edge endpoint out of range: (0, 5, 1)"),
+        ((2, 2, [(0, 1, "a"), (0, 1, 1)]), *result(lambda: sorted([(0, 1, "a"), (0, 1, 1)]))),
+        ((2, 3, [*h3, (0, 0, 1)]), ValueError, "not folded: two edges labeled 1 leave 0"),
+    ]
+    for args, kind, message in named:
+        assert result(lambda: oracle_core_graph(*args)) == (kind, message)
+        assert result(lambda: CoreGraph(*args)) == (kind, message), args
+    cases = [
+        (2, 3, h3),
+        (2, 3, [list(edge) for edge in h3]),
+        (2, 3, [(u, v, True if l == 1 else l) for u, v, l in h3]),
+        (2, 3, h3[::-1]),
+        (2, 3, [*h3, (0, 2, 1)]),
+        (2, 3, [*h3[1:], (1, 0, 1)]),
+        (2, 3, [*h3[:-1], (2, 1.0, 1)]),
+        (2, 3, [*h3[:-1], (2, 1, None)]),
+        (2, 3, [*h3[:-1], (2, 1)]),
+        (2, 3, [*h3[:-1], (2, 1, 1, 1)]),
+        (2, 3, [*h3[:-1], 7]),
+        (2, 3, [(9, 0, 1), (5, 0, 1), *h3]),
+        (2, 3, [(0, 0, 3), (0, 0, 0), *h3]),
+        (2, 3, [(2, 1, 1), (2, 1, 1), *h3[:-1]]),
+        (2, 3, [(0, 0, 1), (0, 0, "a")]),
+        (2, 3.0, h3),
+        (2, "3", h3),
+        (2, None, h3),
+        (2.5, 3, h3),
+        ("2", 3, h3),
+        (27, 3, [(0, 0, 1), (0, 0, "a")]),  # the sort fails before the rank
+        (0, 0, []),
+        (1, 0, []),
+        (1, 1, []),
+        (1, 2, []),
+        (1, 10**12, [(0, 0, 1)]),
+        (2, 4, [*h3, (3, 3, 1)]),
+        (2, 4, [*h3, (0, 3, 2)]),
+    ]
+    for rank, count, edges in cases:
+        want = result(lambda: oracle_core_graph(rank, count, edges))
+        for given in (edges, iter(edges)):
+            got = result(lambda: CoreGraph(rank, count, given))
+            assert same_graph(got, want), (rank, count, edges, want)
+
+
+# Values put in place of one field of one edge.
+BAD_FIELDS = (0.5, 1.0, -0.5, True, False, None, "1", "a", 10**30, -1, float("nan"))
+
+
+def test_constructor_matches_the_sorted_oracle_on_random_edge_lists():
+    rng = random.Random(10_007)
+    kinds, failures = set(), set()
+    for _ in range(3000):
+        kind, rank, count, edges = random_edge_list(rng)
+        spoil = rng.choice(("none", "field", "fields", "duplicate", "drop"))
+        if spoil in ("field", "fields") and edges:
+            for _ in range(1 if spoil == "field" else rng.randint(2, 3)):
+                i = rng.randrange(len(edges))
+                edge = list(edges[i])
+                edge[rng.randrange(3)] = rng.choice(BAD_FIELDS)
+                edges[i] = tuple(edge)
+        elif spoil == "duplicate" and edges:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        elif spoil == "drop" and edges:
+            edges[rng.randrange(len(edges))] = rng.choice(((0, 0), (0, 0, 1, 1), 3, None, "001"))
+        want = result(lambda: oracle_core_graph(rank, count, edges))
+        assert same_graph(result(lambda: CoreGraph(rank, count, edges)), want), (
+            rank, count, edges, want
+        )
+        kinds.add(kind)
+        if isinstance(want, tuple):
+            failures.add(want[0])
+    assert kinds == set(EDGE_LIST_KINDS)
+    assert failures == {ValueError, TypeError}
+
+
+def test_constructor_accepts_valid_edges_that_do_not_sort_together():
+    # Valid edges are not sorted, so a list and a tuple may stand side by
+    # side; the sorting oracle raised a TypeError on them.
+    edges = [(0, 0, 1), [0, 0, 2]]
+    assert result(lambda: oracle_core_graph(2, 1, edges))[0] is TypeError
+    assert CoreGraph(2, 1, edges) == CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)])
 
 
 # --- graph JSON -------------------------------------------------------------

@@ -29,6 +29,7 @@ from fgr import (
 from fgr.constructions import hm_graph, lm_graph, wk_word
 from fgr.retracts import _random_reduced_word as random_reduced_word
 from fgr.retracts import _random_transitive_graph, _random_visible_word
+from test_automorphism_invariance import h_m, wk_and_x3
 from test_stallings import cycles
 
 
@@ -371,6 +372,54 @@ def test_intersection_report_proper_of_full_rank_in_rank3():
     assert report.rank_h == 3
     assert report.rank_intersection == 3
     assert report.verdict == "no"
+
+
+def test_intersection_report_restriction_in_rank3():
+    # rho = section o retraction sends a, b, c to a, b, 1, all in H = F_3,
+    # so it restricts to a retraction of H onto K = <a, b>
+    h = from_generators(3, words(3, "a", "b", "c"))
+    r = RetractPresentation(3, tuple(words(3, "a", "b")), (*words(2, "a", "b"), Word(2)))
+    report = intersection_report(h, r)
+    assert (report.rank_h, report.rank_intersection) == (3, 2)
+    assert report.verdict == "yes"
+    # Given only as a graph, R has no rho to restrict.
+    assert intersection_report(h, r.graph).verdict == "undecided"
+
+
+def test_intersection_report_restriction_leaves_h_m_undecided():
+    # H_m = lm_graph(m) * <c> meets R = <wk_word((m-1)//2), c> in no retract,
+    # so rho cannot map H_m into itself
+    for m in (3, 5, 9):
+        report = intersection_report(h_m(m), wk_and_x3(m))
+        assert (report.rank_intersection, report.verdict) == (2, "undecided"), m
+
+
+def test_intersection_report_restriction_yes_is_a_retraction():
+    rng = random.Random(12_001)
+    decided = 0
+    for _ in range(300):
+        n = rng.randint(3, 4)
+        retract = random_retract(n, rng.randint(2, n - 1), rng.getrandbits(63), rng.randint(0, 2))
+        gens = [random_reduced_word(rng, n, 6) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            # Part of R's basis in H, so that rho often maps H into itself.
+            gens += rng.sample(retract.section_images, rng.randint(1, retract.rank))
+        subgroup = from_generators(n, gens)
+        report = intersection_report(subgroup, retract)
+        intersection = pullback(subgroup, retract.graph)
+        if report.verdict != "yes" or not 2 <= report.rank_intersection < report.rank_h:
+            continue
+        decided += 1
+
+        def rho(w):
+            return substitute(
+                substitute(w, retract.retraction_images, retract.rank), retract.section_images, n
+            )
+
+        # rho maps H into K = H n R and fixes K: its restriction retracts H onto K.
+        assert all(contains(intersection, rho(h)) for h in basis(subgroup))
+        assert all(rho(k) == k for k in basis(intersection))
+    assert decided >= 20, decided
 
 
 def test_intersection_report_undecided():

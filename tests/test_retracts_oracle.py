@@ -12,6 +12,11 @@ letters and leave their generators in the same state; every suite digest
 rests on this.  ``oracle_smallest_power_in`` is the old orbit read, which
 called ``walk`` on the cycle once per round; the new one must give the
 same exponent, or None, and raise the same errors in the same order.
+``ORACLE_SMALL_GROUPS`` is the list of small groups the normal-subgroup
+sampler drew from, each as (elements, identity, product), built at
+import by one constructor per family; ``_regular_actions`` must hold,
+group by group and element by element, the permutation that the old
+sampler built from the product, with the identity first.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -33,7 +39,7 @@ from fgr import (
     walk,
 )
 from fgr.constructions import lm_graph, wk_word
-from fgr.retracts import _random_reduced_word
+from fgr.retracts import _random_normal_graph, _random_reduced_word, _regular_actions
 from fgr.words import _cyclic_cut
 
 
@@ -67,6 +73,58 @@ def oracle_smallest_power_in(graph, w):
     return None
 
 
+def oracle_cyclic_group(q):
+    elements = list(range(q))
+    return elements, 0, lambda a, b: (a + b) % q
+
+
+def oracle_dihedral_group(q):
+    elements = [(r, a) for r in (0, 1) for a in range(q)]
+
+    def multiply(x, y):
+        r1, a1 = x
+        r2, a2 = y
+        return (r1 ^ r2, (a2 + a1 * (-1 if r2 else 1)) % q)
+
+    return elements, (0, 0), multiply
+
+
+def oracle_symmetric_group(q):
+    elements = [tuple(p) for p in permutations(range(q))]
+
+    def multiply(x, y):
+        return tuple(y[i] for i in x)
+
+    return elements, tuple(range(q)), multiply
+
+
+ORACLE_SMALL_GROUPS = (
+    [oracle_cyclic_group(q) for q in range(1, 13)]
+    + [oracle_dihedral_group(q) for q in range(3, 7)]
+    + [oracle_symmetric_group(3)]
+)
+
+
+def oracle_regular_action(group):
+    """(permutation of each element, base point) as the old sampler built them."""
+    elements, identity, multiply = group
+    position = {g: i for i, g in enumerate(elements)}
+    perms = [
+        Permutation(tuple(position[multiply(g, image)] for g in elements)) for image in elements
+    ]
+    return perms, position[identity]
+
+
+def oracle_random_normal_graph(rng, rank):
+    perms, base = oracle_regular_action(rng.choice(ORACLE_SMALL_GROUPS))
+    for _ in range(1000):
+        try:
+            return schreier_graph(rank, [rng.choice(perms) for _ in range(rank)], base)
+        except ValueError:
+            continue
+    raise RuntimeError("failed to draw a generating tuple")
+
+
 # --- the word sampler -------------------------------------------------------------
 
 
@@ -96,14 +154,36 @@ def test_sampler_draws_the_oracles_letters_and_leaves_the_same_state(min_len):
 def test_sampler_table_is_built_on_first_use():
     probe = (
         "import fgr, fgr.cli, fgr.retracts as r; "
-        "print(r._letter_options.cache_info().currsize)"
+        "print(r._letter_options.cache_info().currsize, r._regular_actions.cache_info().currsize)"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
+
+
+# --- the regular actions -----------------------------------------------------------
+
+
+def test_regular_actions_match_the_old_group_constructors():
+    actions = _regular_actions()
+    assert len(actions) == len(ORACLE_SMALL_GROUPS) == 17
+    for action, group in zip(actions, ORACLE_SMALL_GROUPS):
+        perms, base = oracle_regular_action(group)
+        assert base == 0
+        assert list(action) == perms
+        assert all(type(p) is Permutation for p in action)
+        assert action[0] == Permutation(tuple(range(len(action))))
+
+
+def test_normal_sampler_draws_the_oracles_graphs_and_leaves_the_same_state():
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        rank = 2 + seed % 2
+        assert _random_normal_graph(ours, rank) == oracle_random_normal_graph(theirs, rank)
+        assert ours.getstate() == theirs.getstate()
 
 
 # --- the orbit read ------------------------------------------------------------------

@@ -19,7 +19,8 @@ are:
 - ``json_load``: ``json.loads`` of the graph's JSON text;
 - ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
 - ``check_core``: ``fgr.stallings._check_core`` on the graph's arrays,
-  the connectivity and degree check of ``graph_from_json``;
+  the connectivity and degree check of the checked constructor that
+  ``graph_from_json`` calls;
 - ``spanning_tree_default``: ``spanning_tree(graph)``, and
   ``spanning_tree_override``: the override tree built by
   ``SpanningTree(graph, edges)``;

@@ -5,7 +5,10 @@ gcd 1); visible words are exactly the generators of cyclic retracts.
 For a subgroup presented by a core graph with a spanning tree, members
 abelianize to exponent vectors over the induced basis: the exponent
 sums of the member rewritten as a word over that basis, through the
-same ``exponent_sums`` that abelianizes an ambient word.  At finite index
+same ``exponent_sums`` that abelianizes an ambient word.  Visibility
+inside a subgroup needs no tree and no rewrite: the gcd of a member's
+coordinates over any such basis is the gcd of its signed edge
+crossings, read off one walk (``_visible_member``).  At finite index
 the transfer of a word has, at each non-tree edge, the word's exponent
 sum in the edge's label: lifting one letter from every vertex of a
 complete cover crosses each edge with that label once.  The chain-level
@@ -16,6 +19,7 @@ makes the two views commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from operator import add, mul
 from typing import Sequence
@@ -23,6 +27,7 @@ from typing import Sequence
 from .stallings import (
     CoreGraph,
     InfiniteIndexError,
+    NotAMemberError,
     SpanningTree,
     _check_tree_of,
     rewrite_in_basis,
@@ -82,10 +87,51 @@ def abelianize_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> Abe
 def is_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> bool:
     """Visibility of a member inside the subgroup itself.
 
-    Computed as a coordinate gcd over the free basis; the gcd does not
-    depend on which spanning tree induced the basis.
+    The gcd of its coordinates over the free basis, which does not
+    depend on the spanning tree: it is read off the member's signed edge
+    crossings (``_visible_member``), and the tree is only checked.
+    Raises on a rank mismatch, then on a tree of another graph, then
+    ``NotAMemberError`` for a word outside the subgroup.
     """
-    return abelianize_in_subgroup(graph, tree, w).coordinate_gcd() == 1
+    if w.rank != graph.rank:
+        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _check_tree_of(graph, tree)
+    return _visible_member(graph, w)
+
+
+def _visible_member(graph: CoreGraph, w: Word) -> bool:
+    """Whether the member ``w`` is visible in the subgroup of ``graph``.
+
+    One walk of ``w`` from the base counts its signed crossings of each
+    edge, at the edge's ``out`` slot, and the answer is whether their
+    gcd is 1.  The crossing vector is the member's class in the cycle
+    space of the graph, its abelianization, and its coordinates over
+    the basis of a spanning tree are its crossings of the non-tree
+    edges.  The cycle space is a direct summand of Z^E, the kernel of
+    the boundary map onto a free group, so a class is primitive in it
+    exactly when it is primitive in Z^E: the gcd over every edge is the
+    gcd over the basis.  Raises ``NotAMemberError`` with the messages of
+    ``rewrite_in_basis`` when the path breaks or does not close.
+    """
+    out, in_ = graph.out, graph.in_
+    crossings = [None, *([0] * graph.vertex_count for _ in range(graph.rank))]
+    vertex = 0
+    for letter in w.letters:
+        if letter > 0:
+            target = out[letter][vertex]
+            if target < 0:
+                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
+            crossings[letter][vertex] += 1
+            vertex = target
+        else:
+            source = in_[-letter][vertex]
+            if source < 0:
+                raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
+            crossings[-letter][source] -= 1
+            vertex = source
+    if vertex != 0:
+        raise NotAMemberError("path does not close at the base")
+    return gcd(*chain.from_iterable(crossings[1:])) == 1
 
 
 def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:

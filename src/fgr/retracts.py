@@ -8,7 +8,10 @@ subgroup, the whole subgroup via canonical graph equality, and any
 other intersection of at least the subgroup's rank, which cannot be a
 retract: a retract has at most the subgroup's rank, and one of equal
 rank is the subgroup itself, because free groups of finite rank are
-Hopfian.  A retract given by its presentation also decides yes when
+Hopfian.  A cyclic intersection's generator is read by one walk of a
+rank-1 graph, a cycle with at most a stem, and its visibility off its
+signed edge crossings in the subgroup's graph, so no verdict builds a
+spanning tree.  A retract given by its presentation also decides yes when
 rho = section o retraction maps each basis word of the subgroup back
 into the subgroup: rho is then a retraction of the subgroup onto the
 intersection.  Everything else is reported as undecided by design.
@@ -41,9 +44,11 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations as _itertools_permutations
+from operator import neg
 from typing import Callable, TypeVar
 
 from .abelian import (
+    _visible_member,
     abelianize_in_subgroup,
     apply_projection,
     homology_projection,
@@ -55,6 +60,7 @@ from .constructions import lm_graph, wk_word
 from .stallings import (
     CoreGraph,
     Permutation,
+    _canonical_letters,
     basis,
     canonicalize,
     contains,
@@ -197,6 +203,41 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     return m
 
 
+def _rank1_generator(graph: CoreGraph) -> Word:
+    """The generator of a rank-1 subgroup, read in one walk of its graph.
+
+    A rank-1 core graph is a cycle, with a stem from the base to it when
+    the base is off the cycle: the base then has degree 1, the stem
+    meets the cycle at the one vertex of degree 3, and every other
+    vertex has degree 2.  The walk leaves each vertex by its first slot,
+    in canonical letter order, other than the one it came in by: along
+    the stem until two ways lead on, then once round the cycle from
+    there.  The generator stem . cycle . stem^-1 is reduced as spelled,
+    and it is ``basis(graph)[0]`` or its inverse.
+    """
+    out, in_ = graph.out, graph.in_
+    moves = [(l, out[l] if l > 0 else in_[-l]) for l in _canonical_letters(graph.rank)]
+    steps = dict(moves)
+    ways = [l for l, array in moves if array[0] >= 0]
+    vertex, stem = 0, []
+    while len(ways) == 1:
+        letter = ways[0]
+        stem.append(letter)
+        vertex = steps[letter][vertex]
+        ways = [l for l, array in moves if l != -letter and array[vertex] >= 0]
+    junction, letter = vertex, ways[0]
+    cycle = [letter]
+    vertex = steps[letter][vertex]
+    while vertex != junction:
+        back = -letter
+        for letter, array in moves:
+            if letter != back and array[vertex] >= 0:
+                break
+        cycle.append(letter)
+        vertex = array[vertex]
+    return Word._from_letters(graph.rank, (*stem, *cycle, *map(neg, reversed(stem))))
+
+
 def _projected(retract: RetractPresentation, w: Word) -> Word:
     """rho(w) for rho = section o retraction, the retraction of the ambient
     group onto the retract: two substitutions."""
@@ -229,8 +270,12 @@ def intersection_report(
     none; ``smallest_power_in`` finds m by walking H, so the
     intersection's rank and generator are read off it and no graph is
     built: neither a product of H and R nor, for a presented retract,
-    the graph of R.  Retracts of higher rank are intersected by
-    ``pullback``.
+    the graph of R.  A rank-1 retract given as a graph has its g read by
+    one walk of that graph (``_rank1_generator``).  Retracts of higher
+    rank are intersected by ``pullback``, and a cyclic intersection has
+    its generator read by the same walk.  No route builds a spanning
+    tree: the generator's visibility in H is the gcd of its signed edge
+    crossings in H's graph (``fgr.abelian._visible_member``).
     """
     presented = isinstance(retract, RetractPresentation)
     r_rank = retract.ambient_rank if presented else retract.rank
@@ -241,7 +286,7 @@ def intersection_report(
 
     smallest = None
     if rank_r == 1:
-        generator = retract.section_images[0] if presented else basis(retract)[0]
+        generator = retract.section_images[0] if presented else _rank1_generator(retract)
         smallest = smallest_power_in(subgroup, generator)
         rank_i = 0 if smallest is None else 1
     else:
@@ -251,8 +296,8 @@ def intersection_report(
     visible = None
     if rank_i == 1:
         # The intersection's generator, up to an inverse that keeps visibility.
-        u = generator**smallest if rank_r == 1 else basis(intersection)[0]
-        visible = is_visible_in_subgroup(subgroup, spanning_tree(subgroup), u)
+        u = generator**smallest if rank_r == 1 else _rank1_generator(intersection)
+        visible = _visible_member(subgroup, u)
 
     if rank_i == 0:
         verdict = "yes"

@@ -20,6 +20,8 @@ LAYERS = {
     "intersect_cyclic",
     "bergman_cyclic",
     "bergman_rank2",
+    "bergman_report",
+    "hm_graph",
     "pullback_orbit",
     "pullback_diagonal",
 }

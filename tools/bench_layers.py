@@ -48,6 +48,10 @@ are:
 - ``bergman_rank2``: ``bergman_counterexample(3, m, 2)`` with the same
   m, whose rank-2 retract is intersected by a ``pullback`` that reaches
   about 4m of its pairs, so it numbers them in a dict;
+- ``bergman_report``: the whole ``bergman_counterexample(2, m, 1)`` with
+  the same m, the cyclic route from the family's graph to the report;
+- ``hm_graph``: ``hm_graph(i)`` for the rung's index i, the graph in
+  canonical numbering with its preferred tree;
 - ``pullback_orbit``: ``pullback(gamma_graph(i), gamma_graph(i + 1))``
   for the rung's index i, a product of two complete covers that reaches
   all of its i(i + 1) pairs, so it numbers them in a flat table;
@@ -86,7 +90,7 @@ from fgr import (
     tree_path_word,
 )
 from fgr.cli import _parse_tree_flag
-from fgr.constructions import gamma_graph, lm_graph, wk_word
+from fgr.constructions import gamma_graph, hm_graph, lm_graph, wk_word
 from fgr.stallings import CoreGraph, SpanningTree, _check_core
 from fgr.words import render_word
 
@@ -206,6 +210,8 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         ),
         "bergman_cyclic": _best(lambda: smallest_power_in(lm, wk), repeats),
         "bergman_rank2": _best(lambda: bergman_counterexample(3, odd, 2), repeats),
+        "bergman_report": _best(lambda: bergman_counterexample(2, odd, 1), repeats),
+        "hm_graph": _best(lambda: hm_graph(index), repeats),
         "pullback_orbit": _best(lambda: pullback(*orbit), repeats),
         "pullback_diagonal": _best(lambda: pullback(graph, graph), repeats),
     }

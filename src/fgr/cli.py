@@ -3,8 +3,9 @@
 Every verb reads all of its state from flags (no config files or
 environment variables), writes data to stdout as JSON by default or TSV
 with ``--format tsv``, and is byte-deterministic: identical invocations
-produce identical output.  Exit codes: 0 success, 1 domain error
-(message on stderr), 2 usage error.
+produce identical output.  Exit codes: 0 success, 1 domain error or
+a request that runs out of memory (one message line on stderr), 2
+usage error.
 
 Each verb is defined once, in ``_build_parser``: its subparser holds
 its flags and, through ``set_defaults``, its answer, the function from
@@ -229,6 +230,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload = args.answer(args)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"fgr: error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("fgr: error: out of memory\n")
         return 1
     _emit(payload, args.format)
     return 0

@@ -23,34 +23,40 @@ merge is done once instead of re-scanning every edge per pass.
 ``schreier_graph`` builds the coset graph of a permutation action.
 Neither folds: a product of folded graphs is already folded and a
 permutation graph is a complete cover.  Only two builders trim hair
-(``_core``) before they renumber: ``fold``, whose input may dangle, and
-``pullback`` of two graphs that are not both complete covers, whose
-product may.  The others cannot leave hair, so they only renumber.  In
-``from_generators`` every vertex but the base lies inside a reduced
-closed walk from the base, which enters and leaves it through two
-different slots; a coset graph is a complete cover, where every vertex
-has degree 2 * rank.  ``pullback`` tries the letters in canonical
-order, so it discovers the product's vertices already in canonical
-order and needs no second search.  It queues each product pair (a, b)
-as one int key, (a << s) | b with 2 ** s > V2, not as a tuple, so the
-search leaves the cyclic garbage collector little to track, and no
-builder touches the collector's state.  The first graph's
-arrays are shifted before the search, its empty slots to -1 << s, so a
-move is one OR and a sign test (the second graph's -1 ORs to -1).  The
-pairs are numbered in one of two tables read the same way: a flat list
-indexed by key when both graphs are complete covers and the keys stay
-below ``_DENSE_PAIRS``, and otherwise a dict of the pairs the search
-reaches, so that a large, sparse pair space costs only what is reached.
-A product of complete covers is itself a complete cover, numbered
-canonically by the search, so its arrays become the result's with no
-trim or renumbering.  Any other product has an empty slot: with none it
-would be a finite cover, so the intersection would have finite index
-inside a factor of infinite index.
+(``_core``): ``fold``, whose input may dangle, and ``pullback`` of two
+graphs that are not both complete covers, whose product may.  ``fold``
+then renumbers; a ``pullback`` product is numbered canonically by its
+search, so it is renumbered only when hair was trimmed.  The others
+cannot leave hair, so they only renumber.  In ``from_generators`` every
+vertex but the base lies inside a reduced closed walk from the base,
+which enters and leaves it through two different slots; a coset graph
+is a complete cover, where every vertex has degree 2 * rank.
+``pullback`` tries the letters in canonical order, so it discovers the
+product's vertices already in canonical order and needs no second
+search.  It has two searches.  A product of two complete covers with
+V1 * V2 at most ``_DENSE_PAIRS`` numbers the pair (a, b) in a list per
+vertex a of the smaller factor, read through one selector list per
+letter, so a move is three list reads; it queues pairs in two
+coordinate lists and stores each row entry in place, in rows sized
+lcm(V1, V2) and grown by as much.  The orbit of the base pair maps onto
+each factor with fibres of one size, so it has a multiple of
+lcm(V1, V2) pairs, and no slot is left empty.  Every other product
+queues each pair as one int key, (a << s) | b with 2 ** s > V2, not as a
+tuple, so the search leaves the cyclic garbage collector little to
+track, and numbers the keys in a dict of the pairs the search reaches,
+so that a large, sparse pair space costs only what is reached.  The
+first graph's arrays are shifted before that search, its empty slots
+to -1 << s, so a move is one OR and a sign test (the second graph's -1
+ORs to -1).  No builder touches the collector's state.  A product of
+complete covers is itself a complete cover, so its arrays become the
+result's with no trim or renumbering.  Any other product has an empty
+slot: with none it would be a finite cover, so the intersection would
+have finite index inside a factor of infinite index.
 ``canonicalize`` renumbers vertices deterministically so that
 structural equality of canonical graphs coincides with equality of
 subgroups; a graph already in canonical numbering is returned as it
 is.  Every breadth-first search over the arrays, apart from
-``pullback``'s search of pair keys, is one flat search, ``_order``,
+``pullback``'s two searches of pairs, is one flat search, ``_order``,
 that marks seen vertices in a byte array and returns the discovery
 order: the connectivity check, canonical numbering, the base component
 of a fold or a coset graph, and the two searches of a spanning tree.
@@ -105,6 +111,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
+from math import lcm
 from operator import eq, index, neg
 from typing import Callable, Iterable, Sequence
 
@@ -457,14 +464,20 @@ def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
     component's BFS order restricted to the kept vertices is the core's
     BFS order: a trimmed tree hangs from one kept vertex and is only
     entered through it, so it never discovers a kept vertex.  Only
-    ``fold`` and a ``pullback`` that is not of two complete covers can
-    leave hair, so they are its only callers.
+    ``fold`` and ``pullback``'s search of pair keys can leave hair, so
+    they are its only callers.  A graph with no hair whose ``order`` is
+    the identity ``range`` over all its vertices, as ``pullback`` passes
+    it, is already a canonical core graph and keeps its arrays; ``fold``
+    passes a list and is always renumbered.
     """
     base = order[0]
     links = [(out[l], in_[l]) for l in range(1, rank + 1)]
     # Only entries on ``order`` are read.
     degree = _degrees(rank, out, in_)
     hair = [v for v in order if degree[v] <= 1 and v != base]
+    if not hair and order == range(len(degree)):
+        edge_count = sum(len(degree) - array.count(-1) for array in out[1:])
+        return CoreGraph._from_arrays(rank, len(degree), out, in_, edge_count)
     while hair:
         vertex = hair.pop()
         for leaving, entering in links:
@@ -797,8 +810,9 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     return Word._from_letters(len(tree.nontree_edges), tuple(symbols))
 
 
-# The most slots of a flat pair table (8 MB), used only for a product
-# of two complete covers; past it, and for every other product, a dict.
+# The most slots V1 * V2 of the pair table of a product of two complete
+# covers: 8 MB of pointers, in at most 1,024 lists, one per vertex of the
+# smaller factor.  Past it, and for every other product, a dict.
 _DENSE_PAIRS = 1 << 20
 
 
@@ -818,35 +832,39 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     vertices rather than materializing the full product; the result is
     core-trimmed and canonical.  A trivial intersection yields the
     one-vertex graph.  The product of folded graphs is folded, so it is
-    only trimmed and renumbered.  A pair (a, b) is keyed by the int
-    (a << s) | b, with s the bit length of V2, and the letters are tried
-    in canonical order, so pairs are numbered in the product's canonical
-    BFS order as they are found.  The first graph's arrays are shifted
-    once, before the search, and its empty slots become -1 << s; the
-    second graph's -1 ORs to -1.  So a move is one OR, and a negative key
-    means no edge.  Pairs wait to be explored as their int keys, so the
-    search allocates no object per pair that the cyclic garbage
-    collector would track.  When both graphs are complete covers and
-    V1 << s is at most ``_DENSE_PAIRS``, the pair numbers sit in a flat
-    list indexed by key; otherwise in a dict of the pairs reached, so a
-    large, sparse pair space costs only what is reached.  A product of
-    complete covers is a complete cover already numbered canonically, so
-    its arrays are the result's, with no trim.  Any other product has an
-    empty slot, since the intersection has infinite index, and goes
-    through ``_core``'s trim.
+    only trimmed.  The letters are tried in canonical order, so pairs
+    are numbered in the product's canonical BFS order as they are found.
+    A product of two complete covers with V1 * V2 at most
+    ``_DENSE_PAIRS`` takes the search of ``_cover_product``.  Every other
+    product keys a pair (a, b) by the int (a << s) | b, with s the bit
+    length of V2, and numbers the keys it reaches in a dict, so a large,
+    sparse pair space costs only what is reached.  The first graph's
+    arrays are shifted once, before the search, and its empty slots
+    become -1 << s; the second graph's -1 ORs to -1.  So a move is one
+    OR, and a negative key means no edge.  Pairs wait to be explored as
+    their int keys, so the search allocates no object per pair that the
+    cyclic garbage collector would track.  That search hands its product
+    to ``_core``, which trims it if it has hair and otherwise takes its
+    arrays as they are.  A product of complete covers is a complete
+    cover, so it never has hair; any other product has an empty slot,
+    since the intersection has infinite index, and may.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
-    rank, shift = g1.rank, g2.vertex_count.bit_length()
-    size, mask = g1.vertex_count << shift, (1 << shift) - 1
     cover = subgroup_index(g1) is not None and subgroup_index(g2) is not None
-    ids = [-1] * size if cover and size <= _DENSE_PAIRS else _PairIds()
+    if cover and g1.vertex_count * g2.vertex_count <= _DENSE_PAIRS:
+        if g1.vertex_count <= g2.vertex_count:
+            return _cover_product(g1, g2)
+        return _cover_product(g2, g1)
+    rank, shift = g1.rank, g2.vertex_count.bit_length()
+    mask = (1 << shift) - 1
+    ids = _PairIds()
     # rows[k][i] is the endpoint of the k-th letter from pair i: pairs
     # are explored in the order they are numbered, one entry each.
     rows: list[list[int]] = [[] for _ in range(2 * rank)]
     # Read through this list, a vertex a becomes a << shift, and an empty
     # slot (-1, the last index) -1 << shift, which ORs to a negative key.
-    scaled = [*range(0, size, 1 << shift), -1 << shift]
+    scaled = [*range(0, g1.vertex_count << shift, 1 << shift), -1 << shift]
     firsts = [list(map(scaled.__getitem__, a)) for a in g1.out[1:] + g1.in_[1:]]
     moves = [(a, b, row.append) for a, b, row in zip(firsts, g2.out[1:] + g2.in_[1:], rows)]
     # The base pair, key 0, is pair 0.
@@ -867,10 +885,57 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
             append(there)
     # The trim and renumbering peak higher; they no longer need the keys.
     del ids, keys
-    out, in_ = [None, *rows[:rank]], [None, *rows[rank:]]
-    if cover:
-        return CoreGraph._from_arrays(rank, count, out, in_, rank * count)
-    return _core(rank, out, in_, range(count))
+    return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
+
+
+def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
+    """The product of two complete covers, ``small`` with at most as many
+    vertices as ``large``, numbered canonically.
+
+    The pair (a, b) is numbered at ``ids[a][b]``, -1 until it is reached:
+    one row of V_large slots per vertex of the smaller factor, so the
+    numbering does not depend on the order of the factors.  For each
+    letter l a selector list holds, at a, the row of l's endpoint from
+    a, so a move from (p, q) reads ``select[p][second[q]]``.  Pairs wait
+    in two coordinate lists.  The product's row entries are stored in
+    place at the explored pair's number, in rows sized lcm(V1, V2) and
+    grown by as much: the orbit of the base pair maps onto each factor
+    with fibres of one size, so its size is a multiple of lcm(V1, V2),
+    and no slot is left empty at the end.
+    """
+    rank = small.rank
+    ids = [[-1] * large.vertex_count for _ in range(small.vertex_count)]
+    ids[0][0] = 0
+    step = lcm(small.vertex_count, large.vertex_count)
+    rows = [[0] * step for _ in range(2 * rank)]
+    moves = [
+        (first, list(map(ids.__getitem__, first)), second, row)
+        for first, second, row in zip(
+            small.out[1:] + small.in_[1:], large.out[1:] + large.in_[1:], rows
+        )
+    ]
+    firsts, seconds, count, done = [0], [0], 1, 0
+    while True:
+        # Pair i is reached before it is explored, and the orbit ends on a
+        # multiple of step, so every pair of this block is or will be queued.
+        for i in range(done, done + step):
+            p, q = firsts[i], seconds[i]
+            for first, select, second, row in moves:
+                b = second[q]
+                there = select[p][b]
+                if there < 0:
+                    there = select[p][b] = count
+                    firsts.append(first[p])
+                    seconds.append(b)
+                    count += 1
+                row[i] = there
+        done += step
+        if done == count:
+            return CoreGraph._from_arrays(
+                rank, count, [None, *rows[:rank]], [None, *rows[rank:]], rank * count
+            )
+        for row in rows:
+            row.extend([0] * step)
 
 
 def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGraph:

@@ -24,6 +24,7 @@ LAYERS = {
     "hm_graph",
     "pullback_orbit",
     "pullback_diagonal",
+    "pullback_covers",
 }
 
 

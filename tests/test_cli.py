@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import fgr
 from fgr.cli import _build_parser, main
+from fgr.constructions import gamma_graph
 
 
 def run_cli(capsys, *argv):
@@ -595,3 +597,29 @@ def test_fold_graph_with_a_bad_label_or_base_is_an_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "fold", "--graph", str(path))
         assert_one_error_line(code, out, err)
         assert err == f"fgr: error: {message}\n"
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # gamma(1501) x gamma(1502) reaches all 2.25 million product pairs,
+    # more than a 200 MiB address space holds. The limit is set in the
+    # child only, so this process keeps its own.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    flags = []
+    for flag, m in (("--graph", 1501), ("--graph2", 1502)):
+        graph_file = tmp_path / f"gamma{m}.json"
+        graph_file.write_text(json.dumps(fgr.graph_to_json(gamma_graph(m))))
+        flags += [flag, str(graph_file)]
+    src = str(Path(fgr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fgr", "intersect", *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert_one_error_line(result.returncode, result.stdout, result.stderr)
+    assert result.stderr == "fgr: error: out of memory\n"

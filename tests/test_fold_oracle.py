@@ -30,14 +30,20 @@ way (``gamma_graph``, which keeps the numbering v_i = i, against
 ``oracle_validate`` and the checked constructor only), and are built
 once more with the checked constructor and ``CoreGraph.edges`` made to
 raise.
+Products of two complete covers take a search of their own in
+``pullback``; seeded cover pairs check it against ``oracle_pullback``,
+check that the product fills whole steps of lcm(V1, V2) rows, and
+bound its memory by its pair table, in either order of the factors.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import deque
 from datetime import timedelta
 from functools import partial
+from math import lcm
 from typing import Iterable, Sequence
 
 import pytest
@@ -558,6 +564,117 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed, monkeypatch):
         assert len(dicts) == len(mixed) + (0 if dense_pairs else len(pairs))
 
 
+def random_cover(rng, rank, points) -> CoreGraph:
+    """The coset graph of a seeded transitive action on ``points`` points."""
+    while True:
+        try:
+            return schreier_graph(rank, random_permutations(rng, rank, points), 0)
+        except ValueError:
+            continue
+
+
+def relabelled(rng, graph: CoreGraph) -> CoreGraph:
+    """The same subgroup's graph with its vertices other than the base
+    shuffled, so it is not in canonical numbering."""
+    ids = [0] + rng.sample(range(1, graph.vertex_count), graph.vertex_count - 1)
+    return CoreGraph(graph.rank, graph.vertex_count, [(ids[u], ids[v], l) for u, v, l in graph.edges])
+
+
+def cover_pairs(rng, rank) -> list[tuple[CoreGraph, CoreGraph]]:
+    """Seeded pairs of covers of one rank: coprime indices, a cover with
+    itself and with a relabelled copy, indices that share a factor, and
+    lopsided pairs in both orders."""
+    pairs = []
+    for n1, n2 in ((rng.choice((2, 4, 8)), rng.choice((3, 5, 9))), (1, rng.randint(1, 12))):
+        pairs.append((random_cover(rng, rank, n1), random_cover(rng, rank, n2)))
+    graph = random_cover(rng, rank, rng.randint(2, 12))
+    pairs += [(graph, graph), (graph, relabelled(rng, graph))]
+    for n1, n2 in ((4, 6), (6, 9), (6, 10), (8, 12), (12, 12)):
+        pairs.append((random_cover(rng, rank, n1), random_cover(rng, rank, n2)))
+    big, small = random_cover(rng, rank, rng.randint(40, 80)), random_cover(rng, rank, rng.randint(2, 4))
+    pairs += [(big, small), (small, big)]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_products_match_oracle_and_fill_lcm_rows(seed, monkeypatch):
+    # The orbit of the base pair is a multiple of lcm(V1, V2), the rows'
+    # step: exactly one step for coprime indices and for a cover times
+    # itself, often several when the indices share a factor, so the rows
+    # grow.  Either order of the factors gives the same graph.
+    rng = random.Random(4500 + seed)
+    pairs = [pair for rank in range(1, 5) for pair in cover_pairs(rng, rank)]
+    grown = set()
+    for dense_pairs, dicts in each_pair_table(monkeypatch):
+        for i, (g1, g2) in enumerate(pairs):
+            product = revalidated(pullback(g1, g2))
+            assert product == oracle_pullback(g1, g2) == pullback(g2, g1)
+            step = lcm(g1.vertex_count, g2.vertex_count)
+            assert product.vertex_count % step == 0
+            assert subgroup_index(product) == product.vertex_count
+            if product.vertex_count > step:
+                grown.add(i)
+        assert len(dicts) == (0 if dense_pairs else 2 * len(pairs))
+    # Among them the five pairs of shared factors at each rank 2-4.
+    assert len(grown) >= 15
+
+
+def peak_bytes(build) -> int:
+    """The ``tracemalloc`` peak of ``build()``, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cover_product_memory_is_its_pair_table():
+    # A 700-vertex cover times itself reaches only the 700 diagonal pairs,
+    # so the rows hold 700 entries each and the peak is the pair table's
+    # 700 * 700 pointers (3.9 MB), plus 10 %.
+    rng = random.Random(4600)
+    graph = random_cover(rng, 2, 700)
+    assert pullback(graph, graph).vertex_count == 700
+    assert peak_bytes(lambda: pullback(graph, graph)) < 1.1 * 8 * 700 * 700
+    # The pair table has a row per vertex of the smaller factor, in
+    # either order: 2 rows of 2,001 slots, not 2,001 rows of 2.
+    small, big = random_cover(rng, 2, 2), random_cover(rng, 2, 2001)
+    assert peak_bytes(lambda: pullback(big, small)) < 1.1 * peak_bytes(lambda: pullback(small, big))
+
+
+def test_hairless_products_keep_their_arrays(monkeypatch):
+    # <a^2> and <a^3> meet in the 6-cycle of <a^6>, and <a^2, b^2> and
+    # <a^3, b^3> in two 6-cycles at the base: products with no hair that
+    # are not covers, handed back without a renumbering.  <ab> and <aB>
+    # meet trivially, in a product of one edge that the trim removes.
+    a, b = Word(2, (1,)), Word(2, (2,))
+    hairless = [
+        ([a**2], [a**3]),
+        ([a**2, b**2], [a**3, b**3]),
+    ]
+    graphs = [(from_generators(2, g1), from_generators(2, g2)) for g1, g2 in hairless]
+    # The product of bergman_counterexample(3, 9, 2), H_9 times its rank-2
+    # retract, has no hair either.
+    with monkeypatch.context() as patch:
+        patch.setattr(fgr.retracts, "pullback", lambda *pair: graphs.append(pair) or pullback(*pair))
+        bergman_counterexample(3, 9, 2)
+    assert len(graphs) == 3
+    hairy = from_generators(2, [a * b]), from_generators(2, [a * b**-1])
+    calls = []
+    renumbered = fgr.stallings._renumbered
+    monkeypatch.setattr(
+        fgr.stallings, "_renumbered", lambda *args: calls.append(None) or renumbered(*args)
+    )
+    for g1, g2 in graphs:
+        product = revalidated(pullback(g1, g2))
+        assert subgroup_index(product) is None
+        assert product == oracle_pullback(g1, g2)
+    assert calls == []
+    assert revalidated(pullback(*hairy)) == oracle_pullback(*hairy) == CoreGraph(2, 1, ())
+    assert len(calls) == 1
+
+
 def cyclically_reduced_word(rng, rank, length) -> Word:
     """A seeded word of ``length`` letters that is cyclically reduced."""
     while True:
@@ -846,9 +963,7 @@ def test_builder_outputs_pass_the_checked_constructor(data):
     g2 = revalidated(from_generators(rank, data.draw(generator_sets)))
     revalidated(pullback(g1, g2))
     assert revalidated(fold(rank, *shuffled_wedge(rng, rank, gens))) == g1
-    ids = [0] + rng.sample(range(1, g1.vertex_count), g1.vertex_count - 1)
-    shuffled = CoreGraph(rank, g1.vertex_count, [(ids[u], ids[v], l) for u, v, l in g1.edges])
-    assert revalidated(canonicalize(shuffled)) == g1
+    assert revalidated(canonicalize(relabelled(rng, g1))) == g1
     points = rng.randint(1, 8)
     try:
         cover = schreier_graph(rank, random_permutations(rng, rank, points), rng.randrange(points))

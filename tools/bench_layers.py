@@ -54,10 +54,14 @@ are:
   canonical numbering with its preferred tree;
 - ``pullback_orbit``: ``pullback(gamma_graph(i), gamma_graph(i + 1))``
   for the rung's index i, a product of two complete covers that reaches
-  all of its i(i + 1) pairs, so it numbers them in a flat table;
+  all of its i(i + 1) pairs;
 - ``pullback_diagonal``: the product of the rung's cover with itself,
-  which reaches i of its i^2 pairs, the flat table's worst case (all
-  three graphs built outside the timing).
+  which reaches i of its i^2 pairs, the pair table's worst case;
+- ``pullback_covers``: the product of two seeded random covers of the
+  rung's rank, of index i and 2i, in which label 1 acts as a cycle and
+  every other label as a random permutation.  The indices share the
+  factor i, so the product's rows, sized lcm(i, 2i) = 2i, grow as the
+  search reaches more pairs (all graphs built outside the timing).
 
 Each figure is the best per-call time of ``--repeats`` repeats (7 by
 default) of a loop sized to take about 20 ms.  A growth exponent is
@@ -76,6 +80,7 @@ import sys
 import time
 
 from fgr import (
+    Permutation,
     basis,
     bergman_counterexample,
     from_generators,
@@ -84,6 +89,7 @@ from fgr import (
     pullback,
     reduce_word,
     rewrite_in_basis,
+    schreier_graph,
     smallest_power_in,
     spanning_tree,
     substitute,
@@ -132,6 +138,17 @@ def _graph_json(name: str) -> dict:
             rng.shuffle(images)
         edges += [{"from": v, "to": w, "label": label} for v, w in enumerate(images)]
     return {"rank": rank, "vertices": index, "base": 0, "edges": edges}
+
+
+def _random_cover(rank: int, index: int, rng: random.Random) -> CoreGraph:
+    """A cover of ``index`` sheets: label 1 acts as v -> v+1, every other
+    label as a seeded random permutation."""
+    perms = [Permutation(tuple((v + 1) % index for v in range(index)))]
+    for _ in range(rank - 1):
+        images = list(range(index))
+        rng.shuffle(images)
+        perms.append(Permutation(tuple(images)))
+    return schreier_graph(rank, perms, 0)
 
 
 def _member(graph: CoreGraph, tree, rng: random.Random):
@@ -194,6 +211,8 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     odd = index | 1
     lm, wk = lm_graph(odd), wk_word((odd - 1) // 2)
     orbit = gamma_graph(index), gamma_graph(index + 1)
+    covers_rng = random.Random(7100 + 10 * index + rank)
+    covers = _random_cover(rank, index, covers_rng), _random_cover(rank, 2 * index, covers_rng)
     times = {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
@@ -214,6 +233,7 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         "hm_graph": _best(lambda: hm_graph(index), repeats),
         "pullback_orbit": _best(lambda: pullback(*orbit), repeats),
         "pullback_diagonal": _best(lambda: pullback(graph, graph), repeats),
+        "pullback_covers": _best(lambda: pullback(*covers), repeats),
     }
     if _basis_text is not None:
         times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)

@@ -103,8 +103,8 @@ def _visible_member(graph: CoreGraph, w: Word) -> bool:
     """Whether the member ``w`` is visible in the subgroup of ``graph``.
 
     One walk of ``w`` from the base counts its signed crossings of each
-    edge, at the edge's ``out`` slot, and the answer is whether their
-    gcd is 1.  The crossing vector is the member's class in the cycle
+    edge (u, v, l), at ``crossings[l][u]``, and the answer is whether
+    their gcd is 1.  The crossing vector is the member's class in the cycle
     space of the graph, its abelianization, and its coordinates over
     the basis of a spanning tree are its crossings of the non-tree
     edges.  The cycle space is a direct summand of Z^E, the kernel of
@@ -113,18 +113,20 @@ def _visible_member(graph: CoreGraph, w: Word) -> bool:
     gcd over the basis.  Raises ``NotAMemberError`` with the messages of
     ``rewrite_in_basis`` when the path breaks or does not close.
     """
-    out, in_ = graph.out, graph.in_
+    table = graph.table
+    # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
+    backward = [table[-l] for l in range(graph.rank + 1)]
     crossings = [None, *([0] * graph.vertex_count for _ in range(graph.rank))]
     vertex = 0
     for letter in w.letters:
         if letter > 0:
-            target = out[letter][vertex]
+            target = table[letter][vertex]
             if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             crossings[letter][vertex] += 1
             vertex = target
         else:
-            source = in_[-letter][vertex]
+            source = backward[-letter][vertex]
             if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             crossings[-letter][source] -= 1
@@ -169,7 +171,7 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
         branch[vertex] = None if step is None else vertex if step[0] == 0 else branch[step[0]]
     rows = []
     for label in range(1, graph.rank + 1):
-        target = graph.out[label][0]
+        target = graph.table[label][0]
         lift = (0, target, label)
         # -1 is no vertex: a lift off the tree is only crossed as f.
         top = target if lift in tree.tree_edges else -1

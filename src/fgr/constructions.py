@@ -12,15 +12,15 @@ families build on, check that bound before they allocate anything;
 ``lm_graph`` checks it first itself, so that its error names the m it
 was given.
 
-The families write their per-label arrays in closed form and hand them
-to ``CoreGraph._from_arrays``, which checks nothing; no family builds an
+The families write their tables in closed form and hand them to
+``CoreGraph._from_arrays``, which checks nothing; no family builds an
 edge list, goes through the checked constructor or renumbers.
 ``gamma_graph`` keeps the numbering v_i = i.  ``hm_graph`` and
 ``lm_graph`` return canonical numbering, which for gamma(m) is known in
 closed form: the canonical search meets v_0, v_1, v_{m-1}, v_2,
 v_{m-2}, .., so v_i sits at 2i - 1 and v_{m-i} at 2i, and for even m the
 middle vertex v_{m/2}, its own a-image, comes last, at m - 1.
-``_canonical_gamma`` writes those arrays directly.  The tree of
+``_canonical_gamma`` writes that table directly.  The tree of
 ``hm_graph`` is every b-edge except the one entering the base, which is
 the b-path v_0 -> .. -> v_{m-1} in any numbering, so its basis and
 everything read off it do not depend on the numbering.
@@ -58,18 +58,17 @@ def _check_gamma_m(m: int) -> None:
 
 def gamma_graph(m: int) -> CoreGraph:
     """The degree-m cover of the rank-2 rose described above, numbered
-    v_i = i; its arrays are written in closed form."""
+    v_i = i; its table is written in closed form."""
     _check_gamma_m(m)
     # a is the involution v_i <-> v_{m-i mod m}; b is v_i -> v_{i+1 mod m}.
     a = [0, *range(m - 1, 0, -1)]
-    out = [None, a, [*range(1, m), 0]]
-    in_ = [None, a.copy(), [m - 1, *range(m - 1)]]
-    return CoreGraph._from_arrays(2, m, out, in_, 2 * m)
+    table = [None, a, [*range(1, m), 0], [m - 1, *range(m - 1)], a.copy()]
+    return CoreGraph._from_arrays(2, m, table, 2 * m)
 
 
-def _canonical_gamma(m: int) -> tuple[list, list]:
-    """The ``out`` and ``in_`` arrays of ``gamma_graph(m)`` renumbered
-    canonically, written in closed form (see the module docstring)."""
+def _canonical_gamma(m: int) -> list:
+    """The table of ``gamma_graph(m)`` renumbered canonically, written in
+    closed form (see the module docstring)."""
     _check_gamma_m(m)
     # v_1, v_2, .. sit at the odd positions, v_{m-1}, v_{m-2}, .. at the even ones.
     up, down = range(1, m, 2), range(2, m, 2)
@@ -84,7 +83,7 @@ def _canonical_gamma(m: int) -> tuple[list, list]:
     b_out[1::2] = [*up[1:], m - 2 + m % 2]
     b_in[0::2] = [*down, up[-1]]
     b_in[1::2] = [0, *up[:-1]]
-    return [None, a, b_out], [None, a.copy(), b_in]
+    return [None, a, b_out, b_in, a.copy()]
 
 
 def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
@@ -95,10 +94,10 @@ def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
     b-path v_0 -> .. -> v_{m-1}, whatever the numbering; its induced
     basis is x, t_1, .., t_{m-1}, y^m in that order.
     """
-    out, in_ = _canonical_gamma(m)
-    graph = CoreGraph._from_arrays(2, m, out, in_, 2 * m)
-    tree = set(zip(range(m), out[2], repeat(2)))
-    tree.remove((in_[2][0], 0, 2))
+    table = _canonical_gamma(m)
+    graph = CoreGraph._from_arrays(2, m, table, 2 * m)
+    tree = set(zip(range(m), table[2], repeat(2)))
+    tree.remove((table[-2][0], 0, 2))
     return graph, SpanningTree(graph, tree)
 
 
@@ -119,12 +118,12 @@ def lm_graph(m: int) -> CoreGraph:
     if m > _MAX_WORD_LETTERS:
         raise ValueError(f"this family needs m <= {_MAX_WORD_LETTERS}, got {m}")
     if m % 2 == 0:
-        return CoreGraph._from_arrays(2, m - 1, *_canonical_gamma(m - 1), 2 * m - 2)
-    out, in_ = _canonical_gamma(m)
+        return CoreGraph._from_arrays(2, m - 1, _canonical_gamma(m - 1), 2 * m - 2)
+    table = _canonical_gamma(m)
     # Empty both slots of the b-edge v_{m-1} -> v_0, the edge of y^m;
     # v_{m-1} sits at position 2.
-    out[2][2] = in_[2][0] = -1
-    return CoreGraph._from_arrays(2, m, out, in_, 2 * m - 1)
+    table[2][2] = table[-2][0] = -1
+    return CoreGraph._from_arrays(2, m, table, 2 * m - 1)
 
 
 def wk_word(k: int) -> Word:

@@ -186,13 +186,12 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
         raise ValueError("the trivial word has no smallest power")
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
-    letters = w.letters
+    letters, table = w.letters, graph.table
     cut = _cyclic_cut(letters)
     start = vertex = walk(graph, 0, letters[:cut])
     if start is None:
         return None
-    out, in_ = graph.out, graph.in_
-    steps = [out[l] if l > 0 else in_[-l] for l in letters[cut : len(letters) - cut]]
+    steps = [table[l] for l in letters[cut : len(letters) - cut]]
     m = 0
     while not m or vertex != start:
         for step in steps:
@@ -215,8 +214,7 @@ def _rank1_generator(graph: CoreGraph) -> Word:
     there.  The generator stem . cycle . stem^-1 is reduced as spelled,
     and it is ``basis(graph)[0]`` or its inverse.
     """
-    out, in_ = graph.out, graph.in_
-    moves = [(l, out[l] if l > 0 else in_[-l]) for l in _canonical_letters(graph.rank)]
+    moves = [(l, graph.table[l]) for l in _canonical_letters(graph.rank)]
     steps = dict(moves)
     ways = [l for l, array in moves if array[0] >= 0]
     vertex, stem = 0, []
@@ -335,9 +333,10 @@ def bergman_counterexample(n: int, m: int, k: int) -> IntersectionReport:
     w = Word(n, letters)
     lm = lm_graph(m)
     count = lm.vertex_count
-    # Widened to rank n: labels 3..n carry no edge, so the numbering stays canonical.
-    out, in_ = ([*arrays, *([-1] * count for _ in range(n - 2))] for arrays in (lm.out, lm.in_))
-    subgroup = CoreGraph._from_arrays(n, count, out, in_, lm._edge_count)
+    # Widened to rank n: labels 3..n carry no edge, so the numbering stays
+    # canonical.  Their empty arrays, for 3..n and -n..-3, go between 2's and -2's.
+    table = [*lm.table[:3], *([-1] * count for _ in range(2 * n - 4)), *lm.table[3:]]
+    subgroup = CoreGraph._from_arrays(n, count, table, lm._edge_count)
     section = [w] + [Word(n, (i,)) for i in range(3, k + 2)]
     retraction = [Word(k, (1,)), Word(k)]
     retraction += [Word(k, (i - 1,)) for i in range(3, k + 2)]
@@ -581,10 +580,9 @@ def _trial_single_cycle_power(rng: random.Random) -> dict | None:
 def _trial_normal_power(rng: random.Random) -> dict | None:
     rank = rng.choice((2, 3))
     graph = _random_normal_graph(rng, rank)
-    tree = spanning_tree(graph)
     w = _random_visible_word(rng, rank, 40)
     m = smallest_power_in(graph, w)
-    ok = m is not None and is_visible_in_subgroup(graph, tree, w ** m)
+    ok = m is not None and _visible_member(graph, w ** m)
     return None if ok else _graph_word(graph, w)
 
 

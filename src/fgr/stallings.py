@@ -2,103 +2,35 @@
 
 A core graph is a folded, based, connected, edge-labeled digraph whose
 loops at the base vertex spell exactly the members of a subgroup.
-Vertices are ``0..vertex_count-1`` with the base fixed at 0; an edge
-``(u, v, l)`` runs from u to v and carries the generator label l.  A
-``CoreGraph`` is held as one int array per label and direction,
-``out[l][v]`` and ``in_[l][v]`` (-1 where there is no edge), plus its
-edge count; every walk, search and builder reads the arrays, and the
-sorted ``edges`` tuple is a view derived from them when first asked
-for.  ``CoreGraph(rank, vertex_count, edges)`` checks its input and is
-the one way in for edges from outside; the builders below make arrays
-that are valid by construction and pass them to a private constructor
-that checks nothing.
+Vertices are ``0..vertex_count-1`` with the base at 0; an edge
+``(u, v, l)`` runs from u to v and carries the generator label l.
 
-``from_generators`` reads each generator into the graph folded so far:
-it follows the word forward from the base as far as edges exist and
-backward from the base along the rest, adds only the unread middle
-path, and folds whatever clashes.  Folding is a worklist fold: a
-union-find over the vertices plus a stack of pending merges, so each
-merge is done once instead of re-scanning every edge per pass.
-``pullback`` computes the fiber product realizing subgroup intersection;
-``schreier_graph`` builds the coset graph of a permutation action.
-Neither folds: a product of folded graphs is already folded and a
-permutation graph is a complete cover.  Only two builders trim hair
-(``_core``): ``fold``, whose input may dangle, and ``pullback`` of two
-graphs that are not both complete covers, whose product may.  ``fold``
-then renumbers; a ``pullback`` product is numbered canonically by its
-search, so it is renumbered only when hair was trimmed.  The others
-cannot leave hair, so they only renumber.  In ``from_generators`` every
-vertex but the base lies inside a reduced closed walk from the base,
-which enters and leaves it through two different slots; a coset graph
-is a complete cover, where every vertex has degree 2 * rank.
-``pullback`` tries the letters in canonical order, so it discovers the
-product's vertices already in canonical order and needs no second
-search.  It has two searches.  A product of two complete covers with
-V1 * V2 at most ``_DENSE_PAIRS`` numbers the pair (a, b) in a list per
-vertex a of the smaller factor, read through one selector list per
-letter, so a move is three list reads; it queues pairs in two
-coordinate lists and stores each row entry in place, in rows sized
-lcm(V1, V2) and grown by as much.  The orbit of the base pair maps onto
-each factor with fibres of one size, so it has a multiple of
-lcm(V1, V2) pairs, and no slot is left empty.  Every other product
-queues each pair as one int key, (a << s) | b with 2 ** s > V2, not as a
-tuple, so the search leaves the cyclic garbage collector little to
-track, and numbers the keys in a dict of the pairs the search reaches,
-so that a large, sparse pair space costs only what is reached.  The
-first graph's arrays are shifted before that search, its empty slots
-to -1 << s, so a move is one OR and a sign test (the second graph's -1
-ORs to -1).  No builder touches the collector's state.  A product of
-complete covers is itself a complete cover, so its arrays become the
-result's with no trim or renumbering.  Any other product has an empty
-slot: with none it would be a finite cover, so the intersection would
-have finite index inside a factor of infinite index.
-``canonicalize`` renumbers vertices deterministically so that
-structural equality of canonical graphs coincides with equality of
-subgroups; a graph already in canonical numbering is returned as it
-is.  Every breadth-first search over the arrays, apart from
-``pullback``'s two searches of pairs, is one flat search, ``_order``,
-that marks seen vertices in a byte array and returns the discovery
-order: the connectivity check, canonical numbering, the base component
-of a fold or a coset graph, and the two searches of a spanning tree.
-Asked for them, it also reports the step that reached each vertex (the
-vertex it was reached from and the signed letter); it does so in a
-loop of its own, so that the searches that need only the order do not
-pay for steps.  On a complete cover the connectivity check follows
-outgoing letters only.
+A ``CoreGraph`` of rank n is one table of 2n + 1 int arrays, one per
+signed letter: ``table[l][v]`` is the vertex the letter l leads to from
+v, or -1 where no edge does.  For l in 1..n, ``table[l]`` follows the
+edges labeled l forward and ``table[-l]``, through Python's negative
+indexing, follows them backward; ``table[0]`` is None.  One entry per
+slot suffices because the graph is folded.  Every walk, search and
+builder reads the table by signed letter, and the sorted ``edges``
+tuple is derived from it when first asked for.
 
-The checked constructor fills the arrays in one pass over the edges in
-the order given, checking each edge's range and slots as it fills them,
-and ``_check_core`` then checks connectivity and degrees.  Valid edges
-are never sorted.  Edges that fail a check or raise a ``TypeError``
-are filled again in sorted order, which fails as well and names the
-first bad edge in that order.  ``graph_from_json`` is only a reader:
-``_read_graph_json`` takes the fields out of the document, the base
-must be 0, and the constructor does the rest.
+``CoreGraph(rank, vertex_count, edges)`` checks its input and is the one
+way in for edges from outside; ``graph_from_json`` only reads the
+document for it.  The builders make tables that are valid by
+construction and hand them to a private constructor that checks
+nothing.  ``from_generators`` and ``fold`` fold (``_Folding``);
+``pullback`` computes the fiber product realizing subgroup
+intersection, and ``schreier_graph`` the coset graph of a permutation
+action, neither of which needs folding.  Only ``fold`` and a
+``pullback`` of graphs that are not both complete covers can leave
+hair, so only they trim it (``_core``).  Every builder here returns
+its graph in canonical numbering, so that equal subgroups have equal
+graphs; ``canonicalize`` brings any other graph to it.  Every
+breadth-first search but ``pullback``'s is ``_order``.
 
-Every spanning tree, whether given, the default tree of
-``spanning_tree`` or the tree of ``hm_graph``, is built by the one
-checked constructor ``SpanningTree(graph, tree_edges)``.  In one pass
-over the edges it checks that each is an edge of the graph and fills
-the tree's own per-label arrays; it checks the edge count, walks those
-arrays with ``_order`` in canonical letter order, which tells whether
-the tree spans, and reads off the walk the tree's parents, its
-non-tree edges in (walk index of origin, label) order and per-label
-symbol arrays indexed like ``out`` (each non-tree edge's basis symbol
-at its slot, 0 elsewhere), so ``rewrite_in_basis`` reads a crossed
-edge's symbol with two list reads.  The default tree holds, for each
-vertex but the base, the edge by which ``_order`` over the letters 1,
--1, 2, -2, .., n, -n first reaches it.  The functions that take a
-graph and a tree (``basis``, ``tree_path_word``, ``rewrite_in_basis``,
-the transfer and the homology projection) only check that the tree was
-built for that graph (``_check_tree_of``).  ``basis`` and
-``rewrite_in_basis`` build words that are reduced by construction and
-hand them over unchecked, as the builders of ``fgr.words`` do.  One
-walk of the tree spells the root paths of the vertices asked for
-(``_root_paths``): those of the non-tree edges' endpoints either as
-letters, for ``basis``, or as text, for ``fgr basis``, which writes each
-basis word as three string copies (``_basis_text``); those of two
-vertices for ``tree_path_word``, which reduces the one path's inverse
-times the other, and which names a vertex outside the graph.
+Every spanning tree is built by the one checked constructor
+``SpanningTree(graph, tree_edges)``, and the functions that take a
+graph and a tree only check that the tree was built for that graph.
 ``rewrite_in_basis`` returns a ``Word`` in the free group on the basis,
 whose rank is the number of non-tree edges, beyond 26 too, and 0 for
 the trivial subgroup; ``fgr.words.substitute`` of the basis words is the
@@ -130,27 +62,27 @@ class InfiniteIndexError(ValueError):
 
 
 class CoreGraph:
-    """A core graph, held as one int array per label and direction.
+    """A core graph, held as one table of int arrays by signed letter.
 
-    ``out[l][v]`` is the terminus of the edge labeled l leaving v and
-    ``in_[l][v]`` the origin of the edge labeled l entering v, or -1
-    where there is none (index 0 of both is None).  One entry per slot
-    suffices because the graph is folded.  The arrays and the edge count
-    are the whole graph: ``edges`` is a sorted view derived from ``out``
-    on first use, and equality and hashing read the arrays.
+    ``table[l][v]`` is the end of the letter l read from v, or -1 where
+    there is none: ``table[l]`` follows the edges labeled l forward and
+    ``table[-l]`` backward, for l in 1..rank (``table[0]`` is None).
+    The table and the edge count are the whole graph: ``edges`` is a
+    sorted view derived from it on first use, and equality and hashing
+    read the table.
 
     ``CoreGraph(rank, vertex_count, edges)`` checks its input and raises
     ``ValueError`` unless the edges form a folded core graph based at 0.
-    It fills the arrays in the given order, checking as it goes, so
+    It fills the table in the given order, checking as it goes, so
     valid edges are not sorted and need not be comparable with each
     other.  Edges that fail a check or raise a ``TypeError`` are filled
     again in sorted order, for the error that names the first bad edge
     in that order.
-    The builders of this module make arrays that are valid by
+    The builders of this module make tables that are valid by
     construction and hand them to ``_from_arrays``, which checks nothing.
     """
 
-    __slots__ = ("rank", "vertex_count", "out", "in_", "_edge_count", "_edges")
+    __slots__ = ("rank", "vertex_count", "table", "_edge_count", "_edges")
 
     # The base vertex is 0 by convention; renumbering preserves this.
     base = 0
@@ -158,22 +90,20 @@ class CoreGraph:
     def __init__(self, rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
         edges = tuple(edges)
         try:
-            out, in_ = _filled_arrays(rank, vertex_count, edges)
+            table = _filled_arrays(rank, vertex_count, edges)
         except (TypeError, ValueError):
             # Filled again in sorted order, which fails as well, so that the
             # error names the first bad edge in that order.
-            out, in_ = _filled_arrays(rank, vertex_count, sorted(edges))
-        _check_core(rank, out, in_)
-        self.rank, self.vertex_count, self.out, self.in_ = rank, vertex_count, out, in_
+            table = _filled_arrays(rank, vertex_count, sorted(edges))
+        _check_core(rank, table)
+        self.rank, self.vertex_count, self.table = rank, vertex_count, table
         self._edge_count, self._edges = len(edges), None
 
     @classmethod
-    def _from_arrays(
-        cls, rank: int, vertex_count: int, out: list, in_: list, edge_count: int
-    ) -> CoreGraph:
-        """A graph on arrays a builder has made valid, taken as they are."""
+    def _from_arrays(cls, rank: int, vertex_count: int, table: list, edge_count: int) -> CoreGraph:
+        """A graph on a table a builder has made valid, taken as it is."""
         graph = cls.__new__(cls)
-        graph.rank, graph.vertex_count, graph.out, graph.in_ = rank, vertex_count, out, in_
+        graph.rank, graph.vertex_count, graph.table = rank, vertex_count, table
         graph._edge_count, graph._edges = edge_count, None
         return graph
 
@@ -184,21 +114,21 @@ class CoreGraph:
             self._edges = tuple(sorted(
                 (u, v, l)
                 for l in range(1, self.rank + 1)
-                for u, v in enumerate(self.out[l])
+                for u, v in enumerate(self.table[l])
                 if v >= 0
             ))
         return self._edges
 
-    # ``in_`` is the inverse of ``out``, so ``out`` decides equality.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoreGraph):
             return NotImplemented
-        return (self.rank, self.vertex_count, self.out) == (
-            other.rank, other.vertex_count, other.out
+        return (self.rank, self.vertex_count, self.table) == (
+            other.rank, other.vertex_count, other.table
         )
 
+    # The backward half of the table is the inverse of the forward half.
     def __hash__(self) -> int:
-        return hash((self.rank, self.vertex_count, *map(tuple, self.out[1:])))
+        return hash((self.rank, self.vertex_count, *map(tuple, self.table[1 : self.rank + 1])))
 
     def __repr__(self) -> str:
         return f"CoreGraph(rank={self.rank}, vertex_count={self.vertex_count}, edges={self.edges})"
@@ -212,18 +142,18 @@ class SpanningTree:
     ``spanning_tree`` and the tree of ``hm_graph`` all go through it.
     ``tree_edges`` may be any iterable of edges and is kept as a
     frozenset.  Construction raises ``ValueError`` unless they are edges
-    of ``graph`` (checked first, while the tree's own per-label arrays
-    are filled), one fewer than its vertices (checked next), that span
-    it (checked by walking those arrays from the base), so a function
-    given a graph and a tree only checks that the tree was built for
-    that graph.  The walk, by ``_order`` in canonical letter order,
-    gives ``parents`` (vertex -> (parent, signed letter), the base ->
-    None, in walk order), from which the tree paths are read;
-    ``nontree_edges``, ordered by (index of origin in the walk, label),
-    which index the induced free basis; and ``symbols``, one array per
-    label indexed like ``graph.out``: ``symbols[l][u]`` is the 1-based
-    basis symbol of the non-tree edge labeled l leaving u, and 0 at tree
-    edges and empty slots (index 0 is None).
+    of ``graph`` (checked first, while the tree's own table is filled),
+    one fewer than its vertices (checked next), that span it (checked by
+    walking that table from the base), so a function given a graph and a
+    tree only checks that the tree was built for that graph.  The walk,
+    by ``_order`` in canonical letter order, gives ``parents`` (vertex ->
+    (parent, signed letter), the base -> None, in walk order), from
+    which the tree paths are read; ``nontree_edges``, ordered by (index
+    of origin in the walk, label), which index the induced free basis;
+    and ``symbols``, one array per label l, indexed like
+    ``graph.table[l]``: ``symbols[l][u]`` is the 1-based basis symbol of
+    the non-tree edge labeled l leaving u, and 0 at tree edges and empty
+    slots (index 0 is None).
     """
 
     graph: CoreGraph
@@ -232,23 +162,25 @@ class SpanningTree:
     def __post_init__(self) -> None:
         tree = frozenset(self.tree_edges)
         object.__setattr__(self, "tree_edges", tree)
-        rank, count, out = self.graph.rank, self.graph.vertex_count, self.graph.out
-        # The tree's own arrays, filled as each edge is checked.
-        tree_out, tree_in = _empty_arrays(rank, count), _empty_arrays(rank, count)
+        rank, count, table = self.graph.rank, self.graph.vertex_count, self.graph.table
+        # The tree's own table, filled as each edge is checked; its backward
+        # arrays by label, as CPython indexes a list fastest by an int >= 0.
+        tree_table = _empty_arrays(rank, count)
+        backward = [tree_table[-l] for l in range(rank + 1)]
         for u, v, l in tree:
-            if not (1 <= l <= rank and 0 <= u < count and 0 <= v == out[l][u]):
+            if not (1 <= l <= rank and 0 <= u < count and 0 <= v == table[l][u]):
                 raise ValueError("spanning tree does not belong to this graph")
-            tree_out[l][u] = v
-            tree_in[l][v] = u
+            tree_table[l][u] = v
+            backward[l][v] = u
         if len(tree) != count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
         steps: list[tuple[int, int]] = []
-        order = _order(tree_out, tree_in, 0, _canonical_letters(rank), steps)
+        order = _order(tree_table, 0, _canonical_letters(rank), steps)
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
         parents = dict(zip(order, [None, *steps]))
         symbols = [None, *([0] * count for _ in range(rank))]
-        labels = [(out[l], tree_out[l], symbols[l], l) for l in range(1, rank + 1)]
+        labels = [(table[l], tree_table[l], symbols[l], l) for l in range(1, rank + 1)]
         nontree: list[Edge] = []
         # Vertices in walk order and labels in order at each: the non-tree
         # edges come out in (walk index of origin, label) order.
@@ -294,18 +226,26 @@ def walk(graph: CoreGraph, vertex: int, letters: Iterable[int]) -> int | None:
     """Follow a signed letter sequence; None if the path breaks.
 
     A start outside the graph or a letter outside the alphabet breaks
-    the path too.
+    the path too.  The letters are checked against the alphabet before
+    the walk: a letter past the rank would read the table's other half.
     """
     if not 0 <= vertex < graph.vertex_count:
         return None
-    out, in_ = graph.out, graph.in_
     try:
-        for letter in letters:
-            vertex = out[letter][vertex] if letter > 0 else in_[-letter][vertex]
-            if vertex < 0:
-                return None
-    except (IndexError, TypeError):  # |letter| > rank, or letter 0 (index 0 is None)
-        return None
+        letters = tuple(letters)
+        if _alphabet(graph.rank).issuperset(letters):
+            return _walk(graph.table, vertex, letters)
+    except TypeError:  # not iterable, an unhashable letter, or one like 1.0
+        pass
+    return None
+
+
+def _walk(table: list, vertex: int, letters: Iterable[int]) -> int | None:
+    """``walk`` on letters known to be in the alphabet."""
+    for letter in letters:
+        vertex = table[letter][vertex]
+        if vertex < 0:
+            return None
     return vertex
 
 
@@ -313,7 +253,7 @@ def contains(graph: CoreGraph, w: Word) -> bool:
     """Membership: the path of ``w`` from the base exists and closes."""
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
-    return walk(graph, 0, w.letters) == 0
+    return _walk(graph.table, 0, w.letters) == 0
 
 
 def subgroup_rank(graph: CoreGraph) -> int:
@@ -334,8 +274,14 @@ def subgroup_index(graph: CoreGraph) -> int | None:
 
 @cache
 def _canonical_letters(rank: int) -> tuple[int, ...]:
-    """Outgoing labels 1..n, then incoming labels 1..n."""
+    """The signed letters 1..n, then -1..-n."""
     return (*range(1, rank + 1), *range(-1, -rank - 1, -1))
+
+
+@cache
+def _alphabet(rank: int) -> frozenset[int]:
+    """The signed letters of ``rank``, for one membership test per letter."""
+    return frozenset(_canonical_letters(rank))
 
 
 def _check_tree_of(graph: CoreGraph, tree: SpanningTree) -> None:
@@ -345,15 +291,15 @@ def _check_tree_of(graph: CoreGraph, tree: SpanningTree) -> None:
 
 
 def _empty_arrays(rank: int, count: int) -> list:
-    """Per-label arrays over ``count`` vertices with no edges: index 0
-    is None, index l in 1..rank a list of -1s."""
-    return [None, *map(list, [[-1] * count] * rank)]
+    """A table (as in :class:`CoreGraph`) over ``count`` vertices with
+    no edges: index 0 is None, every other a list of -1s."""
+    return [None, *map(list, [[-1] * count] * (2 * rank))]
 
 
-def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> tuple[list, list]:
-    """The per-label arrays (as in :class:`CoreGraph`) of ``edges`` over
-    ``count`` vertices, filled in the given order; raises ``ValueError``
-    at the first check that fails: the rank, the count, then each edge's
+def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> list:
+    """The table (as in :class:`CoreGraph`) of ``edges`` over ``count``
+    vertices, filled in the given order; raises ``ValueError`` at the
+    first check that fails: the rank, the count, then each edge's
     endpoints, label and slots."""
     _check_rank(rank)
     if count < 1:
@@ -362,66 +308,68 @@ def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> tuple[list, 
     # cannot ask for unbounded memory.
     if count > len(edges) + 1:
         raise ValueError("graph is not connected to the base vertex")
-    out, in_ = _empty_arrays(rank, count), _empty_arrays(rank, count)
+    table = _empty_arrays(rank, count)
+    # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
+    backward = [table[-l] for l in range(rank + 1)]
     for origin, terminus, label in edges:
         if not (0 <= origin < count and 0 <= terminus < count):
             raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
         if not 1 <= label <= rank:
             raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
-        leaving, entering = out[label], in_[label]
+        leaving, entering = table[label], backward[label]
         if leaving[origin] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
         if entering[terminus] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
         leaving[origin] = terminus
         entering[terminus] = origin
-    return out, in_
+    return table
 
 
-def _degrees(rank: int, out: list, in_: list) -> list[int]:
-    """The number of edges at each vertex of per-label arrays (as in
-    :class:`CoreGraph`): 2 * rank less its empty slots, which compress
-    picks out without a Python-level pass over the full slots."""
-    size = len(out[1])
-    degree = [2 * rank] * size
+def _degrees(table: list) -> list[int]:
+    """The number of edges at each vertex of a table (as in
+    :class:`CoreGraph`): its number of letters less its empty slots,
+    which compress picks out without a Python-level pass over the full
+    slots."""
+    size = len(table[1])
+    degree = [len(table) - 1] * size
     vertices, empty = range(size), (0).__gt__
-    for array in (*out[1:], *in_[1:]):
+    for array in table[1:]:
         for vertex in compress(vertices, map(empty, array)):
             degree[vertex] -= 1
     return degree
 
 
-def _check_core(rank: int, out: list, in_: list) -> None:
-    """Raise ``ValueError`` unless the folded graph on ``out``/``in_`` is
-    a core graph: connected to the base 0, no other vertex of degree < 2."""
-    complete = not any(-1 in array for array in out[1:])
+def _check_core(rank: int, table: list) -> None:
+    """Raise ``ValueError`` unless the folded graph of ``table`` is a
+    core graph: connected to the base 0, no other vertex of degree < 2."""
+    complete = not any(-1 in array for array in table[1 : rank + 1])
     # In a complete cover each label permutes the vertices, so the
-    # outgoing letters alone reach every vertex any letter reaches.
+    # forward letters alone reach every vertex any letter reaches.
     letters = range(1, rank + 1) if complete else _canonical_letters(rank)
-    if len(_order(out, in_, 0, letters)) != len(out[1]):
+    if len(_order(table, 0, letters)) != len(table[1]):
         raise ValueError("graph is not connected to the base vertex")
     # Every vertex of a complete cover has degree 2 * rank.
     if not complete:
-        for vertex in compress(range(len(out[1])), map((2).__gt__, _degrees(rank, out, in_))):
+        for vertex in compress(range(len(table[1])), map((2).__gt__, _degrees(table))):
             if vertex:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
-def _order(
-    out: list, in_: list, base: int, letters: Iterable[int], steps: list | None = None
-) -> list[int]:
-    """Breadth-first search from ``base`` over per-label arrays (as in
+def _order(table: list, base: int, letters: Iterable[int], steps: list | None = None) -> list[int]:
+    """Breadth-first search from ``base`` over a table (as in
     :class:`CoreGraph`), trying the signed ``letters`` in order at each
     vertex; the vertices reached, in discovery order.  Given a list as
     ``steps``, it also appends the step that reached each vertex after
     the base, in the same order: (vertex it was reached from, signed
-    letter)."""
-    seen = bytearray(len(out[1]) + 1)
+    letter).  The searches that need no steps run a loop of their own,
+    so that they do not pay for them."""
+    seen = bytearray(len(table[1]) + 1)
     # The extra last byte is seen[-1], so an empty slot reads as seen.
     seen[base] = seen[-1] = 1
     order = [base]
     if steps is None:
-        arrays = [out[l] if l > 0 else in_[-l] for l in letters]
+        arrays = [table[l] for l in letters]
         for vertex in order:
             for array in arrays:
                 other = array[vertex]
@@ -429,8 +377,7 @@ def _order(
                     seen[other] = 1
                     order.append(other)
         return order
-    # A separate loop, so that searches without steps do not pay for them.
-    moves = [(out[l] if l > 0 else in_[-l], l) for l in letters]
+    moves = [(table[l], l) for l in letters]
     for vertex in order:
         for array, letter in moves:
             other = array[vertex]
@@ -445,95 +392,92 @@ def canonicalize(graph: CoreGraph) -> CoreGraph:
     """Renumber vertices canonically; idempotent.
 
     Two folded core graphs represent the same subgroup exactly when
-    their canonical forms are equal.  A graph whose numbering is
-    already canonical (every builder returns one) is returned as is.
+    their canonical forms are equal.  The canonical order is the
+    breadth-first order from the base trying the letters in
+    ``_canonical_letters`` order.  A graph whose numbering is already
+    canonical (every builder returns one) is returned as is.
     """
-    order = _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank))
+    order = _order(graph.table, 0, _canonical_letters(graph.rank))
     if all(map(eq, order, range(len(order)))):
         return graph
-    return _renumbered(graph.rank, graph.out, graph.in_, order)
+    return _renumbered(graph.rank, graph.table, order)
 
 
-def _core(rank: int, out: list, in_: list, order: Sequence[int]) -> CoreGraph:
+def _core(rank: int, table: list, order: Sequence[int]) -> CoreGraph:
     """Core graph of the base component of a folded graph that may have hair.
 
-    ``out``/``in_`` describe the folded graph as in :class:`CoreGraph`
-    and are consumed; ``order`` lists the base component in canonical
-    BFS order, base first.  Non-base vertices of degree <= 1 are trimmed
-    from a worklist, then the rest is renumbered in that order.  The
+    ``table`` describes the folded graph as in :class:`CoreGraph` and is
+    consumed; ``order`` lists the base component in canonical BFS order,
+    base first.  Non-base vertices of degree <= 1 are trimmed from a
+    worklist, then the rest is renumbered in that order.  The
     component's BFS order restricted to the kept vertices is the core's
     BFS order: a trimmed tree hangs from one kept vertex and is only
-    entered through it, so it never discovers a kept vertex.  Only
-    ``fold`` and ``pullback``'s search of pair keys can leave hair, so
-    they are its only callers.  A graph with no hair whose ``order`` is
-    the identity ``range`` over all its vertices, as ``pullback`` passes
-    it, is already a canonical core graph and keeps its arrays; ``fold``
-    passes a list and is always renumbered.
+    entered through it, so it never discovers a kept vertex.  A graph
+    with no hair whose ``order`` is the identity ``range`` over all its
+    vertices, as ``pullback`` passes it, is already a canonical core
+    graph and keeps its table; ``fold`` passes a list and is always
+    renumbered.
     """
     base = order[0]
-    links = [(out[l], in_[l]) for l in range(1, rank + 1)]
+    links = [(table[l], table[-l]) for l in _canonical_letters(rank)]
     # Only entries on ``order`` are read.
-    degree = _degrees(rank, out, in_)
+    degree = _degrees(table)
     hair = [v for v in order if degree[v] <= 1 and v != base]
     if not hair and order == range(len(degree)):
-        edge_count = sum(len(degree) - array.count(-1) for array in out[1:])
-        return CoreGraph._from_arrays(rank, len(degree), out, in_, edge_count)
+        edge_count = sum(len(degree) - array.count(-1) for array in table[1 : rank + 1])
+        return CoreGraph._from_arrays(rank, len(degree), table, edge_count)
     while hair:
         vertex = hair.pop()
-        for leaving, entering in links:
-            for array, reverse in ((leaving, entering), (entering, leaving)):
-                other = array[vertex]
-                if other >= 0:
-                    array[vertex] = reverse[other] = -1
-                    degree[other] -= 1
-                    if degree[other] == 1 and other != base:
-                        hair.append(other)
-    return _renumbered(rank, out, in_, [v for v in order if degree[v] > 1 or v == base])
+        for array, reverse in links:
+            other = array[vertex]
+            if other >= 0:
+                array[vertex] = reverse[other] = -1
+                degree[other] -= 1
+                if degree[other] == 1 and other != base:
+                    hair.append(other)
+    return _renumbered(rank, table, [v for v in order if degree[v] > 1 or v == base])
 
 
-def _renumbered(rank: int, out: list, in_: list, kept: Sequence[int]) -> CoreGraph:
+def _renumbered(rank: int, table: list, kept: Sequence[int]) -> CoreGraph:
     """The graph on the vertices ``kept``, with kept[i] renumbered i.
 
-    ``out``/``in_`` are per-label arrays as in :class:`CoreGraph` whose
-    entries at kept vertices name kept vertices or -1, and ``kept`` is a
-    core graph's vertex set in canonical order, base first.
+    ``table`` is as in :class:`CoreGraph`, its entries at kept vertices
+    name kept vertices or -1, and ``kept`` is a core graph's vertex set
+    in canonical order, base first.
     """
     # number[-1] stays -1, so mapping through number carries empty slots.
-    number = [-1] * (len(out[1]) + 1)
+    number = [-1] * (len(table[1]) + 1)
     for i, vertex in enumerate(kept):
         number[vertex] = i
     renumber = number.__getitem__
-    out, in_ = (
-        [None, *(list(map(renumber, map(array.__getitem__, kept))) for array in arrays[1:])]
-        for arrays in (out, in_)
-    )
-    edge_count = sum(len(kept) - array.count(-1) for array in out[1:])
-    return CoreGraph._from_arrays(rank, len(kept), out, in_, edge_count)
+    table = [None, *(list(map(renumber, map(array.__getitem__, kept))) for array in table[1:])]
+    edge_count = sum(len(kept) - array.count(-1) for array in table[1 : rank + 1])
+    return CoreGraph._from_arrays(rank, len(kept), table, edge_count)
 
 
 class _Folding:
     """A graph being folded.
 
-    Vertices are ``0..len(parent)-1``, kept in a union-find.  ``out`` and
-    ``in_`` are per-label arrays as in :class:`CoreGraph`, filled only at
-    class roots; their entries may name merged vertices until ``find``
-    resolves them.  Adding a second edge with the same label and
-    direction at a vertex queues a merge of the two far endpoints on
-    ``pending`` instead; ``settle`` runs the merges (Touikan, "A fast
-    algorithm for Stallings' folding process", 2006), the smaller class
-    handing its edges to the larger and queueing any clash, until none
-    is pending.  Every array is sized by the vertices added.
-    ``resolved`` hands over the settled arrays and the base component's
-    canonical order: ``fold`` trims them with ``_core``, and
+    Vertices are ``0..len(parent)-1``, kept in a union-find.  ``table``
+    is as in :class:`CoreGraph`, filled only at class roots; its entries
+    may name merged vertices until ``find`` resolves them.  Adding a
+    second edge with the same letter at a vertex queues a merge of the
+    two far endpoints on ``pending`` instead; ``settle`` runs the merges
+    (Touikan, "A fast algorithm for Stallings' folding process", 2006),
+    the smaller class handing its edges to the larger and queueing any
+    clash, until none is pending.  Every array is sized by the vertices
+    added.  ``resolved`` hands over the settled table and the base
+    component's canonical order: ``fold`` trims them with ``_core``, and
     ``from_generators``, which cannot leave hair, only renumbers them.
+    In ``from_generators`` every vertex but the base lies inside a
+    reduced closed walk from the base, which enters and leaves it
+    through two different slots.
     """
 
     def __init__(self, rank: int, vertex_count: int) -> None:
         _check_rank(rank)
         self.rank = rank
-        self.out = _empty_arrays(rank, vertex_count)
-        self.in_ = _empty_arrays(rank, vertex_count)
-        self.arrays = [a for l in range(1, rank + 1) for a in (self.out[l], self.in_[l])]
+        self.table = _empty_arrays(rank, vertex_count)
         self.parent = list(range(vertex_count))
         self.size = [1] * vertex_count
         self.pending: list[tuple[int, int]] = []
@@ -543,7 +487,7 @@ class _Folding:
         first = len(self.parent)
         self.parent.extend(range(first, first + count))
         self.size.extend([1] * count)
-        for array in self.arrays:
+        for array in self.table[1:]:
             array.extend([-1] * count)
         return first
 
@@ -554,10 +498,11 @@ class _Folding:
             x = parent[x]
         return x
 
-    def add_edge(self, origin: int, terminus: int, label: int) -> None:
-        """Add an edge between class roots, queueing any clash."""
-        sides = ((self.out[label], origin, terminus), (self.in_[label], terminus, origin))
-        for array, x, y in sides:
+    def add_edge(self, origin: int, terminus: int, letter: int) -> None:
+        """Add an edge between class roots that reads ``letter`` from
+        ``origin`` to ``terminus``, queueing any clash."""
+        table = self.table
+        for array, x, y in ((table[letter], origin, terminus), (table[-letter], terminus, origin)):
             known = array[x]
             if known < 0:
                 array[x] = y
@@ -567,6 +512,7 @@ class _Folding:
     def settle(self) -> None:
         """Run pending merges until none is left."""
         parent, size, pending, find = self.parent, self.size, self.pending, self.find
+        arrays = self.table[1:]
         while pending:
             keep, merge = pending.pop()
             keep, merge = find(keep), find(merge)
@@ -576,7 +522,7 @@ class _Folding:
                 keep, merge = merge, keep
             parent[merge] = keep
             size[keep] += size[merge]
-            for array in self.arrays:
+            for array in arrays:
                 far = array[merge]
                 if far >= 0:
                     array[merge] = -1
@@ -594,20 +540,18 @@ class _Folding:
         middle is added as a new path.  When the two reads meet, their
         endpoints are merged instead.
         """
-        out, in_, find = self.out, self.in_, self.find
+        table, find = self.table, self.find
         # Vertex 0 may have been merged into another class by now.
         start = find(0)
         head, i = start, 0
         while i < len(letters):
-            letter = letters[i]
-            target = out[letter][head] if letter > 0 else in_[-letter][head]
+            target = table[letters[i]][head]
             if target < 0:
                 break
             head, i = find(target), i + 1
         tail, j = start, len(letters)
         while j > i:
-            letter = letters[j - 1]
-            source = in_[letter][tail] if letter > 0 else out[-letter][tail]
+            source = table[-letters[j - 1]][tail]
             if source < 0:
                 break
             tail, j = find(source), j - 1
@@ -617,21 +561,16 @@ class _Folding:
             first = self.add_vertices(j - i - 1)
             path = [head, *range(first, first + j - i - 1), tail]
             for k, letter in enumerate(letters[i:j]):
-                u, v = path[k], path[k + 1]
-                if letter > 0:
-                    self.add_edge(u, v, letter)
-                else:
-                    self.add_edge(v, u, -letter)
+                self.add_edge(path[k], path[k + 1], letter)
         self.settle()
 
-    def resolved(self) -> tuple[list, list, list[int]]:
-        """The settled ``out`` and ``in_``, every entry resolved to its
-        class root, and the base component in canonical BFS order, base
-        first."""
-        out, in_, find = self.out, self.in_, self.find
-        for array in self.arrays:
+    def resolved(self) -> tuple[list, list[int]]:
+        """The settled table, every entry resolved to its class root, and
+        the base component in canonical BFS order, base first."""
+        table, find = self.table, self.find
+        for array in table[1:]:
             array[:] = [x if x < 0 else find(x) for x in array]
-        return out, in_, _order(out, in_, find(0), _canonical_letters(self.rank))
+        return table, _order(table, find(0), _canonical_letters(self.rank))
 
 
 def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> CoreGraph:
@@ -694,7 +633,7 @@ def spanning_tree(graph: CoreGraph) -> SpanningTree:
     """
     letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
     steps: list[tuple[int, int]] = []
-    order = _order(graph.out, graph.in_, 0, letters, steps)
+    order = _order(graph.table, 0, letters, steps)
     tree = ((u, v, l) if l > 0 else (v, u, -l) for v, (u, l) in zip(order[1:], steps))
     return SpanningTree(graph, tree)
 
@@ -783,12 +722,14 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     if w.rank != graph.rank:
         raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
     _check_tree_of(graph, tree)
-    out, in_, marks = graph.out, graph.in_, tree.symbols
+    table, marks = graph.table, tree.symbols
+    # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
+    backward = [table[-l] for l in range(graph.rank + 1)]
     vertex = 0
     symbols: list[int] = []
     for letter in w.letters:
         if letter > 0:
-            target = out[letter][vertex]
+            target = table[letter][vertex]
             if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             symbol = marks[letter][vertex]
@@ -796,7 +737,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
                 symbols.append(symbol)
             vertex = target
         else:
-            source = in_[-letter][vertex]
+            source = backward[-letter][vertex]
             if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             symbol = marks[-letter][source]
@@ -816,15 +757,6 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
 _DENSE_PAIRS = 1 << 20
 
 
-class _PairIds(dict):
-    """Pair numbers by key, reading -1 for a pair not reached yet."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: int) -> int:
-        return -1
-
-
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
@@ -832,22 +764,24 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     vertices rather than materializing the full product; the result is
     core-trimmed and canonical.  A trivial intersection yields the
     one-vertex graph.  The product of folded graphs is folded, so it is
-    only trimmed.  The letters are tried in canonical order, so pairs
-    are numbered in the product's canonical BFS order as they are found.
-    A product of two complete covers with V1 * V2 at most
-    ``_DENSE_PAIRS`` takes the search of ``_cover_product``.  Every other
-    product keys a pair (a, b) by the int (a << s) | b, with s the bit
-    length of V2, and numbers the keys it reaches in a dict, so a large,
-    sparse pair space costs only what is reached.  The first graph's
-    arrays are shifted once, before the search, and its empty slots
-    become -1 << s; the second graph's -1 ORs to -1.  So a move is one
-    OR, and a negative key means no edge.  Pairs wait to be explored as
-    their int keys, so the search allocates no object per pair that the
-    cyclic garbage collector would track.  That search hands its product
-    to ``_core``, which trims it if it has hair and otherwise takes its
-    arrays as they are.  A product of complete covers is a complete
-    cover, so it never has hair; any other product has an empty slot,
-    since the intersection has infinite index, and may.
+    only trimmed.  The letters are tried in ``_canonical_letters``
+    order, so pairs are numbered in the product's canonical BFS order
+    as they are found, and each pair's row entry is appended to the
+    product's array of that letter.  A product of two complete covers
+    with V1 * V2 at most ``_DENSE_PAIRS`` takes the search of
+    ``_cover_product``.  Every other product keys a pair (a, b) by the
+    int (a << s) | b, with s the bit length of V2, and numbers the keys
+    it reaches in a dict, so a large, sparse pair space costs only what
+    is reached.  The first graph's arrays are shifted once, before the
+    search, and its empty slots become -1 << s; the second graph's -1
+    ORs to -1.  So a move is one OR, and a negative key means no edge.
+    Pairs wait to be explored as their int keys, so the search
+    allocates no object per pair that the cyclic garbage collector
+    would track.  That search hands its product to ``_core``, which
+    trims it if it has hair and otherwise takes its table as it is.  A
+    product of complete covers is a complete cover, so it never has
+    hair; any other product has an empty slot, since the intersection
+    has infinite index, and may.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
@@ -858,17 +792,16 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
         return _cover_product(g2, g1)
     rank, shift = g1.rank, g2.vertex_count.bit_length()
     mask = (1 << shift) - 1
-    ids = _PairIds()
-    # rows[k][i] is the endpoint of the k-th letter from pair i: pairs
-    # are explored in the order they are numbered, one entry each.
-    rows: list[list[int]] = [[] for _ in range(2 * rank)]
+    table = _empty_arrays(rank, 0)
     # Read through this list, a vertex a becomes a << shift, and an empty
     # slot (-1, the last index) -1 << shift, which ORs to a negative key.
     scaled = [*range(0, g1.vertex_count << shift, 1 << shift), -1 << shift]
-    firsts = [list(map(scaled.__getitem__, a)) for a in g1.out[1:] + g1.in_[1:]]
-    moves = [(a, b, row.append) for a, b, row in zip(firsts, g2.out[1:] + g2.in_[1:], rows)]
+    moves = [
+        (list(map(scaled.__getitem__, g1.table[l])), g2.table[l], table[l].append)
+        for l in _canonical_letters(rank)
+    ]
     # The base pair, key 0, is pair 0.
-    ids[0], keys, count = 0, [0], 1
+    ids, keys, count = {0: 0}, [0], 1
     for key in keys:
         p, q = key >> shift, key & mask
         for first, second, append in moves:
@@ -877,15 +810,14 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
             if pair < 0:
                 append(-1)
                 continue
-            there = ids[pair]
-            if there < 0:
-                there = ids[pair] = count
+            there = ids.setdefault(pair, count)
+            if there == count:
                 keys.append(pair)
                 count += 1
             append(there)
     # The trim and renumbering peak higher; they no longer need the keys.
     del ids, keys
-    return _core(rank, [None, *rows[:rank]], [None, *rows[rank:]], range(count))
+    return _core(rank, table, range(count))
 
 
 def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
@@ -897,8 +829,8 @@ def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
     numbering does not depend on the order of the factors.  For each
     letter l a selector list holds, at a, the row of l's endpoint from
     a, so a move from (p, q) reads ``select[p][second[q]]``.  Pairs wait
-    in two coordinate lists.  The product's row entries are stored in
-    place at the explored pair's number, in rows sized lcm(V1, V2) and
+    in two coordinate lists.  The product's table entries are stored in
+    place at the explored pair's number, in arrays sized lcm(V1, V2) and
     grown by as much: the orbit of the base pair maps onto each factor
     with fibres of one size, so its size is a multiple of lcm(V1, V2),
     and no slot is left empty at the end.
@@ -907,12 +839,10 @@ def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
     ids = [[-1] * large.vertex_count for _ in range(small.vertex_count)]
     ids[0][0] = 0
     step = lcm(small.vertex_count, large.vertex_count)
-    rows = [[0] * step for _ in range(2 * rank)]
+    table = [None, *([0] * step for _ in range(2 * rank))]
     moves = [
-        (first, list(map(ids.__getitem__, first)), second, row)
-        for first, second, row in zip(
-            small.out[1:] + small.in_[1:], large.out[1:] + large.in_[1:], rows
-        )
+        (small.table[l], list(map(ids.__getitem__, small.table[l])), large.table[l], table[l])
+        for l in _canonical_letters(rank)
     ]
     firsts, seconds, count, done = [0], [0], 1, 0
     while True:
@@ -931,10 +861,8 @@ def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
                 row[i] = there
         done += step
         if done == count:
-            return CoreGraph._from_arrays(
-                rank, count, [None, *rows[:rank]], [None, *rows[rank:]], rank * count
-            )
-        for row in rows:
+            return CoreGraph._from_arrays(rank, count, table, rank * count)
+        for row in table[1:]:
             row.extend([0] * step)
 
 
@@ -956,16 +884,16 @@ def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGr
     if not 0 <= base < points:
         raise ValueError("base point out of range")
     _check_rank(rank)
-    out = [None] + [list(perm.images) for perm in perms]
-    in_ = _empty_arrays(rank, points)
+    table = _empty_arrays(rank, points)
     for label, perm in enumerate(perms, start=1):
-        inverse = in_[label]
+        table[label][:] = perm.images
+        inverse = table[-label]
         for p, image in enumerate(perm.images):
             inverse[image] = p
-    order = _order(out, in_, base, _canonical_letters(rank))
+    order = _order(table, base, _canonical_letters(rank))
     if len(order) != points:
         raise ValueError("action is not transitive: coset graph is not connected")
-    return _renumbered(rank, out, in_, order)
+    return _renumbered(rank, table, order)
 
 
 def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
@@ -980,8 +908,7 @@ def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
     images = list(range(graph.vertex_count))
     for letter in w.letters:
-        array = graph.out[letter] if letter > 0 else graph.in_[-letter]
-        images = [array[v] for v in images]
+        images = list(map(graph.table[letter].__getitem__, images))
     return Permutation(tuple(images))
 
 

@@ -271,14 +271,14 @@ def cycle_chain(graph: CoreGraph, w: Word) -> dict[Edge, int]:
     vertex = 0
     for letter in w.letters:
         if letter > 0:
-            target = graph.out[letter][vertex]
+            target = graph.table[letter][vertex]
             if target < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (vertex, target, letter)
             counts[edge] = counts.get(edge, 0) + 1
             vertex = target
         else:
-            source = graph.in_[-letter][vertex]
+            source = graph.table[letter][vertex]
             if source < 0:
                 raise NotAMemberError(f"word leaves the graph at vertex {vertex}")
             edge = (source, vertex, -letter)

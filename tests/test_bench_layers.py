@@ -16,6 +16,8 @@ LAYERS = {
     "basis_render",
     "basis_text",
     "rewrite_in_basis",
+    "contains",
+    "from_generators",
     "substitute",
     "intersect_cyclic",
     "bergman_cyclic",

@@ -51,16 +51,16 @@ from test_fold_oracle import random_permutations, random_reduced_word
 
 def oracle_hm_graph(m: int) -> tuple[CoreGraph, frozenset]:
     graph = canonicalize(gamma_graph(m))
-    return graph, frozenset((u, v, 2) for u, v in enumerate(graph.out[2]) if v)
+    return graph, frozenset((u, v, 2) for u, v in enumerate(graph.table[2]) if v)
 
 
 def oracle_lm_graph(m: int) -> CoreGraph:
     if m % 2 == 0:
         return canonicalize(gamma_graph(m - 1))
     gamma = gamma_graph(m)
-    out, in_ = gamma.out, gamma.in_
-    out[2][m - 1] = in_[2][0] = -1
-    return canonicalize(CoreGraph._from_arrays(2, m, out, in_, 2 * m - 1))
+    table = gamma.table
+    table[2][m - 1] = table[-2][0] = -1
+    return canonicalize(CoreGraph._from_arrays(2, m, table, 2 * m - 1))
 
 
 def oracle_generator(graph: CoreGraph) -> Word:
@@ -72,7 +72,7 @@ def oracle_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) ->
 
 
 def arrays(graph: CoreGraph) -> tuple:
-    return graph.rank, graph.vertex_count, graph.out, graph.in_, graph._edge_count
+    return graph.rank, graph.vertex_count, graph.table, graph._edge_count
 
 
 def raised(call) -> tuple[type, str] | None:
@@ -129,7 +129,7 @@ def test_one_walk_generator_matches_the_tree_basis(seed):
         want = oracle_generator(graph)
         assert g in (want, want.inverse())
         assert from_generators(graph.rank, [g]) == graph
-        base_degree = sum(array[0] >= 0 for array in (*graph.out[1:], *graph.in_[1:]))
+        base_degree = sum(array[0] >= 0 for array in graph.table[1:])
         seen.add("stem" if base_degree == 1 else "no stem")
         seen.add(f"rank {graph.rank}")
         if graph.vertex_count == 1:
@@ -143,9 +143,7 @@ def bergman_parts(n: int, m: int) -> tuple[CoreGraph, RetractPresentation]:
     lm = lm_graph(m)
     count = lm.vertex_count
     # Widened to rank n by labels that carry no edge.
-    out = [*lm.out, *([-1] * count for _ in range(n - 2))]
-    in_ = [*lm.in_, *([-1] * count for _ in range(n - 2))]
-    subgroup = CoreGraph._from_arrays(n, count, out, in_, lm._edge_count)
+    subgroup = CoreGraph(n, count, lm.edges)
     section = [w] + [Word(n, (i,)) for i in range(3, n + 1)]
     retraction = [Word(n - 1, (1,)), Word(n - 1)]
     retraction += [Word(n - 1, (i - 1,)) for i in range(3, n + 1)]

@@ -335,9 +335,17 @@ def _dict_bfs(
     return found
 
 
-def oracle_validate(rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
+def oracle_validate(
+    rank: int, vertex_count: int, edges: Iterable[Edge], table: list | None = None
+) -> None:
     """The checks of ``CoreGraph.__post_init__`` when it built the
-    ``succ``/``pred`` dicts; raises ``ValueError`` where they failed."""
+    ``succ``/``pred`` dicts; raises ``ValueError`` where they failed.
+
+    Given a graph's ``table`` as well, it also asserts that the table
+    has the layout of :class:`CoreGraph` for valid edges: 2 * rank + 1
+    entries, None first, arrays over the vertices, where ``table[-l]``
+    undoes ``table[l]`` at every full slot and the forward arrays hold
+    the edges."""
     edges = tuple(sorted(edges))
     succ: dict[tuple[int, int], int] = {}
     pred: dict[tuple[int, int], int] = {}
@@ -366,6 +374,17 @@ def oracle_validate(rank: int, vertex_count: int, edges: Iterable[Edge]) -> None
     for vertex in range(1, vertex_count):
         if degree[vertex] < 2:
             raise ValueError(f"vertex {vertex} dangles (degree < 2)")
+    if table is not None:
+        assert len(table) == 2 * rank + 1 and table[0] is None
+        assert all(len(array) == vertex_count for array in table[1:])
+        for l in range(1, rank + 1):
+            for v in range(vertex_count):
+                for forward, backward in ((table[l], table[-l]), (table[-l], table[l])):
+                    if forward[v] >= 0:
+                        assert backward[forward[v]] == v, (l, v)
+            assert {(u, l): v for u, v in enumerate(table[l]) if v >= 0} == {
+                (u, label): v for u, v, label in edges if label == l
+            }
 
 
 def revalidated(graph: CoreGraph) -> CoreGraph:
@@ -373,16 +392,16 @@ def revalidated(graph: CoreGraph) -> CoreGraph:
 
     The graph must pass ``oracle_validate``, be in canonical numbering,
     and equal the checked constructor's graph on its edges: the same
-    ``out`` and ``in_`` arrays, the same rank and the same index.  Its
-    default spanning tree must pass ``assert_default_tree_checks``.
+    table, the same rank and the same index.  Its default spanning tree
+    must pass ``assert_default_tree_checks``.
     """
     rank, count, edges = graph.rank, graph.vertex_count, graph.edges
-    oracle_validate(rank, count, edges)
+    oracle_validate(rank, count, edges, graph.table)
     checked = CoreGraph(rank, count, edges)
-    assert (graph.out, graph.in_) == (checked.out, checked.in_)
+    assert graph.table == checked.table
     assert subgroup_rank(graph) == subgroup_rank(checked)
     assert subgroup_index(graph) == subgroup_index(checked)
-    assert _order(graph.out, graph.in_, 0, _canonical_letters(graph.rank)) == list(range(count))
+    assert _order(graph.table, 0, _canonical_letters(graph.rank)) == list(range(count))
     assert_default_tree_checks(graph)
     return graph
 
@@ -408,8 +427,8 @@ def assert_default_tree_checks(graph: CoreGraph) -> None:
     rank = graph.rank
     for letters in ([s * l for l in range(1, rank + 1) for s in (1, -1)], _canonical_letters(rank)):
         steps: list = []
-        order = _order(graph.out, graph.in_, 0, letters, steps)
-        assert order == _order(graph.out, graph.in_, 0, letters)
+        order = _order(graph.table, 0, letters, steps)
+        assert order == _order(graph.table, 0, letters)
         assert len(steps) == len(order) - 1
         index = {vertex: i for i, vertex in enumerate(order)}
         for vertex, (u, letter) in zip(order[1:], steps):
@@ -513,21 +532,18 @@ def test_pullback_matches_oracle_on_random_subgroups(seed):
 
 
 def each_pair_table(monkeypatch):
-    """Set ``pullback``'s bound on flat pair tables to 0, so every
+    """Set ``pullback``'s bound on per-vertex pair tables to 0, so every
     product numbers its pairs in a dict, then back to its default; yield
-    the bound and a list that grows by one for every pair dict made."""
+    the bound and a list that grows by one for every product of two
+    covers that ``_cover_product`` numbers instead."""
+    cover_product = fgr.stallings._cover_product
     for dense_pairs in (0, _DENSE_PAIRS):
-        dicts: list[None] = []
-
-        class Counted(fgr.stallings._PairIds):
-            __slots__ = ()
-
-            def __init__(self) -> None:
-                dicts.append(None)
-
+        covers: list[None] = []
         monkeypatch.setattr(fgr.stallings, "_DENSE_PAIRS", dense_pairs)
-        monkeypatch.setattr(fgr.stallings, "_PairIds", Counted)
-        yield dense_pairs, dicts
+        monkeypatch.setattr(
+            fgr.stallings, "_cover_product", lambda *pair: covers.append(None) or cover_product(*pair)
+        )
+        yield dense_pairs, covers
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -558,10 +574,10 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed, monkeypatch):
     # A cover times a cut cover is a product under the bound that is not
     # of two covers, so it takes the dict under either setting.
     mixed = [pair for graph, cut in covers for pair in ((graph, cut), (cut, graph))]
-    for dense_pairs, dicts in each_pair_table(monkeypatch):
+    for dense_pairs, cover_products in each_pair_table(monkeypatch):
         for g1, g2 in pairs + mixed:
             assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
-        assert len(dicts) == len(mixed) + (0 if dense_pairs else len(pairs))
+        assert len(cover_products) == (len(pairs) if dense_pairs else 0)
 
 
 def random_cover(rng, rank, points) -> CoreGraph:
@@ -605,7 +621,7 @@ def test_cover_products_match_oracle_and_fill_lcm_rows(seed, monkeypatch):
     rng = random.Random(4500 + seed)
     pairs = [pair for rank in range(1, 5) for pair in cover_pairs(rng, rank)]
     grown = set()
-    for dense_pairs, dicts in each_pair_table(monkeypatch):
+    for dense_pairs, cover_products in each_pair_table(monkeypatch):
         for i, (g1, g2) in enumerate(pairs):
             product = revalidated(pullback(g1, g2))
             assert product == oracle_pullback(g1, g2) == pullback(g2, g1)
@@ -614,7 +630,7 @@ def test_cover_products_match_oracle_and_fill_lcm_rows(seed, monkeypatch):
             assert subgroup_index(product) == product.vertex_count
             if product.vertex_count > step:
                 grown.add(i)
-        assert len(dicts) == (0 if dense_pairs else 2 * len(pairs))
+        assert len(cover_products) == (2 * len(pairs) if dense_pairs else 0)
     # Among them the five pairs of shared factors at each rank 2-4.
     assert len(grown) >= 15
 
@@ -758,9 +774,9 @@ def assert_arrays_of_checked_graph(graph: CoreGraph) -> None:
     """``graph`` passes ``oracle_validate`` and holds the arrays the
     checked constructor builds from its edges."""
     rank, count, edges = graph.rank, graph.vertex_count, graph.edges
-    oracle_validate(rank, count, edges)
+    oracle_validate(rank, count, edges, graph.table)
     checked = CoreGraph(rank, count, edges)
-    assert (graph.out, graph.in_) == (checked.out, checked.in_)
+    assert graph.table == checked.table
     assert subgroup_rank(graph) == subgroup_rank(checked)
 
 
@@ -801,7 +817,8 @@ def test_family_arrays_match_the_checked_constructor(monkeypatch):
             for subgroup in bergman_subgroups(monkeypatch, n, m):
                 assert subgroup.rank == n
                 revalidated(subgroup)
-                assert subgroup.out[:3] == lm_graph(m).out
+                lm = lm_graph(m).table
+                assert (subgroup.table[:3], subgroup.table[-2:]) == (lm[:3], lm[-2:])
 
 
 def test_default_tree_of_one_vertex_graphs():
@@ -941,14 +958,14 @@ def gamma_orbit_size(m: int) -> int:
 
 
 def test_gamma_pullbacks_match_oracle_and_orbit_size(monkeypatch):
-    for dense_pairs, dicts in each_pair_table(monkeypatch):
+    for dense_pairs, cover_products in each_pair_table(monkeypatch):
         for m in range(2, 61):
             g1, g2 = gamma_graph(m), gamma_graph(m + 1)
             product = revalidated(pullback(g1, g2))
             assert product == oracle_pullback(g1, g2)
             assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)
-        # Products of covers this small take the flat table.
-        assert len(dicts) == (0 if dense_pairs else 59)
+        # Products of covers this small take the per-vertex table.
+        assert len(cover_products) == (59 if dense_pairs else 0)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=1))

@@ -65,22 +65,21 @@ def oracle_core_graph(rank, vertex_count, edges) -> CoreGraph:
         raise ValueError("graph needs at least the base vertex")
     if count > len(edges) + 1:
         raise ValueError("graph is not connected to the base vertex")
-    out = _empty_arrays(rank, count)
-    in_ = _empty_arrays(rank, count)
+    table = _empty_arrays(rank, count)
     for origin, terminus, label in edges:
         if not (0 <= origin < count and 0 <= terminus < count):
             raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
         if not 1 <= label <= rank:
             raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
-        leaving, entering = out[label], in_[label]
+        leaving, entering = table[label], table[-label]
         if leaving[origin] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
         if entering[terminus] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
         leaving[origin] = terminus
         entering[terminus] = origin
-    _check_core(rank, out, in_)
-    return CoreGraph._from_arrays(rank, count, out, in_, len(edges))
+    _check_core(rank, table)
+    return CoreGraph._from_arrays(rank, count, table, len(edges))
 
 
 def oracle_graph_from_json(data) -> CoreGraph:
@@ -113,8 +112,7 @@ def same_graph(got, want) -> bool:
         return got == want
     return (
         isinstance(got, CoreGraph)
-        and (got.rank, got.vertex_count, got.out, got.in_)
-        == (want.rank, want.vertex_count, want.out, want.in_)
+        and (got.rank, got.vertex_count, got.table) == (want.rank, want.vertex_count, want.table)
         and subgroup_rank(got) == subgroup_rank(want)
     )
 
@@ -377,7 +375,7 @@ def random_tree_edges(graph: CoreGraph, rng: random.Random) -> list[tuple[int, i
     frontier = [(0, letter) for letter in range(-graph.rank, graph.rank + 1) if letter]
     while frontier:
         vertex, letter = frontier.pop(rng.randrange(len(frontier)))
-        other = (graph.out[letter] if letter > 0 else graph.in_[-letter])[vertex]
+        other = graph.table[letter][vertex]
         if other >= 0 and other not in seen:
             seen.add(other)
             tree.append((vertex, other, letter) if letter > 0 else (other, vertex, -letter))

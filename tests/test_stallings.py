@@ -202,12 +202,12 @@ def test_from_generators_leaves_no_hair(rank, max_len):
             for w in (u, v):
                 if w.letters:
                     folding.read_loop(w.letters)
-            out, in_, order = folding.resolved()
-            degree = _degrees(rank, out, in_)
+            table, order = folding.resolved()
+            degree = _degrees(table)
             assert all(degree[vertex] >= 2 for vertex in order[1:])
-            trimmed = _core(rank, out, in_, order)
+            trimmed = _core(rank, table, order)
             g = from_generators(rank, [u, v])
-            assert (g, g.in_, g._edge_count) == (trimmed, trimmed.in_, trimmed._edge_count)
+            assert (g, g._edge_count) == (trimmed, trimmed._edge_count)
 
 
 def test_pullback_trims_only_products_with_an_empty_slot(monkeypatch):
@@ -217,9 +217,9 @@ def test_pullback_trims_only_products_with_an_empty_slot(monkeypatch):
     untrimmed = []
     trim = fgr.stallings._core
 
-    def spy(rank, out, in_, order):
-        untrimmed.append(all(-1 not in array for array in out[1:]))
-        return trim(rank, out, in_, order)
+    def spy(rank, table, order):
+        untrimmed.append(all(-1 not in array for array in table[1:]))
+        return trim(rank, table, order)
 
     monkeypatch.setattr(fgr.stallings, "_core", spy)
     rng = random.Random(23)
@@ -710,6 +710,18 @@ def test_walk_breaks_outside_the_graph_and_alphabet():
             if expected is None:
                 break
         assert walk(graph, vertex, letters) == expected
+    # The table holds 2 * rank + 1 arrays, so a letter past the rank, up to
+    # 2 * rank, would read a backward array: the alphabet check breaks it.
+    for start in range(5):
+        for letter in (3, 4, 5, -3, -4, -5, 0):
+            for letters in ([letter], [1, letter], [letter, -1]):
+                assert walk(graph, start, letters) is None, (start, letters)
+                assert walk(graph, start, iter(letters)) is None, (start, letters)
+        for letters in ([1.0], [1, "a"], [None], [[1]], [1, 2.5], 7):
+            assert walk(graph, start, letters) is None, (start, letters)
+        # A generator of valid letters is read once, as a list is.
+        assert walk(graph, start, (l for l in (1, 2, -2))) == walk(graph, start, [1, 2, -2])
+        assert walk(graph, start, [True]) == walk(graph, start, [1])
 
 
 def test_huge_declared_rank_allocates_nothing():

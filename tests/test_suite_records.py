@@ -46,8 +46,8 @@ FORCED = {
         "3f17e5d13fd1aec5f3e2f9cfbb4d0219fec8a7c1faa5911dd24054b482e1f7aa",
     ),
     "normal-power": (
-        "is_visible_in_subgroup",
-        lambda real: lambda graph, tree, w: False,
+        "_visible_member",
+        lambda real: lambda graph, w: False,
         {"trial", "graph", "word"},
         "6c7dd040aaf2e2e129588f3e4ce39eb886520b79081c33adea82faa8a556ca07",
     ),

@@ -18,9 +18,10 @@ are:
 
 - ``json_load``: ``json.loads`` of the graph's JSON text;
 - ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
-- ``check_core``: ``fgr.stallings._check_core`` on the graph's arrays,
+- ``check_core``: ``fgr.stallings._check_core`` on the graph's table,
   the connectivity and degree check of the checked constructor that
-  ``graph_from_json`` calls;
+  ``graph_from_json`` calls (on versions before the table, on its
+  ``out`` and ``in_`` arrays);
 - ``spanning_tree_default``: ``spanning_tree(graph)``, and
   ``spanning_tree_override``: the override tree built by
   ``SpanningTree(graph, edges)``;
@@ -31,6 +32,9 @@ are:
   text path of ``fgr basis`` (absent from versions without it), both
   with the override tree;
 - ``rewrite_in_basis``: a member word of about 2,048 letters;
+- ``contains``: ``contains(graph, word)`` on that word, and
+  ``from_generators``: the graph of the subgroup it generates, both
+  loops that read the graph one letter at a time;
 - ``substitute``: that word's symbols mapped back over the basis, the
   second half of the round trip ``substitute(rewrite_in_basis(graph,
   tree, word), basis(graph, tree), rank)``, whose basis and symbols are
@@ -83,6 +87,7 @@ from fgr import (
     Permutation,
     basis,
     bergman_counterexample,
+    contains,
     from_generators,
     graph_from_json,
     intersection_report,
@@ -94,6 +99,7 @@ from fgr import (
     spanning_tree,
     substitute,
     tree_path_word,
+    walk,
 )
 from fgr.cli import _parse_tree_flag
 from fgr.constructions import gamma_graph, hm_graph, lm_graph, wk_word
@@ -159,10 +165,10 @@ def _member(graph: CoreGraph, tree, rng: random.Random):
         letter = rng.choice(moves)
         if letters and letter == -letters[-1]:
             continue
-        array = graph.out[letter] if letter > 0 else graph.in_[-letter]
-        if array[vertex] >= 0:
+        step = walk(graph, vertex, [letter])
+        if step is not None:
             letters.append(letter)
-            vertex = array[vertex]
+            vertex = step
     home = tree_path_word(graph, tree, vertex, 0)
     return reduce_word(graph.rank, letters + list(home.letters))
 
@@ -213,16 +219,19 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     orbit = gamma_graph(index), gamma_graph(index + 1)
     covers_rng = random.Random(7100 + 10 * index + rank)
     covers = _random_cover(rank, index, covers_rng), _random_cover(rank, 2 * index, covers_rng)
+    arrays = (graph.table,) if hasattr(graph, "table") else (graph.out, graph.in_)
     times = {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
-        "check_core": _best(lambda: _check_core(rank, graph.out, graph.in_), repeats),
+        "check_core": _best(lambda: _check_core(rank, *arrays), repeats),
         "spanning_tree_default": _best(lambda: spanning_tree(graph), repeats),
         "spanning_tree_override": _best(lambda: SpanningTree(graph, override), repeats),
         "tree_flag": _best(lambda: _parse_tree_flag(graph, flag), repeats),
         "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
         "basis_text": None,
         "rewrite_in_basis": _best(lambda: rewrite_in_basis(graph, tree, word), repeats),
+        "contains": _best(lambda: contains(graph, word), repeats),
+        "from_generators": _best(lambda: from_generators(rank, [word]), repeats),
         "substitute": _best(lambda: substitute(symbols, words, rank), repeats),
         "intersect_cyclic": _best(
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats

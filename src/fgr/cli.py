@@ -146,8 +146,9 @@ def _parse_tree_flag(graph: CoreGraph, text: str | None):
         # Three references to one iterator take its numbers three at a time.
         numbers = map(int, text.replace(",", ":").split(":"))
         return SpanningTree(graph, zip(numbers, numbers, numbers))
+    # The empty flag is the tree with no edges, a one-vertex graph's.
     edges = []
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text else ():
         parts = chunk.split(":")
         if len(parts) != 3:
             raise ValueError(f"tree edge {chunk!r} is not from:to:label")

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
-from math import lcm
+from math import gcd
 from operator import eq, index, neg
 from typing import Callable, Iterable, Sequence
 
@@ -751,12 +751,6 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     return Word._from_letters(len(tree.nontree_edges), tuple(symbols))
 
 
-# The most slots V1 * V2 of the pair table of a product of two complete
-# covers: 8 MB of pointers, in at most 1,024 lists, one per vertex of the
-# smaller factor.  Past it, and for every other product, a dict.
-_DENSE_PAIRS = 1 << 20
-
-
 def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     """Fiber product of two core graphs: the intersection subgroup.
 
@@ -766,104 +760,88 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     one-vertex graph.  The product of folded graphs is folded, so it is
     only trimmed.  The letters are tried in ``_canonical_letters``
     order, so pairs are numbered in the product's canonical BFS order
-    as they are found, and each pair's row entry is appended to the
-    product's array of that letter.  A product of two complete covers
-    with V1 * V2 at most ``_DENSE_PAIRS`` takes the search of
-    ``_cover_product``.  Every other product keys a pair (a, b) by the
-    int (a << s) | b, with s the bit length of V2, and numbers the keys
-    it reaches in a dict, so a large, sparse pair space costs only what
-    is reached.  The first graph's arrays are shifted once, before the
-    search, and its empty slots become -1 << s; the second graph's -1
-    ORs to -1.  So a move is one OR, and a negative key means no edge.
-    Pairs wait to be explored as their int keys, so the search
-    allocates no object per pair that the cyclic garbage collector
-    would track.  That search hands its product to ``_core``, which
-    trims it if it has hair and otherwise takes its table as it is.  A
-    product of complete covers is a complete cover, so it never has
-    hair; any other product has an empty slot, since the intersection
-    has infinite index, and may.
+    as they are found, whichever factor comes first.
+
+    The pair (a, b) is numbered at ``ids[a][b]``, with one row per
+    vertex of the factor with fewer vertices.  For each letter l a
+    selector list holds, at a, the row of l's endpoint from a, so a
+    move from (p, q) reads row ``select[p]`` at ``second[q]``; pairs
+    wait in two coordinate lists.  Two complete covers whose indices
+    are coprime take ``_cover_product``, whose rows are lists.  Every
+    other product has dict rows, so a large, sparse pair space costs
+    only what is reached; an empty slot of the smaller factor selects
+    None (its ``ids[-1]``), and one of the larger is -1.  A product of
+    complete covers is a complete cover, so it never has hair; any
+    other product has an empty slot, since the intersection has
+    infinite index, and may, so only it is handed to ``_core``.
     """
     if g1.rank != g2.rank:
         raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
+    small, large = (g1, g2) if g1.vertex_count <= g2.vertex_count else (g2, g1)
     cover = subgroup_index(g1) is not None and subgroup_index(g2) is not None
-    if cover and g1.vertex_count * g2.vertex_count <= _DENSE_PAIRS:
-        if g1.vertex_count <= g2.vertex_count:
-            return _cover_product(g1, g2)
-        return _cover_product(g2, g1)
-    rank, shift = g1.rank, g2.vertex_count.bit_length()
-    mask = (1 << shift) - 1
+    if cover and gcd(small.vertex_count, large.vertex_count) == 1:
+        return _cover_product(small, large)
+    rank = small.rank
+    ids = [{} for _ in range(small.vertex_count)]
+    ids.append(None)
+    ids[0][0] = 0
     table = _empty_arrays(rank, 0)
-    # Read through this list, a vertex a becomes a << shift, and an empty
-    # slot (-1, the last index) -1 << shift, which ORs to a negative key.
-    scaled = [*range(0, g1.vertex_count << shift, 1 << shift), -1 << shift]
     moves = [
-        (list(map(scaled.__getitem__, g1.table[l])), g2.table[l], table[l].append)
+        (small.table[l], list(map(ids.__getitem__, small.table[l])), large.table[l], table[l].append)
         for l in _canonical_letters(rank)
     ]
-    # The base pair, key 0, is pair 0.
-    ids, keys, count = {0: 0}, [0], 1
-    for key in keys:
-        p, q = key >> shift, key & mask
-        for first, second, append in moves:
-            # Negative exactly when either slot is empty (-1 in the second).
-            pair = first[p] | second[q]
-            if pair < 0:
+    firsts, seconds, count = [0], [0], 1
+    for p, q in zip(firsts, seconds):
+        for first, select, second, append in moves:
+            row, b = select[p], second[q]
+            if row is None or b < 0:
                 append(-1)
                 continue
-            there = ids.setdefault(pair, count)
+            there = row.setdefault(b, count)
             if there == count:
-                keys.append(pair)
+                firsts.append(first[p])
+                seconds.append(b)
                 count += 1
             append(there)
-    # The trim and renumbering peak higher; they no longer need the keys.
-    del ids, keys
+    if cover:
+        return CoreGraph._from_arrays(rank, count, table, rank * count)
+    # The trim and renumbering peak higher; they no longer need the rows.
+    del ids, moves, firsts, seconds
     return _core(rank, table, range(count))
 
 
 def _cover_product(small: CoreGraph, large: CoreGraph) -> CoreGraph:
-    """The product of two complete covers, ``small`` with at most as many
-    vertices as ``large``, numbered canonically.
+    """The product of two complete covers of coprime indices V1 and V2,
+    ``small`` the one with fewer vertices, numbered canonically.
 
-    The pair (a, b) is numbered at ``ids[a][b]``, -1 until it is reached:
-    one row of V_large slots per vertex of the smaller factor, so the
-    numbering does not depend on the order of the factors.  For each
-    letter l a selector list holds, at a, the row of l's endpoint from
-    a, so a move from (p, q) reads ``select[p][second[q]]``.  Pairs wait
-    in two coordinate lists.  The product's table entries are stored in
-    place at the explored pair's number, in arrays sized lcm(V1, V2) and
-    grown by as much: the orbit of the base pair maps onto each factor
-    with fibres of one size, so its size is a multiple of lcm(V1, V2),
-    and no slot is left empty at the end.
+    The index of H ∩ K is a multiple of lcm(V1, V2), since H ∩ K lies
+    in both, and at most V1 * V2, since its cosets map one-to-one to
+    pairs of cosets.  For coprime indices both are V1 * V2, so the orbit
+    of the base pair is every pair: the rows of ``pullback`` are lists
+    of V_large slots, -1 until reached, and the product's table is sized
+    V1 * V2 up front and filled in place in one pass.
     """
-    rank = small.rank
+    rank, size = small.rank, small.vertex_count * large.vertex_count
     ids = [[-1] * large.vertex_count for _ in range(small.vertex_count)]
     ids[0][0] = 0
-    step = lcm(small.vertex_count, large.vertex_count)
-    table = [None, *([0] * step for _ in range(2 * rank))]
+    table = [None, *([0] * size for _ in range(2 * rank))]
     moves = [
         (small.table[l], list(map(ids.__getitem__, small.table[l])), large.table[l], table[l])
         for l in _canonical_letters(rank)
     ]
-    firsts, seconds, count, done = [0], [0], 1, 0
-    while True:
-        # Pair i is reached before it is explored, and the orbit ends on a
-        # multiple of step, so every pair of this block is or will be queued.
-        for i in range(done, done + step):
-            p, q = firsts[i], seconds[i]
-            for first, select, second, row in moves:
-                b = second[q]
-                there = select[p][b]
-                if there < 0:
-                    there = select[p][b] = count
-                    firsts.append(first[p])
-                    seconds.append(b)
-                    count += 1
-                row[i] = there
-        done += step
-        if done == count:
-            return CoreGraph._from_arrays(rank, count, table, rank * count)
-        for row in table[1:]:
-            row.extend([0] * step)
+    firsts, seconds, count = [0], [0], 1
+    for i in range(size):
+        p, q = firsts[i], seconds[i]
+        for first, select, second, row in moves:
+            b = second[q]
+            there = select[p][b]
+            if there < 0:
+                there = select[p][b] = count
+                firsts.append(first[p])
+                seconds.append(b)
+                count += 1
+            row[i] = there
+    return CoreGraph._from_arrays(rank, size, table, rank * size)
 
 
 def schreier_graph(rank: int, perms: Sequence[Permutation], base: int) -> CoreGraph:

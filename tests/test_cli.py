@@ -199,6 +199,16 @@ def test_tsv_format_of_list_and_scalar_payloads(capsys, argv, out):
     assert run_cli(capsys, "--format", "tsv", *argv) == (0, out, "")
 
 
+def test_empty_tree_flag_is_the_tree_with_no_edges(capsys):
+    # It is the one-vertex graph's only spanning tree, and too few edges
+    # for any larger graph.
+    rewrite = ("rewrite", "--rank", "2", "--word", "ab", "--gens")
+    assert run_cli(capsys, *rewrite, "a,b", "--tree", "") == (0, "[1, 2]\n", "")
+    assert run_cli(capsys, *rewrite, "a,b") == (0, "[1, 2]\n", "")
+    message = "fgr: error: spanning tree has the wrong number of edges\n"
+    assert run_cli(capsys, *rewrite, "a,bb", "--tree", "") == (1, "", message)
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     first = run_cli(capsys, "suite", "hanna-neumann", "--trials", "25", "--seed", "9")
     second = run_cli(capsys, "suite", "hanna-neumann", "--trials", "25", "--seed", "9")
@@ -600,14 +610,14 @@ def test_fold_graph_with_a_bad_label_or_base_is_an_error(capsys, tmp_path):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):
-    # gamma(1501) x gamma(1502) reaches all 2.25 million product pairs,
-    # more than a 200 MiB address space holds. The limit is set in the
-    # child only, so this process keeps its own.
+    # gamma(2001) x gamma(2002) reaches all 4.0 million product pairs and
+    # peaks near 360 MB, far more than a 200 MiB address space holds. The
+    # limit is set in the child only, so this process keeps its own.
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
 
     flags = []
-    for flag, m in (("--graph", 1501), ("--graph2", 1502)):
+    for flag, m in (("--graph", 2001), ("--graph2", 2002)):
         graph_file = tmp_path / f"gamma{m}.json"
         graph_file.write_text(json.dumps(fgr.graph_to_json(gamma_graph(m))))
         flags += [flag, str(graph_file)]

@@ -30,10 +30,12 @@ way (``gamma_graph``, which keeps the numbering v_i = i, against
 ``oracle_validate`` and the checked constructor only), and are built
 once more with the checked constructor and ``CoreGraph.edges`` made to
 raise.
-Products of two complete covers take a search of their own in
-``pullback``; seeded cover pairs check it against ``oracle_pullback``,
-check that the product fills whole steps of lcm(V1, V2) rows, and
-bound its memory by its pair table, in either order of the factors.
+Products of two complete covers of coprime indices take a search of
+their own in ``pullback``, with list rows, and all other products dict
+rows; seeded cover pairs check both against ``oracle_pullback``, check
+that the product has a multiple of lcm(V1, V2) vertices, exactly
+V1 * V2 for coprime indices, and bound its memory by its pair table, in
+either order of the factors.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import tracemalloc
 from collections import deque
 from datetime import timedelta
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import pytest
@@ -72,7 +74,7 @@ from fgr import (
 )
 from fgr.constructions import gamma_graph, hm_graph, lm_graph
 from fgr.retracts import _random_reduced_word
-from fgr.stallings import _DENSE_PAIRS, Edge, _canonical_letters, _order
+from fgr.stallings import Edge, _canonical_letters, _order
 
 
 def _bfs_relabeling(
@@ -532,18 +534,20 @@ def test_pullback_matches_oracle_on_random_subgroups(seed):
 
 
 def each_pair_table(monkeypatch):
-    """Set ``pullback``'s bound on per-vertex pair tables to 0, so every
-    product numbers its pairs in a dict, then back to its default; yield
-    the bound and a list that grows by one for every product of two
-    covers that ``_cover_product`` numbers instead."""
+    """Yield, once, a list that grows by one for every product that
+    ``_cover_product`` numbers in list rows: a product of two covers of
+    coprime indices.  ``pullback`` numbers every other one in dict rows."""
     cover_product = fgr.stallings._cover_product
-    for dense_pairs in (0, _DENSE_PAIRS):
-        covers: list[None] = []
-        monkeypatch.setattr(fgr.stallings, "_DENSE_PAIRS", dense_pairs)
-        monkeypatch.setattr(
-            fgr.stallings, "_cover_product", lambda *pair: covers.append(None) or cover_product(*pair)
-        )
-        yield dense_pairs, covers
+    covers: list[None] = []
+    monkeypatch.setattr(
+        fgr.stallings, "_cover_product", lambda *pair: covers.append(None) or cover_product(*pair)
+    )
+    yield covers
+
+
+def coprime(pairs) -> int:
+    """How many of the pairs of graphs have coprime vertex counts."""
+    return sum(gcd(g1.vertex_count, g2.vertex_count) == 1 for g1, g2 in pairs)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -571,13 +575,13 @@ def test_pullback_and_schreier_match_oracle_on_random_covers(seed, monkeypatch):
         assert subgroup_index(cut) == oracle_subgroup_index(cut) is None
         covers.append((graph, cut))
     pairs = [(g1, g2) for g1, _ in covers for g2, _ in covers if g1.rank == g2.rank]
-    # A cover times a cut cover is a product under the bound that is not
-    # of two covers, so it takes the dict under either setting.
+    # A cover times a cut cover is not a product of two covers, so it
+    # takes dict rows whatever the indices.
     mixed = [pair for graph, cut in covers for pair in ((graph, cut), (cut, graph))]
-    for dense_pairs, cover_products in each_pair_table(monkeypatch):
+    for cover_products in each_pair_table(monkeypatch):
         for g1, g2 in pairs + mixed:
             assert revalidated(pullback(g1, g2)) == oracle_pullback(g1, g2)
-        assert len(cover_products) == (len(pairs) if dense_pairs else 0)
+        assert len(cover_products) == coprime(pairs)
 
 
 def random_cover(rng, rank, points) -> CoreGraph:
@@ -613,24 +617,26 @@ def cover_pairs(rng, rank) -> list[tuple[CoreGraph, CoreGraph]]:
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_cover_products_match_oracle_and_fill_lcm_rows(seed, monkeypatch):
-    # The orbit of the base pair is a multiple of lcm(V1, V2), the rows'
-    # step: exactly one step for coprime indices and for a cover times
-    # itself, often several when the indices share a factor, so the rows
-    # grow.  Either order of the factors gives the same graph.
+def test_cover_products_match_oracle_and_fill_lcm_multiples(seed, monkeypatch):
+    # The orbit of the base pair is a multiple of lcm(V1, V2): all V1 * V2
+    # pairs for coprime indices, in list rows; one lcm for a cover times
+    # itself, and often several when the indices share a factor, in dict
+    # rows.  Either order of the factors gives the same graph.
     rng = random.Random(4500 + seed)
     pairs = [pair for rank in range(1, 5) for pair in cover_pairs(rng, rank)]
     grown = set()
-    for dense_pairs, cover_products in each_pair_table(monkeypatch):
+    for cover_products in each_pair_table(monkeypatch):
         for i, (g1, g2) in enumerate(pairs):
             product = revalidated(pullback(g1, g2))
             assert product == oracle_pullback(g1, g2) == pullback(g2, g1)
             step = lcm(g1.vertex_count, g2.vertex_count)
             assert product.vertex_count % step == 0
             assert subgroup_index(product) == product.vertex_count
-            if product.vertex_count > step:
+            if step == g1.vertex_count * g2.vertex_count:
+                assert product.vertex_count == step
+            elif product.vertex_count > step:
                 grown.add(i)
-        assert len(cover_products) == (2 * len(pairs) if dense_pairs else 0)
+        assert len(cover_products) == 2 * coprime(pairs)
     # Among them the five pairs of shared factors at each rank 2-4.
     assert len(grown) >= 15
 
@@ -958,14 +964,14 @@ def gamma_orbit_size(m: int) -> int:
 
 
 def test_gamma_pullbacks_match_oracle_and_orbit_size(monkeypatch):
-    for dense_pairs, cover_products in each_pair_table(monkeypatch):
-        for m in range(2, 61):
-            g1, g2 = gamma_graph(m), gamma_graph(m + 1)
+    for cover_products in each_pair_table(monkeypatch):
+        pairs = [(gamma_graph(m), gamma_graph(m + 1)) for m in range(2, 61)]
+        for m, (g1, g2) in enumerate(pairs, start=2):
             product = revalidated(pullback(g1, g2))
             assert product == oracle_pullback(g1, g2)
             assert product.vertex_count == subgroup_index(product) == gamma_orbit_size(m)
-        # Products of covers this small take the per-vertex table.
-        assert len(cover_products) == (59 if dense_pairs else 0)
+        # gamma(m) and gamma(m + 1) are covers of coprime indices m and m + 1.
+        assert len(cover_products) == coprime(pairs) == 59
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=1))

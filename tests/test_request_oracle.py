@@ -91,7 +91,7 @@ def oracle_graph_from_json(data) -> CoreGraph:
 
 def oracle_tree_edges(text: str) -> list[tuple[int, ...]]:
     edges = []
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text else ():
         parts = chunk.split(":")
         if len(parts) != 3:
             raise ValueError(f"tree edge {chunk!r} is not from:to:label")

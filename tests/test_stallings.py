@@ -754,8 +754,10 @@ def test_graph_builders_restore_collector_state():
 
 
 def test_pullback_starts_no_garbage_collection():
-    # Pairs are queued as int keys, which the collector does not track,
-    # so even a 201 x 200 product leaves generation 0 below its threshold.
+    # The search allocates one row per vertex of the smaller factor and
+    # otherwise queues and numbers ints, which the collector does not
+    # track, so even a 201 x 200 product leaves generation 0 below its
+    # threshold.
     g1, g2 = gamma_graph(200), gamma_graph(201)
     started = []
 

@@ -20,8 +20,7 @@ are:
 - ``graph_from_json``: the parsed document to a checked ``CoreGraph``;
 - ``check_core``: ``fgr.stallings._check_core`` on the graph's table,
   the connectivity and degree check of the checked constructor that
-  ``graph_from_json`` calls (on versions before the table, on its
-  ``out`` and ``in_`` arrays);
+  ``graph_from_json`` calls;
 - ``spanning_tree_default``: ``spanning_tree(graph)``, and
   ``spanning_tree_override``: the override tree built by
   ``SpanningTree(graph, edges)``;
@@ -29,8 +28,7 @@ are:
   parses it (``fgr.cli._parse_tree_flag``);
 - ``basis_render``: ``[render_word(w) for w in basis(graph, tree)]``,
   and ``basis_text``: ``fgr.stallings._basis_text(graph, tree)``, the
-  text path of ``fgr basis`` (absent from versions without it), both
-  with the override tree;
+  text path of ``fgr basis``, both with the override tree;
 - ``rewrite_in_basis``: a member word of about 2,048 letters;
 - ``contains``: ``contains(graph, word)`` on that word, and
   ``from_generators``: the graph of the subgroup it generates, both
@@ -50,22 +48,26 @@ are:
   2))``, the cyclic step of ``bergman_counterexample``, with m the
   rung's index rounded up to odd (both built outside the timing);
 - ``bergman_rank2``: ``bergman_counterexample(3, m, 2)`` with the same
-  m, whose rank-2 retract is intersected by a ``pullback`` that reaches
-  about 4m of its pairs, so it numbers them in a dict;
+  m, whose rank-2 retract is intersected by a ``pullback`` of two
+  graphs of infinite index that reaches about 4m of its pairs, so it
+  numbers them in dict rows;
 - ``bergman_report``: the whole ``bergman_counterexample(2, m, 1)`` with
   the same m, the cyclic route from the family's graph to the report;
 - ``hm_graph``: ``hm_graph(i)`` for the rung's index i, the graph in
   canonical numbering with its preferred tree;
 - ``pullback_orbit``: ``pullback(gamma_graph(i), gamma_graph(i + 1))``
-  for the rung's index i, a product of two complete covers that reaches
-  all of its i(i + 1) pairs;
+  for the rung's index i, a product of two complete covers of coprime
+  indices, which reaches all of its i(i + 1) pairs and numbers them in
+  list rows;
 - ``pullback_diagonal``: the product of the rung's cover with itself,
-  which reaches i of its i^2 pairs, the pair table's worst case;
+  which reaches i of its i^2 pairs; the indices are not coprime, so it
+  numbers them in dict rows, and its cost follows the i pairs reached;
 - ``pullback_covers``: the product of two seeded random covers of the
   rung's rank, of index i and 2i, in which label 1 acts as a cycle and
   every other label as a random permutation.  The indices share the
-  factor i, so the product's rows, sized lcm(i, 2i) = 2i, grow as the
-  search reaches more pairs (all graphs built outside the timing).
+  factor i, so the product numbers its pairs in dict rows, though it
+  reaches most of them; the coprime ``pullback_orbit`` takes list rows
+  (all graphs built outside the timing).
 
 Each figure is the best per-call time of ``--repeats`` repeats (7 by
 default) of a loop sized to take about 20 ms.  A growth exponent is
@@ -103,13 +105,8 @@ from fgr import (
 )
 from fgr.cli import _parse_tree_flag
 from fgr.constructions import gamma_graph, hm_graph, lm_graph, wk_word
-from fgr.stallings import CoreGraph, SpanningTree, _check_core
+from fgr.stallings import CoreGraph, SpanningTree, _basis_text, _check_core
 from fgr.words import render_word
-
-try:
-    from fgr.stallings import _basis_text
-except ImportError:
-    _basis_text = None
 
 # name -> (family, rank, index); hm rungs have rank 2.
 RUNGS = {
@@ -199,7 +196,7 @@ def _best(call, repeats: int) -> float:
     return best
 
 
-def measure(name: str, repeats: int) -> dict[str, float | None]:
+def measure(name: str, repeats: int) -> dict[str, float]:
     """Best per-call seconds of every layer on one rung."""
     index = RUNGS[name][2]
     data = _graph_json(name)
@@ -219,16 +216,15 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
     orbit = gamma_graph(index), gamma_graph(index + 1)
     covers_rng = random.Random(7100 + 10 * index + rank)
     covers = _random_cover(rank, index, covers_rng), _random_cover(rank, 2 * index, covers_rng)
-    arrays = (graph.table,) if hasattr(graph, "table") else (graph.out, graph.in_)
-    times = {
+    return {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
-        "check_core": _best(lambda: _check_core(rank, *arrays), repeats),
+        "check_core": _best(lambda: _check_core(rank, graph.table), repeats),
         "spanning_tree_default": _best(lambda: spanning_tree(graph), repeats),
         "spanning_tree_override": _best(lambda: SpanningTree(graph, override), repeats),
         "tree_flag": _best(lambda: _parse_tree_flag(graph, flag), repeats),
         "basis_render": _best(lambda: [render_word(w) for w in basis(graph, tree)], repeats),
-        "basis_text": None,
+        "basis_text": _best(lambda: _basis_text(graph, tree), repeats),
         "rewrite_in_basis": _best(lambda: rewrite_in_basis(graph, tree, word), repeats),
         "contains": _best(lambda: contains(graph, word), repeats),
         "from_generators": _best(lambda: from_generators(rank, [word]), repeats),
@@ -244,12 +240,9 @@ def measure(name: str, repeats: int) -> dict[str, float | None]:
         "pullback_diagonal": _best(lambda: pullback(graph, graph), repeats),
         "pullback_covers": _best(lambda: pullback(*covers), repeats),
     }
-    if _basis_text is not None:
-        times["basis_text"] = _best(lambda: _basis_text(graph, tree), repeats)
-    return times
 
 
-def growth_exponents(rungs: dict[str, dict[str, float | None]]) -> dict[str, dict[str, float]]:
+def growth_exponents(rungs: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
     """Least-squares slope of log time against log index, per family."""
     families: dict[str, list[str]] = {}
     for name in rungs:
@@ -262,7 +255,7 @@ def growth_exponents(rungs: dict[str, dict[str, float | None]]) -> dict[str, dic
         mean_x = sum(xs) / len(xs)
         for layer in rungs[names[0]]:
             times = [rungs[name][layer] for name in names]
-            if any(t is None or t <= 0 for t in times):
+            if any(t <= 0 for t in times):
                 continue
             ys = [math.log(t) for t in times]
             mean_y = sum(ys) / len(ys)

@@ -114,29 +114,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(
-    args: argparse.Namespace, suffix: str = "", read: Callable[..., CoreGraph] = graph_from_json
+    args: argparse.Namespace, suffix: str = "", read: Callable[..., CoreGraph] | None = None
 ) -> CoreGraph:
     """The subgroup given by exactly one of --gens or --graph; ``read``
-    turns the decoded JSON of a graph file into the graph."""
+    turns the decoded JSON of a graph file into the graph, by default
+    ``graph_from_json`` as this module's name holds it when called."""
     gens = getattr(args, f"gens{suffix}")
     path = getattr(args, f"graph{suffix}")
     if (gens is None) == (path is None):
         raise ValueError(f"give exactly one of --gens{suffix} or --graph{suffix}")
     if gens is not None:
         if args.rank is None:
-            raise ValueError("--gens needs --rank")
+            raise ValueError(f"--gens{suffix} needs --rank")
         return from_generators(args.rank, _parse_words(gens, args.rank))
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except RecursionError:
             raise ValueError("graph JSON nested too deeply") from None
-    return read(data)
+    return (read or graph_from_json)(data)
 
 
-# A well-formed --tree flag; any other is read chunk by chunk, which
-# names the first chunk that is not from:to:label or not an int.
-_TREE_FLAG = re.compile(r"[0-9]+:[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+:[0-9]+)*")
+# A well-formed --tree flag: decimal numbers without leading zeros, as
+# JSON spells them, so that one ``json.loads`` reads them all.  Any other
+# flag is read chunk by chunk, which names the first chunk that is not
+# from:to:label or not an int.  Past 4,300 digits ``json`` and ``int``
+# raise the same error.
+_TREE_FLAG = re.compile("{0}(?:,{0})*".format(":".join(["(?:0|[1-9][0-9]*)"] * 3)))
 
 
 def _parse_tree_flag(graph: CoreGraph, text: str | None):
@@ -144,7 +148,7 @@ def _parse_tree_flag(graph: CoreGraph, text: str | None):
         return spanning_tree(graph)
     if _TREE_FLAG.fullmatch(text):
         # Three references to one iterator take its numbers three at a time.
-        numbers = map(int, text.replace(",", ":").split(":"))
+        numbers = iter(json.loads(f"[{text.replace(':', ',')}]"))
         return SpanningTree(graph, zip(numbers, numbers, numbers))
     # The empty flag is the tree with no edges, a one-vertex graph's.
     edges = []

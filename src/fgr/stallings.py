@@ -15,8 +15,11 @@ builder reads the table by signed letter, and the sorted ``edges``
 tuple is derived from it when first asked for.
 
 ``CoreGraph(rank, vertex_count, edges)`` checks its input and is the one
-way in for edges from outside; ``graph_from_json`` only reads the
-document for it.  The builders make tables that are valid by
+way in for edges from outside.  ``graph_from_json`` reads a document of
+plain ints in one pass over its edge dicts straight into the table, with
+only the checks that keep an index from wrapping round, and reads
+foldedness off the count of empty slots; any other document takes the
+checked constructor.  The builders make tables that are valid by
 construction and hand them to a private constructor that checks
 nothing.  ``from_generators`` and ``fold`` fold (``_Folding``);
 ``pullback`` computes the fiber product realizing subgroup
@@ -26,7 +29,9 @@ action, neither of which needs folding.  Only ``fold`` and a
 hair, so only they trim it (``_core``).  Every builder here returns
 its graph in canonical numbering, so that equal subgroups have equal
 graphs; ``canonicalize`` brings any other graph to it.  Every
-breadth-first search but ``pullback``'s is ``_order``.
+breadth-first search but ``pullback``'s and the tree walk of
+``SpanningTree``, which reads the non-tree edges as it goes, is
+``_order``.
 
 Every spanning tree is built by the one checked constructor
 ``SpanningTree(graph, tree_edges)``, and the functions that take a
@@ -42,12 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
-from operator import eq, index, neg
+from operator import eq, index, itemgetter, neg
 from typing import Callable, Iterable, Sequence
 
-from .words import _GLYPHS, Word, _check_rank, _render_letters, reduce_word
+from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -145,15 +150,17 @@ class SpanningTree:
     of ``graph`` (checked first, while the tree's own table is filled),
     one fewer than its vertices (checked next), that span it (checked by
     walking that table from the base), so a function given a graph and a
-    tree only checks that the tree was built for that graph.  The walk,
-    by ``_order`` in canonical letter order, gives ``parents`` (vertex ->
+    tree only checks that the tree was built for that graph.  The walk
+    is one breadth-first loop in canonical letter order, forward letters
+    first at each vertex, which gives at once ``parents`` (vertex ->
     (parent, signed letter), the base -> None, in walk order), from
-    which the tree paths are read; ``nontree_edges``, ordered by (index
-    of origin in the walk, label), which index the induced free basis;
-    and ``symbols``, one array per label l, indexed like
-    ``graph.table[l]``: ``symbols[l][u]`` is the 1-based basis symbol of
-    the non-tree edge labeled l leaving u, and 0 at tree edges and empty
-    slots (index 0 is None).
+    which the tree paths are read; ``nontree_edges``, the graph's edges
+    at empty forward slots of the tree, ordered by (index of origin in
+    the walk, label), which index the induced free basis; and
+    ``symbols``, one array per label l, indexed like ``graph.table[l]``:
+    ``symbols[l][u]`` is the 1-based basis symbol of the non-tree edge
+    labeled l leaving u, and 0 at tree edges and empty slots (index 0
+    is None).
     """
 
     graph: CoreGraph
@@ -174,24 +181,39 @@ class SpanningTree:
             backward[l][v] = u
         if len(tree) != count - 1:
             raise ValueError("spanning tree has the wrong number of edges")
-        steps: list[tuple[int, int]] = []
-        order = _order(tree_table, 0, _canonical_letters(rank), steps)
+        symbols = [None, *([0] * count for _ in range(rank))]
+        ahead = [(table[l], tree_table[l], symbols[l], l) for l in range(1, rank + 1)]
+        back = [(backward[l], -l) for l in range(1, rank + 1)]
+        # One walk of the tree's table from the base, in canonical letter
+        # order, as ``_order`` searches; the extra last byte is seen[-1],
+        # so an empty slot reads as seen.  A graph edge leaving u at an
+        # empty forward slot of the tree is a non-tree edge, and u's
+        # forward letters come first and in label order, so the non-tree
+        # edges come out in (walk index of origin, label) order.
+        seen = bytearray(count + 1)
+        seen[0] = seen[-1] = 1
+        order, steps, nontree = [0], [None], []
+        for u in order:
+            for leaving, tree_leaving, marks, l in ahead:
+                v = tree_leaving[u]
+                if v < 0:
+                    v = leaving[u]
+                    if v >= 0:
+                        nontree.append((u, v, l))
+                        marks[u] = len(nontree)
+                elif not seen[v]:
+                    seen[v] = 1
+                    order.append(v)
+                    steps.append((u, l))
+            for entering, letter in back:
+                v = entering[u]
+                if not seen[v]:
+                    seen[v] = 1
+                    order.append(v)
+                    steps.append((u, letter))
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
-        parents = dict(zip(order, [None, *steps]))
-        symbols = [None, *([0] * count for _ in range(rank))]
-        labels = [(table[l], tree_table[l], symbols[l], l) for l in range(1, rank + 1)]
-        nontree: list[Edge] = []
-        # Vertices in walk order and labels in order at each: the non-tree
-        # edges come out in (walk index of origin, label) order.
-        for u in order:
-            for leaving, tree_leaving, marks, l in labels:
-                v = leaving[u]
-                # A slot of the tree's arrays is empty or holds the graph's edge.
-                if v != tree_leaving[u]:
-                    nontree.append((u, v, l))
-                    marks[u] = len(nontree)
-        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "parents", dict(zip(order, steps)))
         object.__setattr__(self, "nontree_edges", tuple(nontree))
         object.__setattr__(self, "symbols", symbols)
 
@@ -921,8 +943,66 @@ def _read_graph_json(data: dict) -> tuple[int, int, list[Edge], int]:
 def graph_from_json(data: dict) -> CoreGraph:
     """Parse the JSON form back into a validated core graph: the fields
     as ``_read_graph_json`` reads them, base 0, and the edges as the
-    checked constructor ``CoreGraph(rank, vertices, edges)`` takes them."""
-    rank, vertices, edges, base = _read_graph_json(data)
-    if base != 0:
-        raise ValueError("graph JSON must use base vertex 0")
-    return CoreGraph(rank, vertices, edges)
+    checked constructor ``CoreGraph(rank, vertices, edges)`` takes them.
+
+    A document of plain ints is read in one pass over its edge dicts,
+    straight into the table (``_graph_from_plain_json``); any other
+    document, and any that pass does not accept, takes that checked
+    route, which raises the error it names or reads ``true``/``false``
+    as 1/0.
+    """
+    graph = _graph_from_plain_json(data)
+    if graph is None:
+        rank, vertices, edges, base = _read_graph_json(data)
+        if base != 0:
+            raise ValueError("graph JSON must use base vertex 0")
+        graph = CoreGraph(rank, vertices, edges)
+    return graph
+
+
+def _graph_from_plain_json(data: dict) -> CoreGraph | None:
+    """The core graph of a document whose fields are ints and whose
+    edges fill a folded table, or None for ``graph_from_json``'s checked
+    route.
+
+    Each edge dict is written into the table as it is read.  The loop
+    checks only what would let an index wrap round through Python's
+    negative indexing: endpoints >= 0 and labels in 1..rank.  An index
+    past the end, or a field that is not an int, raises and sends the
+    document back.  Foldedness is read after the loop: only if no two
+    edges share a slot do the E edges leave 2E slots filled.
+    """
+    if type(data) is not dict:
+        return None
+    rank, count, edges = data.get("rank"), data.get("vertices"), data.get("edges")
+    base = data.get("base", 0)
+    # The count is checked before anything is sized by it.
+    if not (
+        type(rank) is int and type(count) is int and type(base) is int and type(edges) is list
+        and 1 <= rank <= MAX_RANK and base == 0 and 1 <= count <= len(edges) + 1
+    ):
+        return None
+    table = _empty_arrays(rank, count)
+    # The table read by negated letter, whose indices are all >= 0, as
+    # CPython indexes a list fastest by an int >= 0.
+    reverse = [table[-l] for l in range(2 * rank + 1)]
+    try:
+        for origin, terminus, label in map(itemgetter("from", "to", "label"), edges):
+            if origin < 0 or terminus < 0 or not 1 <= label <= rank:
+                return None
+            table[label][origin] = terminus
+            reverse[label][terminus] = origin
+    except (KeyError, TypeError, IndexError):
+        return None
+    if sum(map(list.count, table[1:], repeat(-1))) != 2 * (rank * count - len(edges)):
+        return None
+    # A JSON true or false passes every check as 1 or 0, and is kept as
+    # a bool where it is written.  In a folded table the slots of a
+    # letter that hold 0 and 1 are at the ends of its inverse from 0 and 1.
+    for letter in _canonical_letters(rank):
+        ahead, back = table[letter], table[-letter]
+        for source in back[:2]:
+            if source >= 0 and type(ahead[source]) is not int:
+                return None
+    _check_core(rank, table)
+    return CoreGraph._from_arrays(rank, count, table, len(edges))

@@ -19,6 +19,7 @@ LAYERS = {
     "contains",
     "from_generators",
     "substitute",
+    "cli_rewrite",
     "intersect_cyclic",
     "bergman_cyclic",
     "bergman_rank2",

@@ -242,9 +242,14 @@ def test_missing_subgroup_flags_is_an_error(capsys):
     [
         (("member", "--gens", "a", "--word", "a"), "--gens needs --rank"),
         (("visible", "--word", "a"), "ambient visibility needs --rank"),
+        (("intersect", "--graph", "{graph}", "--gens2", "ab"), "--gens2 needs --rank"),
     ],
 )
-def test_word_flags_without_a_rank_are_errors(capsys, argv, message):
+def test_word_flags_without_a_rank_are_errors(capsys, tmp_path, argv, message):
+    # "{graph}" stands for the path of a graph file.
+    path = tmp_path / "gamma3.json"
+    path.write_text(json.dumps(fgr.graph_to_json(gamma_graph(3))))
+    argv = [str(path) if arg == "{graph}" else arg for arg in argv]
     assert run_cli(capsys, *argv) == (1, "", f"fgr: error: {message}\n")
 
 

@@ -262,6 +262,14 @@ def random_document(rng: random.Random) -> tuple[str, object]:
     return f"{kind}, {spoil}", data
 
 
+def plain_ints(graph) -> bool:
+    """Whether every slot of a graph's table holds an int, not a bool:
+    the checked route reads JSON ``true``/``false`` as the ints 1/0."""
+    return not isinstance(graph, CoreGraph) or all(
+        type(v) is int for array in graph.table[1:] for v in array
+    )
+
+
 def test_graph_from_json_matches_the_checked_path_on_random_documents():
     rng = random.Random(10_001)
     kinds, accepted = set(), 0
@@ -270,7 +278,8 @@ def test_graph_from_json_matches_the_checked_path_on_random_documents():
         # The document as a file holds it: JSON-encoded and read back.
         data = json.loads(json.dumps(data))
         want = result(lambda: oracle_graph_from_json(data))
-        assert same_graph(result(lambda: graph_from_json(data)), want), (kind, data, want)
+        got = result(lambda: graph_from_json(data))
+        assert same_graph(got, want) and plain_ints(got), (kind, data, want)
         kinds.add(kind.split(",")[0])
         accepted += not isinstance(want, tuple)
     assert kinds == set(EDGE_LIST_KINDS)
@@ -280,6 +289,10 @@ def test_graph_from_json_matches_the_checked_path_on_random_documents():
 def test_graph_from_json_on_fixed_documents():
     h3_edges = ((0, 0, 1), (0, 1, 2), (1, 2, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1))
     h3 = {"rank": 2, "vertices": 3, "edges": _edge_dicts(h3_edges)}
+
+    def h3_with(old, new):
+        return {**h3, "edges": _edge_dicts(new if e == old else e for e in h3_edges)}
+
     documents = [
         h3,
         {**h3, "base": 0},
@@ -297,6 +310,21 @@ def test_graph_from_json_on_fixed_documents():
         {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1, "label": float("inf")}]},
         {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1, "label": float("nan")}]},
         {**h3, "edges": h3["edges"][:-1] + [{"from": 2, "to": 1}]},
+        # Valid but for one index that, read through Python's negative
+        # indexing, lands on the free slot of the edge it replaces.
+        h3_with((1, 2, 1), (-2, 2, 1)),
+        h3_with((2, 1, 1), (2, -2, 1)),
+        h3_with((1, 2, 1), (2, 1, -1)),
+        h3_with((0, 1, 2), (1, 0, 3)),
+        h3_with((0, 1, 2), (-3, -2, 2)),
+        # -1 reads as an empty slot.
+        h3_with((1, 2, 1), (-1, 2, 1)),
+        h3_with((2, 1, 1), (2, -1, 1)),
+        # Valid, spelled with true and false, which read as 1 and 0.
+        h3_with((1, 2, 1), (True, 2, True)),
+        h3_with((0, 1, 2), (False, True, 2)),
+        h3_with((2, 0, 2), (2, False, 2)),
+        {**h3, "rank": True, "edges": _edge_dicts(((0, 0, 1),))},
         # Two bad edges: the first in sorted order is named.
         {**h3, "edges": _edge_dicts(((9, 0, 1), (5, 0, 1))) + h3["edges"]},
         {"rank": 1, "vertices": 1, "edges": []},
@@ -307,7 +335,8 @@ def test_graph_from_json_on_fixed_documents():
     ]
     for data in documents:
         want = result(lambda: oracle_graph_from_json(data))
-        assert same_graph(result(lambda: graph_from_json(data)), want), (data, want)
+        got = result(lambda: graph_from_json(data))
+        assert same_graph(got, want) and plain_ints(got), (data, want)
 
 
 def test_graph_from_json_reads_builder_outputs_back():
@@ -334,7 +363,9 @@ def test_tree_flag_matches_the_chunk_reader():
     graph = gamma_graph(3)
     flags = MALFORMED_FLAGS + (
         "0:1:2,1:2:2", "1:2:2,0:1:2", "00:01:2,1:2:02", "0:1:2,0:1:2", "0:1:2", "0:0:1,0:1:2",
-        "0:1:2,1:2:1", "7:8:2,1:2:2", "0:1:2,1:2:2,2:0:2",
+        "0:1:2,1:2:1", "7:8:2,1:2:2", "0:1:2,1:2:2,2:0:2", "0:1:2,1:02:2", "0:10:2,1:2:2",
+        # Past 4,300 digits int and json raise the same error.
+        "0:1:2,1:2:" + "2" * 4301,
     )
     for text in flags:
         want = result(lambda: SpanningTree(graph, oracle_tree_edges(text)))

@@ -41,6 +41,12 @@ are:
   the text form.  Its words follow the b-path tree, so the letters
   spelled before the one reduction grow in proportion to the index, and
   a loop linear in them has a growth exponent near 1;
+- ``cli_rewrite``: a whole ``fgr rewrite`` request in process,
+  ``fgr.cli.main(["rewrite", "--graph", FILE, "--tree", FLAG, "--word",
+  WORD])`` with stdout captured, on the rung's graph file, its b-path
+  flag and its member word, checked once against ``rewrite_in_basis``:
+  a request's time beside its ``json_load``, ``graph_from_json``,
+  ``tree_flag`` and ``rewrite_in_basis`` parts;
 - ``intersect_cyclic``: the library path of ``fgr intersect`` with a
   seeded 16-letter ``--gens2`` word, ``intersection_report(graph,
   from_generators(rank, [word]))``, whose retract is cyclic;
@@ -78,12 +84,16 @@ of one family (rank-2 covers, rank-3 covers, hm graphs).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import platform
 import random
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from fgr import (
     Permutation,
@@ -103,7 +113,7 @@ from fgr import (
     tree_path_word,
     walk,
 )
-from fgr.cli import _parse_tree_flag
+from fgr.cli import _parse_tree_flag, main as fgr_main
 from fgr.constructions import gamma_graph, hm_graph, lm_graph, wk_word
 from fgr.stallings import CoreGraph, SpanningTree, _basis_text, _check_core
 from fgr.words import render_word
@@ -196,6 +206,16 @@ def _best(call, repeats: int) -> float:
     return best
 
 
+def _request(argv: list[str]) -> str:
+    """Stdout of ``fgr`` run in process on ``argv``; raises unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fgr_main(argv)
+    if code != 0:
+        raise AssertionError(f"fgr {argv[0]} exited {code}")
+    return out.getvalue()
+
+
 def measure(name: str, repeats: int) -> dict[str, float]:
     """Best per-call seconds of every layer on one rung."""
     index = RUNGS[name][2]
@@ -216,6 +236,13 @@ def measure(name: str, repeats: int) -> dict[str, float]:
     orbit = gamma_graph(index), gamma_graph(index + 1)
     covers_rng = random.Random(7100 + 10 * index + rank)
     covers = _random_cover(rank, index, covers_rng), _random_cover(rank, 2 * index, covers_rng)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / f"{name}.json"
+        path.write_text(text)
+        request = ["rewrite", "--graph", str(path), "--tree", flag, "--word", render_word(word)]
+        if _request(request) != json.dumps(list(symbols.letters)) + "\n":
+            raise AssertionError(f"{name}: fgr rewrite does not print the rewritten word")
+        cli_rewrite = _best(lambda: _request(request), repeats)
     return {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
@@ -229,6 +256,7 @@ def measure(name: str, repeats: int) -> dict[str, float]:
         "contains": _best(lambda: contains(graph, word), repeats),
         "from_generators": _best(lambda: from_generators(rank, [word]), repeats),
         "substitute": _best(lambda: substitute(symbols, words, rank), repeats),
+        "cli_rewrite": cli_rewrite,
         "intersect_cyclic": _best(
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats
         ),

@@ -171,10 +171,10 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
         branch[vertex] = None if step is None else vertex if step[0] == 0 else branch[step[0]]
     rows = []
     for label in range(1, graph.rank + 1):
-        target = graph.table[label][0]
-        lift = (0, target, label)
-        # -1 is no vertex: a lift off the tree is only crossed as f.
-        top = target if lift in tree.tree_edges else -1
+        lift = (0, graph.table[label][0], label)
+        # The lift's slot in the tree's table: its target if the lift is a
+        # tree edge, else -1, no vertex, as a lift off the tree is only crossed as f.
+        top = tree._table[label][0]
         rows.append(
             tuple(
                 (f == lift) + (branch[f[0]] == top) - (branch[f[1]] == top)

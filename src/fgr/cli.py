@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
 from typing import Callable, Sequence
@@ -29,6 +28,8 @@ from .stallings import (
     CoreGraph,
     SpanningTree,
     _basis_text,
+    _check_core,
+    _graph_from_plain_json,
     _read_graph_json,
     contains,
     fold,
@@ -135,21 +136,26 @@ def _load_graph(
     return (read or graph_from_json)(data)
 
 
-# A well-formed --tree flag: decimal numbers without leading zeros, as
-# JSON spells them, so that one ``json.loads`` reads them all.  Any other
-# flag is read chunk by chunk, which names the first chunk that is not
-# from:to:label or not an int.  Past 4,300 digits ``json`` and ``int``
-# raise the same error.
-_TREE_FLAG = re.compile("{0}(?:,{0})*".format(":".join(["(?:0|[1-9][0-9]*)"] * 3)))
+# Drops the ASCII digits from a --tree flag, leaving its separators.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _parse_tree_flag(graph: CoreGraph, text: str | None):
     if text is None:
         return spanning_tree(graph)
-    if _TREE_FLAG.fullmatch(text):
-        # Three references to one iterator take its numbers three at a time.
-        numbers = iter(json.loads(f"[{text.replace(':', ',')}]"))
-        return SpanningTree(graph, zip(numbers, numbers, numbers))
+    # A flag of from:to:label fields of ASCII digits is read by one
+    # ``json.loads`` when JSON reads each field as ``int`` does: no field
+    # is empty, has a leading zero or passes 4,300 digits.  Any other
+    # flag is read chunk by chunk, which names the first chunk that is
+    # not from:to:label or not an int.
+    if text.translate(_NO_DIGITS) == "::," * text.count(",") + "::":
+        try:
+            numbers = iter(json.loads(f"[{text.replace(':', ',')}]"))
+        except ValueError:
+            pass
+        else:
+            # Three references to one iterator take its numbers three at a time.
+            return SpanningTree(graph, zip(numbers, numbers, numbers))
     # The empty flag is the tree with no edges, a one-vertex graph's.
     edges = []
     for chunk in text.split(",") if text else ():
@@ -187,12 +193,23 @@ def _on_subgroup(answer: Callable) -> Callable[[argparse.Namespace], object]:
     hands the three to ``answer`` (None for a flag the verb lacks)."""
 
     def read(args: argparse.Namespace) -> object:
-        graph = _load_graph(args)
-        tree = _parse_tree_flag(graph, args.tree) if "tree" in args else None
+        # A tree that spans a cover proves it connected, so the cover's own
+        # search runs only if the tree fails, and before the tree's error.
+        graph = _load_graph(args, read=_graph_to_span if "tree" in args else None)
+        try:
+            tree = _parse_tree_flag(graph, args.tree) if "tree" in args else None
+        except (ValueError, MemoryError):
+            _check_core(graph.rank, graph.table)
+            raise
         word = parse_word(args.word, graph.rank) if "word" in args else None
         return answer(graph, tree, word)
 
     return read
+
+
+def _graph_to_span(data) -> CoreGraph:
+    """``graph_from_json`` for a verb that builds a spanning tree next."""
+    return _graph_from_plain_json(data, spanned=True) or graph_from_json(data)
 
 
 def _fold(args: argparse.Namespace) -> object:

@@ -43,7 +43,7 @@ as an oracle against path rewriting.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 
 from .stallings import CoreGraph, SpanningTree
 from .words import _MAX_WORD_LETTERS, Word, commutator
@@ -96,8 +96,8 @@ def hm_graph(m: int) -> tuple[CoreGraph, SpanningTree]:
     """
     table = _canonical_gamma(m)
     graph = CoreGraph._from_arrays(2, m, table, 2 * m)
-    tree = set(zip(range(m), table[2], repeat(2)))
-    tree.remove((table[-2][0], 0, 2))
+    # The b-edges, less the one entering the base, whose terminus 0 is falsy.
+    tree = compress(zip(range(m), table[2], repeat(2)), table[2])
     return graph, SpanningTree(graph, tree)
 
 

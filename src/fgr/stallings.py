@@ -29,13 +29,22 @@ action, neither of which needs folding.  Only ``fold`` and a
 hair, so only they trim it (``_core``).  Every builder here returns
 its graph in canonical numbering, so that equal subgroups have equal
 graphs; ``canonicalize`` brings any other graph to it.  Every
-breadth-first search but ``pullback``'s and the tree walk of
-``SpanningTree``, which reads the non-tree edges as it goes, is
-``_order``.
+breadth-first search but ``pullback``'s and the two of
+``SpanningTree`` (the default tree's search, which writes the tree's
+table as it goes, and the tree walk, which reads the non-tree edges
+as it goes) is ``_order``.
 
-Every spanning tree is built by the one checked constructor
-``SpanningTree(graph, tree_edges)``, and the functions that take a
-graph and a tree only check that the tree was built for that graph.
+Every spanning tree is built by the one constructor ``SpanningTree``,
+which holds the tree as a table of its own: from given edges, each
+checked as it is written into the table, or, with none given, from the
+default search, which needs no check; the ``tree_edges`` frozenset is
+derived from that table when first read.  Either way the tree is walked
+once, and a tree that spans proves its graph connected: the CLI reads a
+complete cover it builds a tree on without a connectivity search
+(``_graph_from_plain_json`` with ``spanned``) and runs ``_check_core``
+only if the tree fails, before the tree's error.  The functions that
+take a graph and a tree only check that the tree was built for that
+graph.
 ``rewrite_in_basis`` returns a ``Word`` in the free group on the basis,
 whose rank is the number of non-tree edges, beyond 26 too, and 0 for
 the trivial subgroup; ``fgr.words.substitute`` of the basis words is the
@@ -139,60 +148,77 @@ class CoreGraph:
         return f"CoreGraph(rank={self.rank}, vertex_count={self.vertex_count}, edges={self.edges})"
 
 
-@dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree of a core graph, checked against it once when built.
+    """A spanning tree of a core graph, held as its own table (as in
+    :class:`CoreGraph`) and walked once when built.
 
-    This constructor is the only one: a given tree, the default tree of
-    ``spanning_tree`` and the tree of ``hm_graph`` all go through it.
-    ``tree_edges`` may be any iterable of edges and is kept as a
-    frozenset.  Construction raises ``ValueError`` unless they are edges
-    of ``graph`` (checked first, while the tree's own table is filled),
-    one fewer than its vertices (checked next), that span it (checked by
-    walking that table from the base), so a function given a graph and a
-    tree only checks that the tree was built for that graph.  The walk
-    is one breadth-first loop in canonical letter order, forward letters
-    first at each vertex, which gives at once ``parents`` (vertex ->
-    (parent, signed letter), the base -> None, in walk order), from
-    which the tree paths are read; ``nontree_edges``, the graph's edges
-    at empty forward slots of the tree, ordered by (index of origin in
-    the walk, label), which index the induced free basis; and
-    ``symbols``, one array per label l, indexed like ``graph.table[l]``:
-    ``symbols[l][u]`` is the 1-based basis symbol of the non-tree edge
-    labeled l leaving u, and 0 at tree edges and empty slots (index 0
-    is None).
+    ``SpanningTree(graph, tree_edges)`` is the one constructor.  A given
+    tree and the tree of ``hm_graph`` pass their edges, as any iterable:
+    each edge is written into the tree's table as it is checked to be an
+    edge of ``graph``, then the filled slots of the table, which count a
+    repeated edge once, are checked to be one fewer than the vertices.
+    ``SpanningTree(graph)``, with no edges, is the default tree of
+    ``spanning_tree``: a breadth-first search of the graph from the
+    base, trying the letters 1, -1, 2, -2, .., n, -n at each vertex,
+    writes into the table the edge that first reaches each vertex.  That
+    tree cannot fail the two checks, so it pays for neither.
+
+    Either way the table is then walked from the base, which tells
+    whether the tree spans (``ValueError`` if not), so a function given
+    a graph and a tree only checks that the tree was built for that
+    graph.  The walk is one breadth-first loop in canonical letter
+    order, forward letters first at each vertex, which gives at once
+    ``parents`` (vertex -> (parent, signed letter), the base -> None,
+    in walk order), from which the tree paths are read;
+    ``nontree_edges``, the graph's edges at empty forward slots of the
+    tree, ordered by (index of origin in the walk, label), which index
+    the induced free basis; and ``symbols``, one array per label l,
+    indexed like ``graph.table[l]``: ``symbols[l][u]`` is the 1-based
+    basis symbol of the non-tree edge labeled l leaving u, and 0 at
+    tree edges and empty slots (index 0 is None).
+
+    A tree is immutable.  ``tree_edges``, the frozenset of its edges, is
+    derived from the table when first read; equality and hashing read
+    the graph and the table.
     """
 
-    graph: CoreGraph
-    tree_edges: frozenset[Edge]
+    __slots__ = ("graph", "_table", "parents", "nontree_edges", "symbols", "_tree_edges")
 
-    def __post_init__(self) -> None:
-        tree = frozenset(self.tree_edges)
-        object.__setattr__(self, "tree_edges", tree)
-        rank, count, table = self.graph.rank, self.graph.vertex_count, self.graph.table
-        # The tree's own table, filled as each edge is checked; its backward
-        # arrays by label, as CPython indexes a list fastest by an int >= 0.
-        tree_table = _empty_arrays(rank, count)
-        backward = [tree_table[-l] for l in range(rank + 1)]
-        for u, v, l in tree:
-            if not (1 <= l <= rank and 0 <= u < count and 0 <= v == table[l][u]):
-                raise ValueError("spanning tree does not belong to this graph")
-            tree_table[l][u] = v
-            backward[l][v] = u
-        if len(tree) != count - 1:
-            raise ValueError("spanning tree has the wrong number of edges")
+    def __init__(self, graph: CoreGraph, tree_edges: Iterable[Edge] | None = None) -> None:
+        rank, count, table = graph.rank, graph.vertex_count, graph.table
+        tree = _empty_arrays(rank, count)
+        # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
+        backward = [tree[-l] for l in range(rank + 1)]
+        if tree_edges is None:
+            # The letters 1, -1, 2, -2, .., n, -n, each with the tree's slots both ways.
+            moves = [(table[x], tree[x], tree[-x]) for l in range(1, rank + 1) for x in (l, -l)]
+            seen, order = _marks(count, 0), [0]
+            for u in order:
+                for leaving, ahead, back in moves:
+                    v = leaving[u]
+                    if not seen[v]:
+                        seen[v] = 1
+                        order.append(v)
+                        ahead[u] = v
+                        back[v] = u
+        else:
+            for u, v, l in tree_edges:
+                if not (1 <= l <= rank and 0 <= u < count and 0 <= v == table[l][u]):
+                    raise ValueError("spanning tree does not belong to this graph")
+                tree[l][u] = v
+                backward[l][v] = u
+            # The filled forward slots count the edges, a repeated edge once.
+            if rank * count - sum(map(list.count, tree[1 : rank + 1], repeat(-1))) != count - 1:
+                raise ValueError("spanning tree has the wrong number of edges")
         symbols = [None, *([0] * count for _ in range(rank))]
-        ahead = [(table[l], tree_table[l], symbols[l], l) for l in range(1, rank + 1)]
+        ahead = [(table[l], tree[l], symbols[l], l) for l in range(1, rank + 1)]
         back = [(backward[l], -l) for l in range(1, rank + 1)]
         # One walk of the tree's table from the base, in canonical letter
-        # order, as ``_order`` searches; the extra last byte is seen[-1],
-        # so an empty slot reads as seen.  A graph edge leaving u at an
+        # order, as ``_order`` searches.  A graph edge leaving u at an
         # empty forward slot of the tree is a non-tree edge, and u's
         # forward letters come first and in label order, so the non-tree
         # edges come out in (walk index of origin, label) order.
-        seen = bytearray(count + 1)
-        seen[0] = seen[-1] = 1
-        order, steps, nontree = [0], [None], []
+        seen, order, steps, nontree = _marks(count, 0), [0], [None], []
         for u in order:
             for leaving, tree_leaving, marks, l in ahead:
                 v = tree_leaving[u]
@@ -213,9 +239,39 @@ class SpanningTree:
                     steps.append((u, letter))
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
-        object.__setattr__(self, "parents", dict(zip(order, steps)))
-        object.__setattr__(self, "nontree_edges", tuple(nontree))
-        object.__setattr__(self, "symbols", symbols)
+        fields = (graph, tree, dict(zip(order, steps)), tuple(nontree), symbols, None)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    @property
+    def tree_edges(self) -> frozenset[Edge]:
+        """The edges (origin, terminus, label) of the tree."""
+        if self._tree_edges is None:
+            forward = self._table[1 : self.graph.rank + 1]
+            edges = ((u, v, l) for l, array in enumerate(forward, 1) for u, v in enumerate(array))
+            object.__setattr__(self, "_tree_edges", frozenset(e for e in edges if e[1] >= 0))
+        return self._tree_edges
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpanningTree):
+            return NotImplemented
+        return (self.graph, self._table) == (other.graph, other._table)
+
+    # The backward half of the table is the inverse of the forward half.
+    def __hash__(self) -> int:
+        return hash((self.graph, *map(tuple, self._table[1 : self.graph.rank + 1])))
+
+    def __repr__(self) -> str:
+        return f"SpanningTree(graph={self.graph!r}, tree_edges={self.tree_edges!r})"
+
+    # ``copy`` and ``pickle`` rebuild the tree from its edges, as the slots are read-only.
+    def __reduce__(self) -> tuple:
+        return SpanningTree, (self.graph, self.tree_edges)
 
 
 @dataclass(frozen=True)
@@ -378,35 +434,27 @@ def _check_core(rank: int, table: list) -> None:
                 raise ValueError(f"vertex {vertex} dangles (degree < 2)")
 
 
-def _order(table: list, base: int, letters: Iterable[int], steps: list | None = None) -> list[int]:
+def _marks(count: int, base: int) -> bytearray:
+    """The seen-marks of a walk over ``count`` vertices from ``base``,
+    with only the base seen.  The extra last byte is marks[-1], so an
+    empty slot (-1) reads as seen."""
+    marks = bytearray(count + 1)
+    marks[base] = marks[-1] = 1
+    return marks
+
+
+def _order(table: list, base: int, letters: Iterable[int]) -> list[int]:
     """Breadth-first search from ``base`` over a table (as in
     :class:`CoreGraph`), trying the signed ``letters`` in order at each
-    vertex; the vertices reached, in discovery order.  Given a list as
-    ``steps``, it also appends the step that reached each vertex after
-    the base, in the same order: (vertex it was reached from, signed
-    letter).  The searches that need no steps run a loop of their own,
-    so that they do not pay for them."""
-    seen = bytearray(len(table[1]) + 1)
-    # The extra last byte is seen[-1], so an empty slot reads as seen.
-    seen[base] = seen[-1] = 1
-    order = [base]
-    if steps is None:
-        arrays = [table[l] for l in letters]
-        for vertex in order:
-            for array in arrays:
-                other = array[vertex]
-                if not seen[other]:
-                    seen[other] = 1
-                    order.append(other)
-        return order
-    moves = [(table[l], l) for l in letters]
+    vertex; the vertices reached, in discovery order."""
+    seen, order = _marks(len(table[1]), base), [base]
+    arrays = [table[l] for l in letters]
     for vertex in order:
-        for array, letter in moves:
+        for array in arrays:
             other = array[vertex]
             if not seen[other]:
                 seen[other] = 1
                 order.append(other)
-                steps.append((vertex, letter))
     return order
 
 
@@ -644,39 +692,37 @@ def from_generators(rank: int, generators: Sequence[Word]) -> CoreGraph:
 
 
 def spanning_tree(graph: CoreGraph) -> SpanningTree:
-    """The default spanning tree, with a deterministic non-tree edge order.
-
-    It holds, for each vertex but the base, the edge by which a
-    breadth-first search from the base first reaches it, trying the
-    letters 1, -1, 2, -2, .., n, -n in that order at each vertex.  A
-    given tree is built as ``SpanningTree(graph, tree_edges)``; either
-    way :class:`SpanningTree` checks the tree against the graph and
-    walks it.
-    """
-    letters = [s * l for l in range(1, graph.rank + 1) for s in (1, -1)]
-    steps: list[tuple[int, int]] = []
-    order = _order(graph.table, 0, letters, steps)
-    tree = ((u, v, l) if l > 0 else (v, u, -l) for v, (u, l) in zip(order[1:], steps))
-    return SpanningTree(graph, tree)
+    """The default spanning tree, ``SpanningTree(graph)``: for each vertex
+    but the base, the edge by which a breadth-first search from the base
+    first reaches it, trying the letters 1, -1, 2, -2, .., n, -n in that
+    order at each vertex.  A given tree is built as
+    ``SpanningTree(graph, tree_edges)``."""
+    return SpanningTree(graph)
 
 
-def _root_paths(tree: SpanningTree, spell: Callable[[list[int]], Sequence], wanted: set) -> dict:
+def _root_paths(tree: SpanningTree, spell: Callable[[Sequence], Sequence], wanted: set) -> dict:
     """The tree path base -> v, for each vertex v in ``wanted``, as
-    ``spell`` writes a list of signed letters: ``tuple`` keeps the
+    ``spell`` writes a sequence of signed letters: ``tuple`` keeps the
     letters, ``_render_letters`` writes their glyphs.
 
     The tree walk lists every vertex after its parent, so by the time a
-    wanted vertex comes up, each wanted ancestor has its path: the
-    vertex climbs to the nearest one and extends that path.  Only wanted
+    wanted vertex comes up, each wanted ancestor has its path.  A vertex
+    whose parent has one extends it by the spelling of one letter,
+    spelled once per letter of the alphabet; any other climbs to the
+    nearest ancestor that has one and extends that path.  Only wanted
     paths are kept, so memory, and time beyond one step per vertex, are
     proportional to their total length.
     """
     parents = tree.parents
-    paths = {0: spell([])}
-    for vertex in parents:
-        if vertex in wanted:
-            climb = []
-            up = vertex
+    paths = {0: spell(())}
+    units = {letter: spell((letter,)) for letter in _canonical_letters(tree.graph.rank)}
+    for vertex, step in parents.items():
+        if vertex in wanted and step:
+            up, letter = step
+            if up in paths:
+                paths[vertex] = paths[up] + units[letter]
+                continue
+            climb = [letter]
             while up not in paths:
                 up, letter = parents[up]  # type: ignore[misc]
                 climb.append(letter)
@@ -721,15 +767,19 @@ def basis(graph: CoreGraph, tree: SpanningTree | None = None) -> list[Word]:
     ]
 
 
+# The glyph of each letter to the glyph of its inverse.
+_INVERSE_GLYPHS = str.maketrans("".join(_GLYPHS), "".join(_GLYPHS[-l] for l in range(len(_GLYPHS))))
+
+
 def _basis_text(graph: CoreGraph, tree: SpanningTree) -> list[str]:
     """``[render_word(w) for w in basis(graph, tree)]``, spelled from the
-    text of the root paths: the inverse of path(v) is its text reversed
-    with the case swapped, so each word is three string copies."""
+    text of the root paths: the inverse of path(v) is its text reversed,
+    each glyph translated to its inverse's, so each word is three string
+    copies."""
     _check_tree_of(graph, tree)
-    paths = _root_paths(tree, _render_letters, {v for e in tree.nontree_edges for v in e[:2]})
-    return [
-        paths[u] + _GLYPHS[l] + paths[v][::-1].swapcase() for u, v, l in tree.nontree_edges
-    ]
+    edges, inverse = tree.nontree_edges, _INVERSE_GLYPHS
+    paths = _root_paths(tree, _render_letters, {v for e in edges for v in e[:2]})
+    return [paths[u] + _GLYPHS[l] + paths[v][::-1].translate(inverse) for u, v, l in edges]
 
 
 def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
@@ -960,10 +1010,12 @@ def graph_from_json(data: dict) -> CoreGraph:
     return graph
 
 
-def _graph_from_plain_json(data: dict) -> CoreGraph | None:
+def _graph_from_plain_json(data: dict, spanned: bool = False) -> CoreGraph | None:
     """The core graph of a document whose fields are ints and whose
     edges fill a folded table, or None for ``graph_from_json``'s checked
-    route.
+    route.  With ``spanned`` a complete cover is not searched for
+    connectivity: the caller builds a spanning tree on it next, whose
+    walk proves it connected, and runs ``_check_core`` if that fails.
 
     Each edge dict is written into the table as it is read.  The loop
     checks only what would let an index wrap round through Python's
@@ -1004,5 +1056,6 @@ def _graph_from_plain_json(data: dict) -> CoreGraph | None:
         for source in back[:2]:
             if source >= 0 and type(ahead[source]) is not int:
                 return None
-    _check_core(rank, table)
+    if not (spanned and len(edges) == rank * count):
+        _check_core(rank, table)
     return CoreGraph._from_arrays(rank, count, table, len(edges))

@@ -20,6 +20,7 @@ LAYERS = {
     "from_generators",
     "substitute",
     "cli_rewrite",
+    "cli_basis",
     "intersect_cyclic",
     "bergman_cyclic",
     "bergman_rank2",

@@ -23,8 +23,9 @@ property over random generator sets and actions, goes through
 ``revalidated``, which checks it with ``oracle_validate`` and against
 the checked constructor.  ``revalidated`` also requires the default
 spanning tree to be the one ``oracle_default_tree`` selects with
-``_dict_bfs``, every step ``_order`` reports to re-walk, and the tree
-given again by its edges to walk to the same result.  The explicit
+``_dict_bfs``, every step the old stepping search
+(``order_with_steps``) reports to re-walk, and the tree given again by
+its edges to walk to the same result.  The explicit
 families write their arrays in closed form and are checked the same
 way (``gamma_graph``, which keeps the numbering v_i = i, against
 ``oracle_validate`` and the checked constructor only), and are built
@@ -418,18 +419,37 @@ def oracle_default_tree(graph: CoreGraph) -> frozenset[Edge]:
     return frozenset((u, v, l) if l > 0 else (v, u, -l) for v, (u, l) in found[1:])
 
 
+def order_with_steps(table: list, base: int, letters: Iterable[int], steps: list) -> list[int]:
+    """The old ``_order`` given a list as ``steps``: the breadth-first
+    order, with the step (vertex it was reached from, signed letter)
+    that reached each vertex after the base appended to ``steps``."""
+    seen = bytearray(len(table[1]) + 1)
+    seen[base] = seen[-1] = 1
+    order = [base]
+    moves = [(table[l], l) for l in letters]
+    for vertex in order:
+        for array, letter in moves:
+            other = array[vertex]
+            if not seen[other]:
+                seen[other] = 1
+                order.append(other)
+                steps.append((vertex, letter))
+    return order
+
+
 def assert_default_tree_checks(graph: CoreGraph) -> None:
     """The default tree is the edge set ``oracle_default_tree`` selects.
-    Each step that ``_order`` reports, in the default tree's letter order
-    and in canonical order, leaves a vertex found earlier, and its letter
-    leads there to the vertex it reached.  The tree given again by its
-    edges walks to the same parents, non-tree edges and symbols."""
+    Each step that ``order_with_steps`` reports, in the default tree's
+    letter order and in canonical order, leaves a vertex found earlier,
+    and its letter leads there to the vertex it reached.  The tree given
+    again by its edges walks to the same parents, non-tree edges and
+    symbols."""
     tree = spanning_tree(graph)
     assert tree.tree_edges == oracle_default_tree(graph)
     rank = graph.rank
     for letters in ([s * l for l in range(1, rank + 1) for s in (1, -1)], _canonical_letters(rank)):
         steps: list = []
-        order = _order(graph.table, 0, letters, steps)
+        order = order_with_steps(graph.table, 0, letters, steps)
         assert order == _order(graph.table, 0, letters)
         assert len(steps) == len(order) - 1
         index = {vertex: i for i, vertex in enumerate(order)}

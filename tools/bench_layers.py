@@ -47,6 +47,10 @@ are:
   flag and its member word, checked once against ``rewrite_in_basis``:
   a request's time beside its ``json_load``, ``graph_from_json``,
   ``tree_flag`` and ``rewrite_in_basis`` parts;
+- ``cli_basis``: a whole ``fgr basis --graph FILE`` request with the
+  default tree, in process, on the rung's graph file, checked once
+  against ``_basis_text``: the request that sets the tail of the
+  ``cli-queries`` workload;
 - ``intersect_cyclic``: the library path of ``fgr intersect`` with a
   seeded 16-letter ``--gens2`` word, ``intersection_report(graph,
   from_generators(rank, [word]))``, whose retract is cyclic;
@@ -243,6 +247,10 @@ def measure(name: str, repeats: int) -> dict[str, float]:
         if _request(request) != json.dumps(list(symbols.letters)) + "\n":
             raise AssertionError(f"{name}: fgr rewrite does not print the rewritten word")
         cli_rewrite = _best(lambda: _request(request), repeats)
+        request = ["basis", "--graph", str(path)]
+        if _request(request) != json.dumps(_basis_text(graph, spanning_tree(graph))) + "\n":
+            raise AssertionError(f"{name}: fgr basis does not print the default tree's basis")
+        cli_basis = _best(lambda: _request(request), repeats)
     return {
         "json_load": _best(lambda: json.loads(text), repeats),
         "graph_from_json": _best(lambda: graph_from_json(data), repeats),
@@ -257,6 +265,7 @@ def measure(name: str, repeats: int) -> dict[str, float]:
         "from_generators": _best(lambda: from_generators(rank, [word]), repeats),
         "substitute": _best(lambda: substitute(symbols, words, rank), repeats),
         "cli_rewrite": cli_rewrite,
+        "cli_basis": cli_basis,
         "intersect_cyclic": _best(
             lambda: intersection_report(graph, from_generators(rank, [short])), repeats
         ),

@@ -33,7 +33,7 @@ from .stallings import (
     rewrite_in_basis,
     subgroup_index,
 )
-from .words import Word, exponent_sums
+from .words import Word, _same_rank, exponent_sums
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def is_visible_in_subgroup(graph: CoreGraph, tree: SpanningTree, w: Word) -> boo
     Raises on a rank mismatch, then on a tree of another graph, then
     ``NotAMemberError`` for a word outside the subgroup.
     """
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     _check_tree_of(graph, tree)
     return _visible_member(graph, w)
 
@@ -143,8 +142,7 @@ def transfer(graph: CoreGraph, tree: SpanningTree, w: Word) -> AbelianVector:
     label(f): lifting one letter from every vertex of a complete cover
     crosses each edge with that label exactly once.
     """
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
     _check_tree_of(graph, tree)

@@ -237,9 +237,12 @@ def _visible(args: argparse.Namespace) -> object:
 
 
 def _hm(args: argparse.Namespace) -> object:
-    graph, tree = hm_graph(args.m)
-    edges = sorted(tree.tree_edges)
-    return {**graph_to_json(graph), "tree": [f"{u}:{v}:{l}" for u, v, l in edges]}
+    graph = hm_graph(args.m)[0]
+    # The tree is every b-edge but the one into the base, whose terminus
+    # 0 is falsy.  It has one edge per origin, so listed by origin it is
+    # in sorted order, as ``sorted(tree.tree_edges)`` lists it.
+    b_path = [f"{u}:{v}:2" for u, v in enumerate(graph.table[2]) if v]
+    return {**graph_to_json(graph), "tree": b_path}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

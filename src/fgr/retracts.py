@@ -74,7 +74,8 @@ from .stallings import (
     walk,
 )
 from .words import (
-    _MAX_WORD_LETTERS, Word, _check_rank, _cyclic_cut, exponent_sums, render_word, substitute
+    _MAX_WORD_LETTERS, Word, _check_rank, _cyclic_cut, _same_rank, exponent_sums, render_word,
+    substitute,
 )
 
 
@@ -184,8 +185,7 @@ def smallest_power_in(graph: CoreGraph, w: Word) -> int | None:
     """
     if not w.letters:
         raise ValueError("the trivial word has no smallest power")
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     letters, table = w.letters, graph.table
     cut = _cyclic_cut(letters)
     start = vertex = walk(graph, 0, letters[:cut])
@@ -277,8 +277,7 @@ def intersection_report(
     """
     presented = isinstance(retract, RetractPresentation)
     r_rank = retract.ambient_rank if presented else retract.rank
-    if subgroup.rank != r_rank:
-        raise ValueError(f"rank mismatch: {subgroup.rank} != {r_rank}")
+    _same_rank(subgroup.rank, r_rank)
     rank_h = subgroup_rank(subgroup)
     rank_r = retract.rank if presented else subgroup_rank(retract)
 

@@ -15,17 +15,23 @@ builder reads the table by signed letter, and the sorted ``edges``
 tuple is derived from it when first asked for.
 
 ``CoreGraph(rank, vertex_count, edges)`` checks its input and is the one
-way in for edges from outside.  ``graph_from_json`` reads a document of
-plain ints in one pass over its edge dicts straight into the table, with
-only the checks that keep an index from wrapping round, and reads
-foldedness off the count of empty slots; any other document takes the
-checked constructor.  The builders make tables that are valid by
-construction and hand them to a private constructor that checks
-nothing.  ``from_generators`` and ``fold`` fold (``_Folding``);
-``pullback`` computes the fiber product realizing subgroup
-intersection, and ``schreier_graph`` the coset graph of a permutation
-action, neither of which needs folding.  Only ``fold`` and a
-``pullback`` of graphs that are not both complete covers can leave
+way in for edges from outside.  It writes each endpoint into the table
+as ``operator.index`` reads it, so its table holds plain ints, as every
+builder's does.  Each precondition is written once: ``_check_edge`` is
+the endpoint and label check of both ``CoreGraph`` and ``fold``, which
+both name the first edge that fails it in sorted order, in whatever
+order the edges come; ``fgr.words._same_rank`` is the rank check of
+every function that takes a word and a graph, or two graphs.
+``graph_from_json`` reads a document of plain ints in one pass over its
+edge dicts straight into the table, with only the checks that keep an
+index from wrapping round, and reads foldedness off the count of empty
+slots; any other document takes the checked constructor.  The builders
+make tables that are valid by construction and hand them to a private
+constructor that checks nothing.  ``from_generators`` and ``fold`` fold
+(``_Folding``); ``pullback`` computes the fiber product realizing
+subgroup intersection, and ``schreier_graph`` the coset graph of a
+permutation action, neither of which needs folding.  Only ``fold`` and
+a ``pullback`` of graphs that are not both complete covers can leave
 hair, so only they trim it (``_core``).  Every builder here returns
 its graph in canonical numbering, so that equal subgroups have equal
 graphs; ``canonicalize`` brings any other graph to it.  Every
@@ -37,9 +43,12 @@ as it goes) is ``_order``.
 Every spanning tree is built by the one constructor ``SpanningTree``,
 which holds the tree as a table of its own: from given edges, each
 checked as it is written into the table, or, with none given, from the
-default search, which needs no check; the ``tree_edges`` frozenset is
-derived from that table when first read.  Either way the tree is walked
-once, and a tree that spans proves its graph connected: the CLI reads a
+default search, which needs no check.  Given edges are stored exactly
+as given, with no ``operator.index``: that is the CLI's ``--tree``
+route, which always hands over ints.  The ``tree_edges`` frozenset is
+derived from the table each time it is read; only ``repr``, ``copy``
+and ``pickle`` read it here.  Either way the tree is walked once, and
+a tree that spans proves its graph connected: the CLI reads a
 complete cover it builds a tree on without a connectivity search
 (``_graph_from_plain_json`` with ``spanned``) and runs ``_check_core``
 only if the tree fails, before the tree's error.  The functions that
@@ -61,7 +70,7 @@ from math import gcd
 from operator import eq, index, itemgetter, neg
 from typing import Callable, Iterable, Sequence
 
-from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, reduce_word
+from .words import _GLYPHS, MAX_RANK, Word, _check_rank, _render_letters, _same_rank, reduce_word
 
 # An edge is (origin, terminus, label) with label in 1..rank.
 Edge = tuple[int, int, int]
@@ -89,9 +98,11 @@ class CoreGraph:
     ``ValueError`` unless the edges form a folded core graph based at 0.
     It fills the table in the given order, checking as it goes, so
     valid edges are not sorted and need not be comparable with each
-    other.  Edges that fail a check or raise a ``TypeError`` are filled
-    again in sorted order, for the error that names the first bad edge
-    in that order.
+    other; each endpoint is written as ``operator.index`` reads it, so
+    a bool is held as the int it stands for.  Edges that fail a check
+    or raise a ``TypeError`` are filled again in sorted order, for the
+    error that names the first bad edge in that order, as ``fold``
+    names it.
     The builders of this module make tables that are valid by
     construction and hand them to ``_from_arrays``, which checks nothing.
     """
@@ -154,9 +165,10 @@ class SpanningTree:
 
     ``SpanningTree(graph, tree_edges)`` is the one constructor.  A given
     tree and the tree of ``hm_graph`` pass their edges, as any iterable:
-    each edge is written into the tree's table as it is checked to be an
-    edge of ``graph``, then the filled slots of the table, which count a
-    repeated edge once, are checked to be one fewer than the vertices.
+    each edge is written into the tree's table, exactly as given, as it
+    is checked to be an edge of ``graph``, then the filled slots of the
+    table, which count a repeated edge once, are checked to be one
+    fewer than the vertices.
     ``SpanningTree(graph)``, with no edges, is the default tree of
     ``spanning_tree``: a breadth-first search of the graph from the
     base, trying the letters 1, -1, 2, -2, .., n, -n at each vertex,
@@ -178,11 +190,11 @@ class SpanningTree:
     tree edges and empty slots (index 0 is None).
 
     A tree is immutable.  ``tree_edges``, the frozenset of its edges, is
-    derived from the table when first read; equality and hashing read
-    the graph and the table.
+    derived from the table each time it is read, and not kept; equality
+    and hashing read the graph and the table.
     """
 
-    __slots__ = ("graph", "_table", "parents", "nontree_edges", "symbols", "_tree_edges")
+    __slots__ = ("graph", "_table", "parents", "nontree_edges", "symbols")
 
     def __init__(self, graph: CoreGraph, tree_edges: Iterable[Edge] | None = None) -> None:
         rank, count, table = graph.rank, graph.vertex_count, graph.table
@@ -239,18 +251,16 @@ class SpanningTree:
                     steps.append((u, letter))
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
-        fields = (graph, tree, dict(zip(order, steps)), tuple(nontree), symbols, None)
+        fields = (graph, tree, dict(zip(order, steps)), tuple(nontree), symbols)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     @property
     def tree_edges(self) -> frozenset[Edge]:
-        """The edges (origin, terminus, label) of the tree."""
-        if self._tree_edges is None:
-            forward = self._table[1 : self.graph.rank + 1]
-            edges = ((u, v, l) for l, array in enumerate(forward, 1) for u, v in enumerate(array))
-            object.__setattr__(self, "_tree_edges", frozenset(e for e in edges if e[1] >= 0))
-        return self._tree_edges
+        """The edges (origin, terminus, label) of the tree, derived from
+        the table each time they are read."""
+        forward = enumerate(self._table[1 : self.graph.rank + 1], 1)
+        return frozenset((u, v, l) for l, array in forward for u, v in enumerate(array) if v >= 0)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -329,8 +339,7 @@ def _walk(table: list, vertex: int, letters: Iterable[int]) -> int | None:
 
 def contains(graph: CoreGraph, w: Word) -> bool:
     """Membership: the path of ``w`` from the base exists and closes."""
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     return _walk(graph.table, 0, w.letters) == 0
 
 
@@ -374,11 +383,24 @@ def _empty_arrays(rank: int, count: int) -> list:
     return [None, *map(list, [[-1] * count] * (2 * rank))]
 
 
+def _check_edge(rank: int, count: int, origin: int, terminus: int, label: int) -> None:
+    """Raise ``ValueError`` unless the edge (origin, terminus, label) has
+    both endpoints in 0..count-1 and its label in 1..rank.  The one edge
+    check of ``CoreGraph``, which runs it again in sorted order once an
+    edge fails, and of ``fold``, which runs it in sorted order: both
+    name the first bad edge in that order."""
+    if not (0 <= origin < count and 0 <= terminus < count):
+        raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
+    if not 1 <= label <= rank:
+        raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
+
+
 def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> list:
     """The table (as in :class:`CoreGraph`) of ``edges`` over ``count``
-    vertices, filled in the given order; raises ``ValueError`` at the
-    first check that fails: the rank, the count, then each edge's
-    endpoints, label and slots."""
+    vertices, filled in the given order, each endpoint written as
+    ``operator.index`` reads it, so the table holds plain ints; raises
+    ``ValueError`` at the first check that fails: the rank, the count,
+    then each edge's endpoints and label (``_check_edge``) and slots."""
     _check_rank(rank)
     if count < 1:
         raise ValueError("graph needs at least the base vertex")
@@ -390,17 +412,15 @@ def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> list:
     # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
     backward = [table[-l] for l in range(rank + 1)]
     for origin, terminus, label in edges:
-        if not (0 <= origin < count and 0 <= terminus < count):
-            raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
-        if not 1 <= label <= rank:
-            raise ValueError(f"edge label out of range: {(origin, terminus, label)}")
+        _check_edge(rank, count, origin, terminus, label)
         leaving, entering = table[label], backward[label]
         if leaving[origin] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} leave {origin}")
         if entering[terminus] >= 0:
             raise ValueError(f"not folded: two edges labeled {label} enter {terminus}")
-        leaving[origin] = terminus
-        entering[terminus] = origin
+        # A bool, or another int type, is written as the int it indexes as.
+        leaving[origin] = index(terminus)
+        entering[terminus] = index(origin)
     return table
 
 
@@ -653,13 +673,15 @@ def fold(rank: int, vertex_count: int, edges: Iterable[Edge], base: int = 0) -> 
     sized by ``vertex_count``.  The result is independent of edge order
     (folding is confluent) and is returned in canonical numbering with
     the base at 0.
+
+    Every field is read by ``operator.index``.  The deduplicated edges
+    are then checked in sorted order (``_check_edge``), so an error
+    names the first bad edge in that order, as ``CoreGraph`` names it,
+    and then the base.
     """
     edge_set = {(index(u), index(v), index(l)) for (u, v, l) in edges}
-    for u, v, l in edge_set:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge endpoint out of range: {(u, v, l)}")
-        if not 1 <= l <= rank:
-            raise ValueError(f"edge label out of range: {(u, v, l)}")
+    for edge in sorted(edge_set):
+        _check_edge(rank, vertex_count, *edge)
     if not 0 <= base < vertex_count:
         raise ValueError("base vertex out of range")
     ids = {base: 0}
@@ -791,8 +813,7 @@ def rewrite_in_basis(graph: CoreGraph, tree: SpanningTree, w: Word) -> Word:
     i-th basis word.  Raises :class:`NotAMemberError` when the path
     breaks or does not close.
     """
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     _check_tree_of(graph, tree)
     table, marks = graph.table, tree.symbols
     # The backward arrays by label: CPython indexes a list fastest by an int >= 0.
@@ -847,8 +868,7 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     other product has an empty slot, since the intersection has
     infinite index, and may, so only it is handed to ``_core``.
     """
-    if g1.rank != g2.rank:
-        raise ValueError(f"rank mismatch: {g1.rank} != {g2.rank}")
+    _same_rank(g1.rank, g2.rank)
     small, large = (g1, g2) if g1.vertex_count <= g2.vertex_count else (g2, g1)
     cover = subgroup_index(g1) is not None and subgroup_index(g2) is not None
     if cover and gcd(small.vertex_count, large.vertex_count) == 1:
@@ -952,8 +972,7 @@ def coset_permutation(graph: CoreGraph, w: Word) -> Permutation:
     Vertex v maps to the endpoint of the lift of ``w`` starting at v.
     Requires finite index (a complete covering).
     """
-    if w.rank != graph.rank:
-        raise ValueError(f"rank mismatch: {w.rank} != {graph.rank}")
+    _same_rank(w.rank, graph.rank)
     if subgroup_index(graph) is None:
         raise InfiniteIndexError("coset permutations need a finite-index subgroup")
     images = list(range(graph.vertex_count))

@@ -14,7 +14,11 @@ the graph builders of ``stallings``, and ``retracts`` checks with it the
 ambient rank of a random retract or a counterexample before it draws
 or builds anything.
 
-All operations return freely reduced words.  The public constructor
+All operations return freely reduced words.  The rank check of ``*``,
+and of each function of ``stallings``, ``abelian`` and ``retracts``
+that takes a word and a graph, or two graphs, is one routine,
+``_same_rank``, which raises ``rank mismatch: a != b``; each caller
+runs it at its own place among its checks.  The public constructor
 ``Word(rank, letters)`` checks its input.  The builders (``reduce_word``,
 ``*``, ``inverse``, ``**`` and the parser) make words that are reduced
 by construction and hand them to ``Word._from_letters``, which checks
@@ -73,6 +77,14 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
+def _same_rank(a: int, b: int) -> None:
+    """Raise ``rank mismatch: a != b`` unless the ranks ``a`` and ``b``
+    agree: the one rank check of ``*`` and of the graph functions that
+    take a word and a graph, or two graphs."""
+    if a != b:
+        raise ValueError(f"rank mismatch: {a} != {b}")
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank r >= 0.
@@ -120,8 +132,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
+        _same_rank(self.rank, other.rank)
         head, tail = self.letters, other.letters
         cut, most = 0, min(len(head), len(tail))
         while cut < most and head[-1 - cut] == -tail[cut]:

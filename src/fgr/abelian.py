@@ -170,9 +170,9 @@ def homology_projection(graph: CoreGraph, tree: SpanningTree) -> tuple[tuple[int
     rows = []
     for label in range(1, graph.rank + 1):
         lift = (0, graph.table[label][0], label)
-        # The lift's slot in the tree's table: its target if the lift is a
-        # tree edge, else -1, no vertex, as a lift off the tree is only crossed as f.
-        top = tree._table[label][0]
+        # The lift's target if the lift is a tree edge (its symbol is 0),
+        # else -1, no vertex, as a lift off the tree is only crossed as f.
+        top = -1 if tree.symbols[label][0] else graph.table[label][0]
         rows.append(
             tuple(
                 (f == lift) + (branch[f[0]] == top) - (branch[f[1]] == top)

@@ -12,16 +12,17 @@ edges labeled l forward and ``table[-l]``, through Python's negative
 indexing, follows them backward; ``table[0]`` is None.  One entry per
 slot suffices because the graph is folded.  Every walk, search and
 builder reads the table by signed letter, and the sorted ``edges``
-tuple is derived from it when first asked for.
+tuple is derived from it each time it is read.
 
 ``CoreGraph(rank, vertex_count, edges)`` checks its input and is the one
 way in for edges from outside.  It writes each endpoint into the table
 as ``operator.index`` reads it, so its table holds plain ints, as every
 builder's does.  Each precondition is written once: ``_check_edge`` is
 the endpoint and label check of both ``CoreGraph`` and ``fold``, which
-both name the first edge that fails it in sorted order, in whatever
-order the edges come; ``fgr.words._same_rank`` is the rank check of
-every function that takes a word and a graph, or two graphs.
+both run it over their edges in sorted order, so both name the first
+edge that fails it in that order, in whatever order the edges come;
+``fgr.words._same_rank`` is the rank check of every function that
+takes a word and a graph, or two graphs.
 ``graph_from_json`` reads a document of plain ints in one pass over its
 edge dicts straight into the table, with only the checks that keep an
 index from wrapping round, and reads foldedness off the count of empty
@@ -31,8 +32,10 @@ constructor that checks nothing.  ``from_generators`` and ``fold`` fold
 (``_Folding``); ``pullback`` computes the fiber product realizing
 subgroup intersection, and ``schreier_graph`` the coset graph of a
 permutation action, neither of which needs folding.  Only ``fold`` and
-a ``pullback`` of graphs that are not both complete covers can leave
-hair, so only they trim it (``_core``).  Every builder here returns
+``pullback`` can leave hair, so only they hand their tables to
+``_core``, which trims it and keeps a table with none as it is; only a
+product of two complete covers of coprime indices, built by
+``_cover_product``, skips it.  Every builder here returns
 its graph in canonical numbering, so that equal subgroups have equal
 graphs; ``canonicalize`` brings any other graph to it.  Every
 breadth-first search but ``pullback``'s and the two of
@@ -41,14 +44,16 @@ table as it goes, and the tree walk, which reads the non-tree edges
 as it goes) is ``_order``.
 
 Every spanning tree is built by the one constructor ``SpanningTree``,
-which holds the tree as a table of its own: from given edges, each
-checked as it is written into the table, or, with none given, from the
-default search, which needs no check.  Given edges are stored exactly
-as given, with no ``operator.index``: that is the CLI's ``--tree``
-route, which always hands over ints.  The ``tree_edges`` frozenset is
-derived from the table each time it is read; only ``repr``, ``copy``
-and ``pickle`` read it here.  Either way the tree is walked once, and
-a tree that spans proves its graph connected: the CLI reads a
+which writes the tree into a table of its own for one walk and keeps
+what the walk reads off it, not the table: from given edges, each
+checked as it is written into the table, with no ``operator.index``
+(the CLI's ``--tree`` route always hands over ints), or, with none
+given, from the default search, which needs no check.  The walk gives
+each non-tree edge its basis symbol, so the tree edges are the graph's
+edges at forward slots whose symbol is 0; the ``tree_edges`` frozenset
+is derived from those each time it is read, and only ``repr``,
+``copy`` and ``pickle`` read it here.  Either way the tree is walked
+once, and a tree that spans proves its graph connected: the CLI reads a
 complete cover it builds a tree on without a connectivity search
 (``_graph_from_plain_json`` with ``spanned``) and runs ``_check_core``
 only if the tree fails, before the tree's error.  The functions that
@@ -91,58 +96,51 @@ class CoreGraph:
     there is none: ``table[l]`` follows the edges labeled l forward and
     ``table[-l]`` backward, for l in 1..rank (``table[0]`` is None).
     The table and the edge count are the whole graph: ``edges`` is a
-    sorted view derived from it on first use, and equality and hashing
-    read the table.
+    sorted view derived from it each time it is read, and equality and
+    hashing read the table.
 
     ``CoreGraph(rank, vertex_count, edges)`` checks its input and raises
     ``ValueError`` unless the edges form a folded core graph based at 0.
-    It fills the table in the given order, checking as it goes, so
-    valid edges are not sorted and need not be comparable with each
-    other; each endpoint is written as ``operator.index`` reads it, so
-    a bool is held as the int it stands for.  Edges that fail a check
-    or raise a ``TypeError`` are filled again in sorted order, for the
-    error that names the first bad edge in that order, as ``fold``
-    names it.
+    It sorts the edges and fills the table in that order, checking as it
+    goes, so an error names the first bad edge in sorted order, as
+    ``fold`` names it, and edges that do not sort together raise the
+    ``TypeError`` of ``sorted``; each endpoint is written as
+    ``operator.index`` reads it, so a bool is held as the int it stands
+    for.
     The builders of this module make tables that are valid by
     construction and hand them to ``_from_arrays``, which checks nothing.
     """
 
-    __slots__ = ("rank", "vertex_count", "table", "_edge_count", "_edges")
+    __slots__ = ("rank", "vertex_count", "table", "_edge_count")
 
     # The base vertex is 0 by convention; renumbering preserves this.
     base = 0
 
     def __init__(self, rank: int, vertex_count: int, edges: Iterable[Edge]) -> None:
-        edges = tuple(edges)
-        try:
-            table = _filled_arrays(rank, vertex_count, edges)
-        except (TypeError, ValueError):
-            # Filled again in sorted order, which fails as well, so that the
-            # error names the first bad edge in that order.
-            table = _filled_arrays(rank, vertex_count, sorted(edges))
+        edges = sorted(edges)
+        table = _filled_arrays(rank, vertex_count, edges)
         _check_core(rank, table)
         self.rank, self.vertex_count, self.table = rank, vertex_count, table
-        self._edge_count, self._edges = len(edges), None
+        self._edge_count = len(edges)
 
     @classmethod
     def _from_arrays(cls, rank: int, vertex_count: int, table: list, edge_count: int) -> CoreGraph:
         """A graph on a table a builder has made valid, taken as it is."""
         graph = cls.__new__(cls)
         graph.rank, graph.vertex_count, graph.table = rank, vertex_count, table
-        graph._edge_count, graph._edges = edge_count, None
+        graph._edge_count = edge_count
         return graph
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The edges (origin, terminus, label) in sorted order."""
-        if self._edges is None:
-            self._edges = tuple(sorted(
-                (u, v, l)
-                for l in range(1, self.rank + 1)
-                for u, v in enumerate(self.table[l])
-                if v >= 0
-            ))
-        return self._edges
+        """The edges (origin, terminus, label) in sorted order, derived
+        from the table each time they are read."""
+        return tuple(sorted(
+            (u, v, l)
+            for l in range(1, self.rank + 1)
+            for u, v in enumerate(self.table[l])
+            if v >= 0
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoreGraph):
@@ -160,8 +158,9 @@ class CoreGraph:
 
 
 class SpanningTree:
-    """A spanning tree of a core graph, held as its own table (as in
-    :class:`CoreGraph`) and walked once when built.
+    """A spanning tree of a core graph, written into a table of its own
+    (as in :class:`CoreGraph`) and walked once when built; the table is
+    not kept.
 
     ``SpanningTree(graph, tree_edges)`` is the one constructor.  A given
     tree and the tree of ``hm_graph`` pass their edges, as any iterable:
@@ -189,12 +188,13 @@ class SpanningTree:
     basis symbol of the non-tree edge labeled l leaving u, and 0 at
     tree edges and empty slots (index 0 is None).
 
-    A tree is immutable.  ``tree_edges``, the frozenset of its edges, is
-    derived from the table each time it is read, and not kept; equality
-    and hashing read the graph and the table.
+    A tree is immutable.  Its edges are the graph's edges at forward
+    slots whose symbol is 0, so ``tree_edges``, the frozenset of them,
+    is derived from ``symbols`` each time it is read, and equality and
+    hashing read the graph and ``symbols``.
     """
 
-    __slots__ = ("graph", "_table", "parents", "nontree_edges", "symbols")
+    __slots__ = ("graph", "parents", "nontree_edges", "symbols")
 
     def __init__(self, graph: CoreGraph, tree_edges: Iterable[Edge] | None = None) -> None:
         rank, count, table = graph.rank, graph.vertex_count, graph.table
@@ -251,16 +251,16 @@ class SpanningTree:
                     steps.append((u, letter))
         if len(order) != count:
             raise ValueError("spanning tree does not span the graph")
-        fields = (graph, tree, dict(zip(order, steps)), tuple(nontree), symbols)
+        fields = (graph, dict(zip(order, steps)), tuple(nontree), symbols)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     @property
     def tree_edges(self) -> frozenset[Edge]:
-        """The edges (origin, terminus, label) of the tree, derived from
-        the table each time they are read."""
-        forward = enumerate(self._table[1 : self.graph.rank + 1], 1)
-        return frozenset((u, v, l) for l, array in forward for u, v in enumerate(array) if v >= 0)
+        """The edges (origin, terminus, label) of the tree: the graph's
+        edges whose symbol is 0, derived each time they are read."""
+        marks = self.symbols
+        return frozenset((u, v, l) for u, v, l in self.graph.edges if not marks[l][u])
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -270,11 +270,10 @@ class SpanningTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpanningTree):
             return NotImplemented
-        return (self.graph, self._table) == (other.graph, other._table)
+        return (self.graph, self.symbols) == (other.graph, other.symbols)
 
-    # The backward half of the table is the inverse of the forward half.
     def __hash__(self) -> int:
-        return hash((self.graph, *map(tuple, self._table[1 : self.graph.rank + 1])))
+        return hash((self.graph, *map(tuple, self.symbols[1:])))
 
     def __repr__(self) -> str:
         return f"SpanningTree(graph={self.graph!r}, tree_edges={self.tree_edges!r})"
@@ -386,9 +385,8 @@ def _empty_arrays(rank: int, count: int) -> list:
 def _check_edge(rank: int, count: int, origin: int, terminus: int, label: int) -> None:
     """Raise ``ValueError`` unless the edge (origin, terminus, label) has
     both endpoints in 0..count-1 and its label in 1..rank.  The one edge
-    check of ``CoreGraph``, which runs it again in sorted order once an
-    edge fails, and of ``fold``, which runs it in sorted order: both
-    name the first bad edge in that order."""
+    check of ``CoreGraph`` and ``fold``, which both run it in sorted
+    order: both name the first bad edge in that order."""
     if not (0 <= origin < count and 0 <= terminus < count):
         raise ValueError(f"edge endpoint out of range: {(origin, terminus, label)}")
     if not 1 <= label <= rank:
@@ -397,10 +395,11 @@ def _check_edge(rank: int, count: int, origin: int, terminus: int, label: int) -
 
 def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> list:
     """The table (as in :class:`CoreGraph`) of ``edges`` over ``count``
-    vertices, filled in the given order, each endpoint written as
-    ``operator.index`` reads it, so the table holds plain ints; raises
-    ``ValueError`` at the first check that fails: the rank, the count,
-    then each edge's endpoints and label (``_check_edge``) and slots."""
+    vertices, filled in the order given, which ``CoreGraph`` sorts, each
+    endpoint written as ``operator.index`` reads it, so the table holds
+    plain ints; raises ``ValueError`` at the first check that fails: the
+    rank, the count, then each edge's endpoints and label
+    (``_check_edge``) and slots."""
     _check_rank(rank)
     if count < 1:
         raise ValueError("graph needs at least the base vertex")
@@ -426,16 +425,10 @@ def _filled_arrays(rank: int, count: int, edges: Sequence[Edge]) -> list:
 
 def _degrees(table: list) -> list[int]:
     """The number of edges at each vertex of a table (as in
-    :class:`CoreGraph`): its number of letters less its empty slots,
-    which compress picks out without a Python-level pass over the full
-    slots."""
-    size = len(table[1])
-    degree = [len(table) - 1] * size
-    vertices, empty = range(size), (0).__gt__
-    for array in table[1:]:
-        for vertex in compress(vertices, map(empty, array)):
-            degree[vertex] -= 1
-    return degree
+    :class:`CoreGraph`): its full slots, one bool per slot read off
+    every array, summed per vertex across the arrays by ``zip`` and
+    ``sum`` without a Python-level loop."""
+    return list(map(sum, zip(*[map((0).__le__, array) for array in table[1:]])))
 
 
 def _check_core(rank: int, table: list) -> None:
@@ -505,8 +498,8 @@ def _core(rank: int, table: list, order: Sequence[int]) -> CoreGraph:
     entered through it, so it never discovers a kept vertex.  A graph
     with no hair whose ``order`` is the identity ``range`` over all its
     vertices, as ``pullback`` passes it, is already a canonical core
-    graph and keeps its table; ``fold`` passes a list and is always
-    renumbered.
+    graph and keeps its table, a complete product of covers among them;
+    ``fold`` passes a list and is always renumbered.
     """
     base = order[0]
     links = [(table[l], table[-l]) for l in _canonical_letters(rank)]
@@ -863,10 +856,10 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
     are coprime take ``_cover_product``, whose rows are lists.  Every
     other product has dict rows, so a large, sparse pair space costs
     only what is reached; an empty slot of the smaller factor selects
-    None (its ``ids[-1]``), and one of the larger is -1.  A product of
-    complete covers is a complete cover, so it never has hair; any
-    other product has an empty slot, since the intersection has
-    infinite index, and may, so only it is handed to ``_core``.
+    None (its ``ids[-1]``), and one of the larger is -1.  Each of these
+    products is handed to ``_core``, which trims any hair and keeps a
+    table with none, such as a complete product of covers whose indices
+    share a factor, as it is.
     """
     _same_rank(g1.rank, g2.rank)
     small, large = (g1, g2) if g1.vertex_count <= g2.vertex_count else (g2, g1)
@@ -895,8 +888,6 @@ def pullback(g1: CoreGraph, g2: CoreGraph) -> CoreGraph:
                 seconds.append(b)
                 count += 1
             append(there)
-    if cover:
-        return CoreGraph._from_arrays(rank, count, table, rank * count)
     # The trim and renumbering peak higher; they no longer need the rows.
     del ids, moves, firsts, seconds
     return _core(rank, table, range(count))

@@ -24,6 +24,7 @@ LAYERS = {
     "intersect_cyclic",
     "bergman_cyclic",
     "bergman_rank2",
+    "degrees",
     "bergman_report",
     "hm_graph",
     "pullback_orbit",

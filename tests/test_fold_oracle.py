@@ -36,7 +36,11 @@ their own in ``pullback``, with list rows, and all other products dict
 rows; seeded cover pairs check both against ``oracle_pullback``, check
 that the product has a multiple of lcm(V1, V2) vertices, exactly
 V1 * V2 for coprime indices, and bound its memory by its pair table, in
-either order of the factors.
+either order of the factors.  ``oracle_degrees`` is the old
+``_degrees``, a ``compress`` loop per array, against which the count
+``_core`` and ``_check_core`` read is checked on every table ``_core``
+is handed in seeded folds and products, and on covers, the families
+and one-vertex graphs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import tracemalloc
 from collections import deque
 from datetime import timedelta
 from functools import partial
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -715,6 +720,59 @@ def test_hairless_products_keep_their_arrays(monkeypatch):
     assert calls == []
     assert revalidated(pullback(*hairy)) == oracle_pullback(*hairy) == CoreGraph(2, 1, ())
     assert len(calls) == 1
+
+
+def oracle_degrees(table: list) -> list[int]:
+    """The old ``_degrees``: each vertex's number of letters less its
+    empty slots, which ``compress`` picks out array by array."""
+    size = len(table[1])
+    degree = [len(table) - 1] * size
+    vertices, empty = range(size), (0).__gt__
+    for array in table[1:]:
+        for vertex in compress(vertices, map(empty, array)):
+            degree[vertex] -= 1
+    return degree
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_degrees_match_the_compress_loop(seed, monkeypatch):
+    # Every table _core is handed, copied as it comes: folds of wedges and
+    # of random digraphs, with hair and merged-away vertices, products in
+    # dict rows, complete ones among them, and bergman_counterexample's
+    # product; then products in list rows, complete covers, the hm and lm
+    # families and one-vertex graphs, with and without loops.
+    rng = random.Random(5200 + seed)
+    tables = []
+    trim = fgr.stallings._core
+
+    def spy(rank, table, order):
+        tables.append([None, *map(list, table[1:])])
+        return trim(rank, table, order)
+
+    monkeypatch.setattr(fgr.stallings, "_core", spy)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        gens = [random_reduced_word(rng, rank, 10) for _ in range(rng.randint(1, 4))]
+        fold(rank, *shuffled_wedge(rng, rank, gens))
+        count = rng.randint(1, 12)
+        edges = [
+            (rng.randrange(count), rng.randrange(count), rng.randint(1, rank))
+            for _ in range(rng.randint(0, 2 * count))
+        ]
+        fold(rank, count, edges, rng.randrange(count))
+        pullback(from_generators(rank, gens[:2]), from_generators(rank, gens[2:] or gens))
+    covers = [pair for rank in range(1, 4) for pair in cover_pairs(rng, rank)]
+    products = [pullback(*pair) for pair in covers]
+    bergman_counterexample(3, 9 + 2 * seed, 2)
+    monkeypatch.undo()
+    hair = sum(min(oracle_degrees(t)[1:], default=2) < 2 for t in tables)
+    tables += [graph.table for graph in products] + [g.table for pair in covers for g in pair]
+    tables += [hm_graph(m)[0].table for m in (2, 5, 31)] + [lm_graph(m).table for m in (3, 10, 31)]
+    tables += [from_generators(rank, []).table for rank in (1, 2, 3)]
+    tables += [CoreGraph(2, 1, [(0, 0, 1)]).table, CoreGraph(3, 1, [(0, 0, 1), (0, 0, 3)]).table]
+    for table in tables:
+        assert fgr.stallings._degrees(table) == oracle_degrees(table), table
+    assert hair >= 20 and len(tables) >= 200, (hair, len(tables))
 
 
 def cyclically_reduced_word(rng, rank, length) -> Word:

@@ -1,9 +1,10 @@
 """The request path of the CLI against the slow code it replaced.
 
-``CoreGraph(rank, vertex_count, edges)`` fills its arrays in one pass
-over the edges in the order given and fills them again in sorted order
-only when that pass fails; ``oracle_core_graph`` is the constructor it
-replaced, which sorted every edge list first.  ``graph_from_json`` is
+``CoreGraph(rank, vertex_count, edges)`` sorts the edges and fills its
+table in one pass in that order, through the shared edge check
+``_check_edge``; ``oracle_core_graph`` is the constructor it replaced,
+which sorted every edge list as well and wrote its checks out inline,
+so the two raise alike on every edge list, a list beside a tuple too.  ``graph_from_json`` is
 ``_read_graph_json``, a base check and the constructor;
 ``oracle_graph_from_json`` is the same reader over the oracle
 constructor.  ``oracle_tree_edges`` is the chunk-by-chunk ``--tree``
@@ -133,7 +134,8 @@ def same_tree(got, want) -> bool:
 def test_constructor_raises_what_the_sorted_oracle_raises():
     h3 = [(0, 0, 1), (0, 1, 2), (1, 2, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1)]
     named = [
-        # The given order meets the float first; the sorted order, the endpoint.
+        # A fill in the given order would meet the float first; the sorted
+        # order meets the endpoint.
         ((2, 2, [(0.5, 1, 1), (0, 5, 1)]), ValueError, "edge endpoint out of range: (0, 5, 1)"),
         ((2, 2, [(0, 1, "a"), (0, 1, 1)]), *result(lambda: sorted([(0, 1, "a"), (0, 1, 1)]))),
         ((2, 3, [*h3, (0, 0, 1)]), ValueError, "not folded: two edges labeled 1 leave 0"),
@@ -209,12 +211,13 @@ def test_constructor_matches_the_sorted_oracle_on_random_edge_lists():
     assert failures == {ValueError, TypeError}
 
 
-def test_constructor_accepts_valid_edges_that_do_not_sort_together():
-    # Valid edges are not sorted, so a list and a tuple may stand side by
-    # side; the sorting oracle raised a TypeError on them.
-    edges = [(0, 0, 1), [0, 0, 2]]
-    assert result(lambda: oracle_core_graph(2, 1, edges))[0] is TypeError
-    assert CoreGraph(2, 1, edges) == CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)])
+def test_constructor_raises_what_the_oracle_raises_on_edges_that_do_not_sort_together():
+    # Every edge list is sorted, as the oracle sorted it, so a list beside
+    # a tuple raises the TypeError of ``sorted``, valid edges or not.
+    for edges in ([(0, 0, 1), [0, 0, 2]], [[0, 0, 2], (0, 0, 1)], [(0, 0, 1), [0, 0, 2], (0, 5, 1)]):
+        want = result(lambda: oracle_core_graph(2, 1, edges))
+        assert want[0] is TypeError
+        assert result(lambda: CoreGraph(2, 1, edges)) == want
 
 
 # --- graph JSON -------------------------------------------------------------

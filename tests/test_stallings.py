@@ -2,6 +2,7 @@ import gc
 import random
 from collections import Counter
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -210,20 +211,26 @@ def test_from_generators_leaves_no_hair(rank, max_len):
             assert (g, g._edge_count) == (trimmed, trimmed._edge_count)
 
 
-def test_pullback_trims_only_products_with_an_empty_slot(monkeypatch):
-    # A product with no empty slot is a finite cover, so H ∩ K would have
-    # finite index inside a factor of infinite index: only products of two
-    # complete covers have none, and those skip _core.
-    untrimmed = []
+def test_every_product_but_a_coprime_cover_product_reaches_core(monkeypatch):
+    # Only two complete covers of coprime indices skip _core: their
+    # product is built by _cover_product.  A product with no empty slot is
+    # a finite cover, so H ∩ K would have finite index inside a factor of
+    # infinite index: only two complete covers make one, and _core hands
+    # it back on the very table the search filled.
+    complete = []
     trim = fgr.stallings._core
 
     def spy(rank, table, order):
-        untrimmed.append(all(-1 not in array for array in table[1:]))
-        return trim(rank, table, order)
+        full = all(-1 not in array for array in table[1:])
+        graph = trim(rank, table, order)
+        complete.append(full)
+        if full:
+            assert graph.table is table
+        return graph
 
     monkeypatch.setattr(fgr.stallings, "_core", spy)
     rng = random.Random(23)
-    covers = 0
+    coprime = 0
     for _ in range(300):
         rank = rng.randint(1, 3)
         graphs = [
@@ -233,12 +240,17 @@ def test_pullback_trims_only_products_with_an_empty_slot(monkeypatch):
             for _ in range(2)
         ]
         both = all(subgroup_index(g) is not None for g in graphs)
-        covers += both
-        calls = len(untrimmed)
+        skips = both and gcd(*(g.vertex_count for g in graphs)) == 1
+        coprime += skips
+        calls = len(complete)
         pullback(*graphs)
-        assert len(untrimmed) == calls + (not both)
-    assert not any(untrimmed)
-    assert min(covers, len(untrimmed)) >= 100, (covers, len(untrimmed))
+        assert len(complete) == calls + (not skips)
+        if not skips:
+            # Complete exactly when both factors are covers.
+            assert complete[-1] == both
+    assert min(coprime, complete.count(True), complete.count(False)) >= 20, (
+        coprime, Counter(complete)
+    )
 
 
 # --- membership ------------------------------------------------------------

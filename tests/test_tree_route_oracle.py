@@ -243,6 +243,29 @@ def test_trees_from_the_same_edges_are_equal_and_hash_equal():
     assert spanning_tree(graph) != "tree"
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_tree_edges_equality_and_hash_agree_with_the_frozenset_constructor(seed):
+    # A tree keeps no table: its edges are read off the graph's forward
+    # slots whose symbol is 0.  Default and given trees, on every seeded
+    # graph, against OldTree's frozenset, its equality and its hash.
+    rng = random.Random(11_400 + seed)
+    pairs = []
+    for graph in seeded_graphs(11_500 + seed):
+        given = random_tree_edges(graph, rng)
+        pairs.append((spanning_tree(graph), old_default_tree(graph)))
+        pairs.append((SpanningTree(graph, given), OldTree(graph, given)))
+    for tree, old in pairs:
+        assert tree.tree_edges == old.tree_edges
+        assert all(type(field) is int for edge in tree.tree_edges for field in edge)
+    for tree, old in pairs:
+        for other, old_other in pairs:
+            assert (tree == other) == (old == old_other)
+            assert (hash(tree) == hash(other)) == (hash(old) == hash(old_other))
+    # Default and given trees coincide on some graphs and not on others.
+    agree = sum(a == b for (a, _), (b, _) in zip(pairs[::2], pairs[1::2]))
+    assert 0 < agree < len(pairs) // 2, agree
+
+
 def test_tree_repr_keeps_its_format():
     graph = gamma_graph(3)
     tree = SpanningTree(graph, [(1, 2, 2), (0, 1, 2)])

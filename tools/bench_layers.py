@@ -61,6 +61,10 @@ are:
   m, whose rank-2 retract is intersected by a ``pullback`` of two
   graphs of infinite index that reaches about 4m of its pairs, so it
   numbers them in dict rows;
+- ``degrees``: ``fgr.stallings._degrees`` on the table of that
+  ``pullback``'s product, the degree count that ``_core`` reads before
+  it hands back a product with no hair, checked once against a count of
+  the full slots vertex by vertex;
 - ``bergman_report``: the whole ``bergman_counterexample(2, m, 1)`` with
   the same m, the cyclic route from the family's graph to the report;
 - ``hm_graph``: ``hm_graph(i)`` for the rung's index i, the graph in
@@ -98,6 +102,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
+
+import fgr.retracts
 
 from fgr import (
     Permutation,
@@ -119,7 +126,7 @@ from fgr import (
 )
 from fgr.cli import _parse_tree_flag, main as fgr_main
 from fgr.constructions import gamma_graph, hm_graph, lm_graph, wk_word
-from fgr.stallings import CoreGraph, SpanningTree, _basis_text, _check_core
+from fgr.stallings import CoreGraph, SpanningTree, _basis_text, _check_core, _degrees
 from fgr.words import render_word
 
 # name -> (family, rank, index); hm rungs have rank 2.
@@ -195,6 +202,14 @@ def _reduced(rank: int, length: int, rng: random.Random):
     return reduce_word(rank, letters)
 
 
+def _bergman_product(m: int) -> CoreGraph:
+    """The product of the ``pullback`` that ``bergman_counterexample(3, m,
+    2)`` intersects its subgroup and rank-2 retract by."""
+    with mock.patch.object(fgr.retracts, "pullback", wraps=pullback) as spy:
+        bergman_counterexample(3, m, 2)
+    return pullback(*spy.call_args.args)
+
+
 def _best(call, repeats: int) -> float:
     """Best per-call seconds of ``repeats`` loops of about TARGET_LOOP_S."""
     start = time.perf_counter()
@@ -237,6 +252,10 @@ def measure(name: str, repeats: int) -> dict[str, float]:
     short = _reduced(rank, INTERSECT_LETTERS, random.Random(index + 1))
     odd = index | 1
     lm, wk = lm_graph(odd), wk_word((odd - 1) // 2)
+    product = _bergman_product(odd).table
+    slots = [sum(array[v] >= 0 for array in product[1:]) for v in range(len(product[1]))]
+    if _degrees(product) != slots:
+        raise AssertionError(f"{name}: _degrees does not count the product's full slots")
     orbit = gamma_graph(index), gamma_graph(index + 1)
     covers_rng = random.Random(7100 + 10 * index + rank)
     covers = _random_cover(rank, index, covers_rng), _random_cover(rank, 2 * index, covers_rng)
@@ -271,6 +290,7 @@ def measure(name: str, repeats: int) -> dict[str, float]:
         ),
         "bergman_cyclic": _best(lambda: smallest_power_in(lm, wk), repeats),
         "bergman_rank2": _best(lambda: bergman_counterexample(3, odd, 2), repeats),
+        "degrees": _best(lambda: _degrees(product), repeats),
         "bergman_report": _best(lambda: bergman_counterexample(2, odd, 1), repeats),
         "hm_graph": _best(lambda: hm_graph(index), repeats),
         "pullback_orbit": _best(lambda: pullback(*orbit), repeats),
